@@ -2,8 +2,8 @@
 classifiers, plus pointing-game evaluation harnesses."""
 
 from .models import ARCHS, ForwardTrace, NetworkParams, Vocabulary, \
-    class_outputs, embed, embedding_gradients, forward, forward_embedded, \
-    init_params, load_checkpoint, save_checkpoint
+    embed, embedding_gradients, forward, forward_embedded, init_params, \
+    load_checkpoint, save_checkpoint, score_batch
 from .numerics import SeededRng, activation, softmax
 from .relevance import RelevanceMap, rmax
 from .train import TrainConfig, accuracy, mean_loss, train
@@ -11,8 +11,8 @@ from .explain import METHOD_NAMES, ExplainOptions, explain
 
 __all__ = [
     "ARCHS", "ForwardTrace", "NetworkParams", "Vocabulary",
-    "class_outputs", "embed", "embedding_gradients", "forward",
-    "forward_embedded", "init_params", "load_checkpoint", "save_checkpoint",
+    "embed", "embedding_gradients", "forward", "forward_embedded",
+    "init_params", "load_checkpoint", "save_checkpoint", "score_batch",
     "SeededRng", "activation", "softmax",
     "RelevanceMap", "rmax",
     "TrainConfig", "accuracy", "mean_loss", "train",

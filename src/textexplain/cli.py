@@ -24,7 +24,9 @@ from .numerics import SeededRng
 from .render import colorize, emit_ansi, emit_html
 from .train import TrainConfig, accuracy, mean_loss, train
 
-DEFAULT_PERTURB_WIDTHS = (1, 3, 7)
+
+class UsageError(Exception):
+    """An option the loaded data cannot honour; maps to exit code 1."""
 
 
 class DataError(Exception):
@@ -137,6 +139,9 @@ def cmd_explain(args) -> int:
     params = load_checkpoint(args.checkpoint)
     if params.vocab is None:
         raise DataError("checkpoint has no vocabulary")
+    if args.k is not None and not 0 <= args.k < params.n_classes:
+        raise UsageError(f"--k {args.k} out of range: the model has "
+                         f"{params.n_classes} classes")
     docs = _read_corpus(args.docs)
     opts = _options_from(args)
 
@@ -322,6 +327,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

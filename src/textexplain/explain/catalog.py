@@ -37,7 +37,9 @@ class ExplainOptions:
 
 def explain(name: str, params: NetworkParams, ids, k: int,
             opts: ExplainOptions | None = None) -> RelevanceMap:
-    """Run one explanation method by catalog name."""
+    """Run one explanation method by catalog name for target class ``k``."""
+    if not 0 <= k < params.n_classes:
+        raise ValueError(f"class {k} out of range [0, {params.n_classes})")
     opts = opts or ExplainOptions()
     if name in GRADIENT_METHODS:
         variant, output, reduction = name.split("_")

@@ -3,7 +3,9 @@
 Samples contiguous substrings of the input uniformly (length first, then
 start), queries the classifier on each substring as a standalone sequence,
 and fits a linear surrogate over binary coverage vectors. The surrogate's
-weights are the token relevances. Three fitting objectives:
+weights are the token relevances. Each distinct substring is scored once,
+all substrings of one length in a single batched forward run. Three fitting
+objectives:
 
     bb    logistic loss on "did the classifier predict k on the substring"
     ms_s  least squares on the unnormalized class score s(k, Z)
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from ..models import NetworkParams, forward
-from ..numerics import SeededRng, sigmoid
+from ..models import NetworkParams, embed, score_batch
+from ..numerics import SeededRng, sigmoid, softmax
 from ..relevance import RelevanceMap
 
 DEFAULT_N_SAMPLES = 3000
@@ -61,7 +63,11 @@ def sample_substrings(rng: SeededRng, t_len: int, n: int,
 
 
 def _design(samples: list[SubstringSample], t_len: int) -> np.ndarray:
-    return np.stack([s.coverage(t_len) for s in samples])
+    """(N, T) coverage matrix: row i is samples[i].coverage(t_len)."""
+    starts = np.array([s.start for s in samples])[:, None]
+    ends = starts + np.array([s.length for s in samples])[:, None]
+    pos = np.arange(t_len)
+    return ((starts <= pos) & (pos < ends)).astype(np.float64)
 
 
 def fit_magnitude(z: np.ndarray, y: np.ndarray,
@@ -131,6 +137,29 @@ def surrogate_fit(samples: list[SubstringSample], responses: np.ndarray,
     raise ValueError(f"unknown surrogate variant {variant!r}")
 
 
+def _substring_responses(params: NetworkParams, ids: list[int], k: int,
+                         variant: str, keys: set[tuple[int, int]],
+                         ) -> dict[tuple[int, int], float]:
+    """Response of each distinct (start, length) substring, scored as a
+    standalone sequence; one batched forward run per substring length."""
+    emb = embed(params, ids)
+    by_len: dict[int, list[int]] = {}
+    for start, length in sorted(keys):
+        by_len.setdefault(length, []).append(start)
+    out = {}
+    for length, starts in by_len.items():
+        windows = np.asarray(starts)[:, None] + np.arange(length)
+        scores = score_batch(params, emb[windows])
+        if variant == "bb":
+            vals = np.argmax(softmax(scores), axis=1) == k
+        elif variant == "ms_s":
+            vals = scores[:, k]
+        else:
+            vals = softmax(scores)[:, k]
+        out.update(((start, length), float(v)) for start, v in zip(starts, vals))
+    return out
+
+
 def limsse_explain(params: NetworkParams, ids, k: int, variant: str = "ms_s",
                    n: int = DEFAULT_N_SAMPLES, l_max: int = DEFAULT_MAX_LEN,
                    seed: int = 0) -> RelevanceMap:
@@ -143,20 +172,8 @@ def limsse_explain(params: NetworkParams, ids, k: int, variant: str = "ms_s",
     rng = SeededRng(seed)
     samples = sample_substrings(rng, t_len, n, l_max)
 
-    responses = np.empty(len(samples))
-    resp_cache: dict[tuple[int, int], float] = {}
-    for idx, sample in enumerate(samples):
-        key = (sample.start, sample.length)
-        if key not in resp_cache:
-            sub = ids[sample.start:sample.start + sample.length]
-            trace = forward(params, sub)
-            if variant == "bb":
-                val = float(trace.predicted == k)
-            elif variant == "ms_s":
-                val = float(trace.scores[k])
-            else:
-                val = float(trace.probs[k])
-            resp_cache[key] = val
-        responses[idx] = resp_cache[key]
+    keys = [(s.start, s.length) for s in samples]
+    resp = _substring_responses(params, ids, k, variant, set(keys))
+    responses = np.array([resp[key] for key in keys])
     v = surrogate_fit(samples, responses, variant, t_len)
     return RelevanceMap(scores=v, k=k, method=f"limsse_{variant}")

@@ -5,6 +5,11 @@ time: omission deletes the window from the embedding sequence, occlusion
 replaces it with all-zero embedding rows. The token's relevance is the mean
 drop in the unnormalized class score over its N windows. Windows reaching
 past a sequence end are clipped to the valid span (the divisor stays N).
+
+Each distinct clipped span is scored once. The perturbed inputs are grouped
+by length and every group is scored in one batched forward run; for
+occlusion every input has length T, and the unperturbed input is a row of
+the same batch.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import NetworkParams, embed, empty_sequence_scores, \
-    forward_embedded
+from ..models import NetworkParams, embed, empty_sequence_scores, score_batch
 from ..relevance import RelevanceMap
 
 
@@ -34,20 +38,39 @@ class PerturbConfig:
         return f"{'omit' if self.mode == 'omit' else 'occ'}_{self.n}"
 
 
-def _perturbed_score(params: NetworkParams, emb: np.ndarray, k: int,
-                     span: tuple[int, int], mode: str) -> float:
-    """Score with tokens in [span) (0-based, half-open) removed or zeroed."""
-    lo, hi = span
-    if lo >= hi:
-        return float(forward_embedded(params, emb).scores[k])
-    if mode == "omit":
-        kept = np.concatenate([emb[:lo], emb[hi:]])
-        if kept.shape[0] == 0:
-            return float(empty_sequence_scores(params)[k])
-        return float(forward_embedded(params, kept).scores[k])
-    masked = emb.copy()
-    masked[lo:hi] = 0.0
-    return float(forward_embedded(params, masked).scores[k])
+def _clipped_spans(t_len: int, n: int) -> list[tuple[int, int]]:
+    """Distinct [lo, hi) spans of the length-n windows, clipped to [0, T)."""
+    return sorted({(max(start, 0), min(start + n, t_len))
+                   for start in range(1 - n, t_len)})
+
+
+def _span_scores(params: NetworkParams, emb: np.ndarray, k: int,
+                 spans: list[tuple[int, int]], mode: str,
+                 ) -> tuple[float, dict[tuple[int, int], float]]:
+    """Unperturbed score s_k and the score with each span removed or zeroed."""
+    t_len = emb.shape[0]
+    if mode == "occlude":
+        batch = np.repeat(emb[None], len(spans) + 1, axis=0)
+        for row, (lo, hi) in enumerate(spans, start=1):
+            batch[row, lo:hi] = 0.0
+        s = score_batch(params, batch)[:, k]
+        return float(s[0]), {span: float(v) for span, v in zip(spans, s[1:])}
+
+    s_full = float(score_batch(params, emb[None])[0, k])
+    by_len: dict[int, list[tuple[int, int]]] = {}
+    for lo, hi in spans:
+        by_len.setdefault(t_len - (hi - lo), []).append((lo, hi))
+    out = {}
+    positions = np.arange(t_len)
+    for kept_len, group in by_len.items():
+        if kept_len == 0:
+            s = np.full(len(group), empty_sequence_scores(params)[k])
+        else:
+            kept = np.stack([positions[(positions < lo) | (positions >= hi)]
+                             for lo, hi in group])
+            s = score_batch(params, emb[kept])[:, k]
+        out.update((span, float(v)) for span, v in zip(group, s))
+    return s_full, out
 
 
 def perturb_explain(params: NetworkParams, ids, k: int,
@@ -57,14 +80,8 @@ def perturb_explain(params: NetworkParams, ids, k: int,
     t_len = emb.shape[0]
     if t_len == 0:
         raise ValueError("empty input sequence")
-    s_full = float(forward_embedded(params, emb).scores[k])
-
-    cache: dict[tuple[int, int], float] = {}
-
-    def score_without(span):
-        if span not in cache:
-            cache[span] = _perturbed_score(params, emb, k, span, cfg.mode)
-        return cache[span]
+    s_full, span_score = _span_scores(params, emb, k,
+                                      _clipped_spans(t_len, cfg.n), cfg.mode)
 
     scores = np.zeros(t_len)
     for t in range(t_len):
@@ -72,6 +89,6 @@ def perturb_explain(params: NetworkParams, ids, k: int,
         # windows of length n starting at t-n+1 .. t, clipped to the sequence
         for start in range(t - cfg.n + 1, t + 1):
             span = (max(start, 0), min(start + cfg.n, t_len))
-            drop += s_full - score_without(span)
+            drop += s_full - span_score[span]
         scores[t] = drop / cfg.n
     return RelevanceMap(scores=scores, k=k, method=cfg.name)

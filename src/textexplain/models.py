@@ -1,9 +1,15 @@
 """Task classifiers: five architectures, forward traces, gradients, checkpoints.
 
 Each network is an embedding matrix, a core layer (GRU, QGRU, LSTM, QLSTM or
-CNN), and a dense classifier head with softmax. The forward pass records every
-intermediate quantity (gates, pre-activations, cell/hidden states, pooling
-winners) in a ForwardTrace, which is what the white-box explainers consume.
+CNN), and a dense classifier head with softmax. The forward pass is batch-first:
+one runner per architecture steps a (B, T, d_e) stack of equal-length inputs
+with (B, d) matmuls, and the convolutions are one matmul per kernel slice
+over the whole batch. ``forward_embedded`` is its B = 1 case and records
+every intermediate quantity (gates, pre-activations, cell/hidden states,
+pooling winners) in a ForwardTrace, which is what the white-box explainers
+consume. ``score_batch`` keeps only the running state and returns the class
+scores of every row; the black-box explainers score their inputs with it in
+equal-length buckets.
 
 Recurrences:
     GRU     h_t = z_t * h_{t-1} + (1 - z_t) * g_t,  g_t = tanh(V e_t + U (r_t * h_{t-1}) + b)
@@ -29,8 +35,6 @@ from .autodiff import Node, Tape
 from .numerics import SeededRng, sigmoid, softmax
 
 ARCHS = ("GRU", "QGRU", "LSTM", "QLSTM", "CNN")
-RECURRENT_ARCHS = ("GRU", "LSTM")
-CONV_GATED_ARCHS = ("QGRU", "QLSTM")
 
 OOV_TOKEN = "<oov>"
 
@@ -206,7 +210,7 @@ def init_params(arch: str, vocab_size: int, d_embed: int, d_hidden: int,
 
 
 # ---------------------------------------------------------------------------
-# Forward pass (plain numpy, produces the trace)
+# Forward pass (plain numpy, batch-first, produces the trace)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -215,6 +219,7 @@ class DirectionTrace:
 
     State arrays are indexed 0..T (row 0 is the initial state); gate,
     pre-activation and candidate arrays use rows 1..T with row 0 unused.
+    Inside the batched runner every array carries a leading batch axis.
     """
 
     emb: np.ndarray                     # (T, d_e)
@@ -224,6 +229,15 @@ class DirectionTrace:
     hidden: np.ndarray                  # (T+1, d)
     cell: np.ndarray | None = None      # (T+1, d), LSTM family
     pool_argmax: np.ndarray | None = None   # (d,), CNN: winning t in 1..T
+
+    def row(self, b: int) -> "DirectionTrace":
+        """Batch row ``b`` of a batched trace."""
+        return DirectionTrace(
+            emb=self.emb[b], gates={n: a[b] for n, a in self.gates.items()},
+            preact=self.preact[b], cand=self.cand[b], hidden=self.hidden[b],
+            cell=None if self.cell is None else self.cell[b],
+            pool_argmax=(None if self.pool_argmax is None
+                         else self.pool_argmax[b]))
 
 
 @dataclass
@@ -257,146 +271,192 @@ def embed(params: NetworkParams, ids) -> np.ndarray:
     return params.embedding[np.asarray(ids, dtype=int)].copy()
 
 
-def _causal_conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Left-zero-padded convolution; returns (T+1, d) with row 0 zero."""
-    f = kernel.shape[0]
-    t_len = emb.shape[0]
-    out = np.zeros((t_len + 1, bias.shape[0]))
-    for t in range(1, t_len + 1):
-        acc = bias.copy()
-        for k in range(f):
-            src = t - k
-            if src >= 1:
-                acc += kernel[k] @ emb[src - 1]
-        out[t] = acc
+def _conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray,
+          left: int) -> np.ndarray:
+    """Zero-padded convolution over a (B, T, d_e) batch; returns (B, T+1, d)
+    with row 0 zero.
+
+    ``left`` zero rows pad the front and F-1-left the back, so slice k of
+    the kernel multiplies e_{t-k} (causal, left = F-1) or e_{t-k+F'}
+    (centered, left = F'). Each slice is one matmul over every padded row of
+    the batch; the slices are added to the bias in order.
+    """
+    f, d, d_e = kernel.shape
+    b, t_len, _ = emb.shape
+    padded = np.zeros((b, t_len + f - 1, d_e))
+    padded[:, left:left + t_len] = emb
+    flat = padded.reshape(-1, d_e)
+    out = np.zeros((b, t_len + 1, d))
+    acc = out[:, 1:]
+    acc += bias
+    for k in range(f):
+        proj = (flat @ kernel[k].T).reshape(b, t_len + f - 1, d)
+        acc += proj[:, f - 1 - k:f - 1 - k + t_len]
     return out
 
 
+def _causal_conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Left-zero-padded convolution; (B, T, d_e) -> (B, T+1, d)."""
+    return _conv(kernel, bias, emb, kernel.shape[0] - 1)
+
+
 def _centered_conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Symmetric-zero-padded convolution; returns (T+1, d) with row 0 zero."""
-    f = kernel.shape[0]
-    half = (f - 1) // 2
-    t_len = emb.shape[0]
-    out = np.zeros((t_len + 1, bias.shape[0]))
-    for t in range(1, t_len + 1):
-        acc = bias.copy()
-        for k in range(-half, half + 1):
-            src = t - k
-            if 1 <= src <= t_len:
-                acc += kernel[k + half] @ emb[src - 1]
-        out[t] = acc
+    """Symmetric-zero-padded convolution; (B, T, d_e) -> (B, T+1, d)."""
+    return _conv(kernel, bias, emb, (kernel.shape[0] - 1) // 2)
+
+
+def _with_initial(steps: list[np.ndarray]) -> np.ndarray:
+    """Stack per-step (B, d) arrays into (B, T+1, d) behind a zero row 0."""
+    first = steps[0]
+    out = np.zeros((first.shape[0], len(steps) + 1, first.shape[1]))
+    out[:, 1:] = np.stack(steps, axis=1)
     return out
 
 
 def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
-                   ) -> DirectionTrace:
-    t_len = emb.shape[0]
+                   keep: bool) -> tuple[np.ndarray, DirectionTrace | None]:
+    """Run one direction over a (B, T, d_e) batch of equal-length inputs.
+
+    Returns the final hidden state (B, d) and, when ``keep`` is true, the
+    batched DirectionTrace; otherwise only the running state is held.
+    """
+    b, t_len, _ = emb.shape
     d = w["b"].shape[0]
 
-    def alloc():
-        return np.zeros((t_len + 1, d))
+    if arch in ("GRU", "LSTM"):
+        # input and recurrent weights of every gate stacked side by side, so
+        # one step is one matmul each (the GRU candidate's U @ (r * h) aside)
+        lstm = arch == "LSTM"
+        gate_names = ("i", "f", "o") if lstm else ("z", "r")
+        n_gate = len(gate_names) * d
+        v_in = np.concatenate([w[f"V{g}"] for g in gate_names] + [w["V"]]).T
+        u_in = np.concatenate([w[f"U{g}"] for g in gate_names]
+                              + ([w["U"]] if lstm else [])).T
+        b_gate = np.concatenate([w[f"b{g}"] for g in gate_names])
+        h = np.zeros((b, d))
+        c = np.zeros((b, d))
+        recorded = []
+        for t in range(t_len):
+            x = emb[:, t] @ v_in
+            hu = h @ u_in
+            gates = sigmoid(x[:, :n_gate] + hu[:, :n_gate] + b_gate)
+            if lstm:
+                gp = x[:, n_gate:] + hu[:, n_gate:] + w["b"]
+                g = np.tanh(gp)
+                c = gates[:, d:2 * d] * c + gates[:, :d] * g
+                h = gates[:, 2 * d:] * np.tanh(c)
+            else:
+                z, r = gates[:, :d], gates[:, d:]
+                gp = x[:, n_gate:] + (r * h) @ w["U"].T + w["b"]
+                g = np.tanh(gp)
+                h = z * h + (1.0 - z) * g
+            if keep:
+                recorded.append((gates, gp, g, h) + ((c,) if lstm else ()))
+        if not keep:
+            return h, None
+        gates_all, gp_all, g_all, h_all, *c_all = map(_with_initial,
+                                                      zip(*recorded))
+        return h, DirectionTrace(
+            emb=emb,
+            gates={n: gates_all[:, :, j * d:(j + 1) * d]
+                   for j, n in enumerate(gate_names)},
+            preact=gp_all, cand=g_all, hidden=h_all,
+            cell=c_all[0] if lstm else None)
 
-    if arch == "GRU":
-        z, r, gp, g, h = alloc(), alloc(), alloc(), alloc(), alloc()
-        for t in range(1, t_len + 1):
-            e_t = emb[t - 1]
-            z[t] = sigmoid(w["Vz"] @ e_t + w["Uz"] @ h[t - 1] + w["bz"])
-            r[t] = sigmoid(w["Vr"] @ e_t + w["Ur"] @ h[t - 1] + w["br"])
-            gp[t] = w["V"] @ e_t + w["U"] @ (r[t] * h[t - 1]) + w["b"]
-            g[t] = np.tanh(gp[t])
-            h[t] = z[t] * h[t - 1] + (1.0 - z[t]) * g[t]
-        return DirectionTrace(emb=emb, gates={"z": z, "r": r}, preact=gp,
-                              cand=g, hidden=h)
-
-    if arch == "LSTM":
-        i, f, o = alloc(), alloc(), alloc()
-        gp, g, c, h = alloc(), alloc(), alloc(), alloc()
-        for t in range(1, t_len + 1):
-            e_t = emb[t - 1]
-            i[t] = sigmoid(w["Vi"] @ e_t + w["Ui"] @ h[t - 1] + w["bi"])
-            f[t] = sigmoid(w["Vf"] @ e_t + w["Uf"] @ h[t - 1] + w["bf"])
-            o[t] = sigmoid(w["Vo"] @ e_t + w["Uo"] @ h[t - 1] + w["bo"])
-            gp[t] = w["V"] @ e_t + w["U"] @ h[t - 1] + w["b"]
-            g[t] = np.tanh(gp[t])
-            c[t] = f[t] * c[t - 1] + i[t] * g[t]
-            h[t] = o[t] * np.tanh(c[t])
-        return DirectionTrace(emb=emb, gates={"i": i, "f": f, "o": o},
-                              preact=gp, cand=g, hidden=h, cell=c)
-
-    if arch == "QGRU":
-        z = np.zeros((t_len + 1, d))
-        z[1:] = sigmoid(_causal_conv(w["Kz"], w["bz"], emb)[1:])
+    if arch in ("QGRU", "QLSTM"):
+        gate_names = ("z",) if arch == "QGRU" else ("i", "f", "o")
+        gates = {}
+        for n in gate_names:
+            gates[n] = _causal_conv(w[f"K{n}"], w[f"b{n}"], emb)
+            gates[n][:, 1:] = sigmoid(gates[n][:, 1:])
         gp = _causal_conv(w["K"], w["b"], emb)
         g = np.zeros_like(gp)
-        g[1:] = np.tanh(gp[1:])
-        h = np.zeros((t_len + 1, d))
+        g[:, 1:] = np.tanh(gp[:, 1:])
+        h = np.zeros((b, d))
+        c = np.zeros((b, d))
+        hs, cs = [], []
         for t in range(1, t_len + 1):
-            h[t] = z[t] * h[t - 1] + (1.0 - z[t]) * g[t]
-        return DirectionTrace(emb=emb, gates={"z": z}, preact=gp, cand=g,
-                              hidden=h)
-
-    if arch == "QLSTM":
-        i = np.zeros((t_len + 1, d))
-        f = np.zeros((t_len + 1, d))
-        o = np.zeros((t_len + 1, d))
-        i[1:] = sigmoid(_causal_conv(w["Ki"], w["bi"], emb)[1:])
-        f[1:] = sigmoid(_causal_conv(w["Kf"], w["bf"], emb)[1:])
-        o[1:] = sigmoid(_causal_conv(w["Ko"], w["bo"], emb)[1:])
-        gp = _causal_conv(w["K"], w["b"], emb)
-        g = np.zeros_like(gp)
-        g[1:] = np.tanh(gp[1:])
-        c = np.zeros((t_len + 1, d))
-        h = np.zeros((t_len + 1, d))
-        for t in range(1, t_len + 1):
-            c[t] = f[t] * c[t - 1] + i[t] * g[t]
-            h[t] = o[t] * np.tanh(c[t])
-        return DirectionTrace(emb=emb, gates={"i": i, "f": f, "o": o},
-                              preact=gp, cand=g, hidden=h, cell=c)
+            if arch == "QGRU":
+                z = gates["z"][:, t]
+                h = z * h + (1.0 - z) * g[:, t]
+            else:
+                c = gates["f"][:, t] * c + gates["i"][:, t] * g[:, t]
+                h = gates["o"][:, t] * np.tanh(c)
+            if keep:
+                hs.append(h)
+                cs.append(c)
+        if not keep:
+            return h, None
+        return h, DirectionTrace(
+            emb=emb, gates=gates, preact=gp, cand=g, hidden=_with_initial(hs),
+            cell=_with_initial(cs) if arch == "QLSTM" else None)
 
     if arch == "CNN":
         gp = _centered_conv(w["K"], w["b"], emb)
         g = np.zeros_like(gp)
-        g[1:] = np.maximum(gp[1:], 0.0)
+        g[:, 1:] = np.maximum(gp[:, 1:], 0.0)
         # argmax over t = 1..T, ties to the lowest t
-        arg = np.argmax(g[1:], axis=0) + 1
-        pooled = g[arg, np.arange(d)]
-        h = np.zeros((t_len + 1, d))
-        h[t_len] = pooled
-        return DirectionTrace(emb=emb, gates={}, preact=gp, cand=g, hidden=h,
-                              pool_argmax=arg)
+        arg = np.argmax(g[:, 1:], axis=1) + 1
+        pooled = np.take_along_axis(g, arg[:, None, :], axis=1)[:, 0]
+        if not keep:
+            return pooled, None
+        h = np.zeros((b, t_len + 1, d))
+        h[:, t_len] = pooled
+        return pooled, DirectionTrace(emb=emb, gates={}, preact=gp, cand=g,
+                                      hidden=h, pool_argmax=arg)
 
     raise ValueError(f"unknown architecture {arch!r}")
 
 
-def forward_embedded(params: NetworkParams, emb: np.ndarray) -> ForwardTrace:
-    """Forward pass on an explicit embedding matrix (T, d_e)."""
-    if emb.shape[0] == 0:
+def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
+         ) -> tuple[np.ndarray, np.ndarray, dict[str, DirectionTrace]]:
+    """Batched forward over (B, T, d_e): document representations (B, d_h),
+    class scores (B, K) and, when ``keep``, the batched direction traces."""
+    if embs.ndim != 3:
+        raise ValueError("expected a (batch, length, width) input stack")
+    if embs.shape[1] == 0:
         raise ValueError("empty input sequence")
-    if emb.shape[1] != params.d_embed:
+    if embs.shape[2] != params.d_embed:
         raise ValueError("embedding width mismatch")
     dirs: dict[str, DirectionTrace] = {}
     parts = []
     for dname in params.directions:
-        e_dir = emb if dname == "fwd" else emb[::-1].copy()
-        tr = _run_direction(params.arch, params.layers[dname], e_dir)
-        dirs[dname] = tr
-        parts.append(tr.hidden[-1])
-    doc = np.concatenate(parts)
-    scores = params.w_cls @ doc + params.b_cls
-    probs = softmax(scores)
+        e_dir = embs if dname == "fwd" else embs[:, ::-1].copy()
+        last, tr = _run_direction(params.arch, params.layers[dname], e_dir,
+                                  keep)
+        parts.append(last)
+        if keep:
+            dirs[dname] = tr
+    doc = np.concatenate(parts, axis=1)
+    scores = doc @ params.w_cls.T + params.b_cls
+    return doc, scores, dirs
+
+
+def forward_embedded(params: NetworkParams, emb: np.ndarray) -> ForwardTrace:
+    """Forward pass on an explicit embedding matrix (T, d_e): the batch of
+    one of the batched runner, with every per-step quantity recorded."""
+    doc, scores, dirs = _run(params, emb[None], keep=True)
     return ForwardTrace(arch=params.arch, direction=params.direction,
-                        embeddings=emb, dirs=dirs, doc_repr=doc,
-                        scores=scores, probs=probs)
+                        embeddings=emb,
+                        dirs={n: tr.row(0) for n, tr in dirs.items()},
+                        doc_repr=doc[0], scores=scores[0],
+                        probs=softmax(scores[0]))
+
+
+def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
+    """Class scores (B, K) of a (B, T, d_e) stack of equal-length inputs.
+
+    Same runner as forward_embedded, but only the running state is kept, so
+    a bucket of inputs costs O(B d) memory beyond its input projections.
+    Rows of one call are computed alike; a row may differ from its B = 1
+    run in the last bits, so compare scores from the same batch.
+    """
+    return _run(params, embs, keep=False)[1]
 
 
 def forward(params: NetworkParams, ids) -> ForwardTrace:
     """Forward pass on a token id sequence."""
     return forward_embedded(params, embed(params, ids))
-
-
-def class_outputs(trace: ForwardTrace) -> tuple[np.ndarray, np.ndarray]:
-    """(unnormalized scores, class probabilities) from a trace."""
-    return trace.scores, trace.probs
 
 
 def empty_sequence_scores(params: NetworkParams) -> np.ndarray:

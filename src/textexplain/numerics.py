@@ -12,14 +12,11 @@ __all__ = ["activation", "sigmoid", "softmax", "SeededRng"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically safe logistic function."""
+    """Numerically safe logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, so exp never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 _ACTIVATIONS = {
@@ -39,12 +36,13 @@ def activation(kind: str, x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax with max-subtraction for stability. Output sums to 1."""
+    """Softmax over the last axis with max-subtraction for stability; each
+    row sums to 1."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of empty vector")
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class SeededRng:

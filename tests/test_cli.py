@@ -131,6 +131,20 @@ class TestExplain:
         assert all(r["k"] == 1 for r in records)
         assert "<span" in page.read_text()
 
+    @pytest.mark.parametrize("k", ["5", "-1"])
+    def test_out_of_range_k_is_usage_error(self, trained_checkpoint, tmp_path,
+                                           capsys, k):
+        """A 2-class model rejects --k outside [0, 2) before any document is
+        explained: exit 1, one line on stderr, no output written."""
+        _, corpus, ckpt = trained_checkpoint
+        out = tmp_path / "rel.jsonl"
+        rc = main(["explain", str(ckpt), str(corpus), "--out", str(out),
+                   "--k", k, "--methods", "omit_1", "limsse_ms_s"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "out of range" in err
+        assert not out.exists()
+
     def test_unknown_method_is_data_error(self, trained_checkpoint, tmp_path):
         _, corpus, ckpt = trained_checkpoint
         rc = main(["explain", str(ckpt), str(corpus),

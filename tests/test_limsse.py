@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from textexplain.explain.limsse import SubstringSample, fit_blackbox, \
-    fit_magnitude, limsse_explain, sample_substrings, surrogate_fit
+from textexplain.explain.limsse import SubstringSample, _design, \
+    fit_blackbox, fit_magnitude, limsse_explain, sample_substrings, \
+    surrogate_fit
 from textexplain.models import forward
 from textexplain.numerics import SeededRng, sigmoid
 
@@ -20,6 +21,14 @@ class TestSampling:
             on = np.flatnonzero(cov)
             assert on.size == s.length
             assert np.all(np.diff(on) == 1)
+
+    @pytest.mark.parametrize("t_len", [1, 6, 80])
+    def test_design_equals_stacked_coverage(self, t_len):
+        samples = sample_substrings(SeededRng(t_len), t_len, 3000, l_max=6)
+        z = _design(samples, t_len)
+        assert z.dtype == np.float64
+        assert np.array_equal(z, np.stack([s.coverage(t_len)
+                                           for s in samples]))
 
     def test_length_capped_by_sequence(self):
         for s in sample_substrings(SeededRng(1), 3, 200, l_max=6):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from textexplain.numerics import SeededRng, activation, softmax
+from textexplain.numerics import SeededRng, activation, sigmoid, softmax
 
 
 class TestActivation:
@@ -25,6 +25,25 @@ class TestActivation:
                                    atol=1e-12)
         np.testing.assert_allclose(activation("tanh", xs), tanh_ref,
                                    atol=1e-12)
+
+    def test_sigmoid_equals_two_branch_form_bitwise(self):
+        """The branch-free sigmoid gives exactly 1/(1+e^-x) for x >= 0 and
+        e^x/(1+e^x) below, extremes included, on any array shape."""
+        xs = np.concatenate([
+            np.random.default_rng(0).normal(scale=30.0, size=5000),
+            [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0,
+             np.inf, -np.inf]])
+        want = np.empty_like(xs)
+        pos = xs >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-xs[pos]))
+        want[~pos] = np.exp(xs[~pos]) / (1.0 + np.exp(xs[~pos]))
+        assert np.array_equal(sigmoid(xs), want)
+        assert np.array_equal(sigmoid(xs.reshape(-1, 2)), want.reshape(-1, 2))
+
+    def test_softmax_is_row_wise(self):
+        x = np.random.default_rng(1).normal(scale=5.0, size=(7, 3))
+        rows = np.stack([softmax(r) for r in x])
+        assert np.array_equal(softmax(x), rows)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

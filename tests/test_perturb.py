@@ -112,10 +112,13 @@ def test_empty_sequence_rejected():
         perturb_explain(rand_params("GRU"), [], 0, PerturbConfig("omit", 1))
 
 
-def test_zero_relevance_for_irrelevant_token():
-    """A CNN token outside every pooled window and with zero embedding has
-    zero occlusion relevance."""
-    p = rand_params("GRU", seed=8, scale=3.0)
+@pytest.mark.parametrize("arch,direction", [
+    (arch, direction) for arch in ("GRU", "LSTM", "QGRU", "QLSTM", "CNN")
+    for direction in ("uni", "bi") if (arch, direction) != ("CNN", "bi")])
+def test_zero_relevance_for_irrelevant_token(arch, direction):
+    """Occluding a token whose embedding row is already zero leaves the input
+    unchanged, so its occlusion relevance is exactly zero."""
+    p = rand_params(arch, seed=8, scale=3.0, direction=direction)
     p.embedding[5][:] = 0.0
     got = perturb_explain(p, [5, 1, 2], 0, PerturbConfig("occlude", 1)).scores
     assert got[0] == 0.0
