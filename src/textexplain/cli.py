@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .models import ARCHS, Vocabulary, forward, init_params, \
     load_checkpoint, save_checkpoint
 from .numerics import SeededRng
 from .render import colorize, emit_ansi, emit_html
-from .train import TrainConfig, accuracy, mean_loss, train
+from .train import TrainConfig, loss_and_accuracy, train
 
 
 class UsageError(Exception):
@@ -74,6 +75,24 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
                    help="maximum substring length (default 6)")
 
 
+# smallest value each numeric flag accepts; main() checks them before any
+# file is read
+_FLAG_MINIMUMS = {"d_embed": 1, "d_hidden": 1, "epochs": 0, "batch_size": 1,
+                  "group_size": 1, "int_steps": 1, "limsse_n": 1,
+                  "limsse_maxlen": 1}
+
+
+def _check_flags(args) -> None:
+    for name, low in _FLAG_MINIMUMS.items():
+        value = getattr(args, name, low)
+        if value < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least "
+                             f"{low}, got {value}")
+    eps = getattr(args, "eps", 1.0)
+    if not (math.isfinite(eps) and eps > 0):
+        raise UsageError(f"--eps must be a positive number, got {eps}")
+
+
 def _options_from(args) -> ExplainOptions:
     return ExplainOptions(eps=args.eps, int_steps=args.int_steps,
                           limsse_n=args.limsse_n,
@@ -85,6 +104,17 @@ def _check_methods(names) -> None:
     for name in names:
         if name not in METHOD_NAMES:
             raise DataError(f"unknown explanation method {name!r}")
+
+
+def _load_model(path: str):
+    """A checkpoint that carries its vocabulary."""
+    try:
+        params = load_checkpoint(path)
+    except (OSError, KeyError) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}")
+    if params.vocab is None:
+        raise DataError("checkpoint has no vocabulary")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +142,7 @@ def cmd_train(args) -> int:
     log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
 
     def log_epoch(epoch):
-        loss = mean_loss(params, corpus)
-        acc = accuracy(params, corpus)
+        loss, acc = loss_and_accuracy(params, corpus)
         record = {"epoch": epoch, "loss": loss, "accuracy": acc}
         print(f"epoch {epoch}: loss={loss:.4f} accuracy={acc:.4f}",
               file=sys.stderr)
@@ -136,9 +165,7 @@ def cmd_train(args) -> int:
 
 def cmd_explain(args) -> int:
     _check_methods(args.methods)
-    params = load_checkpoint(args.checkpoint)
-    if params.vocab is None:
-        raise DataError("checkpoint has no vocabulary")
+    params = _load_model(args.checkpoint)
     if args.k is not None and not 0 <= args.k < params.n_classes:
         raise UsageError(f"--k {args.k} out of range: the model has "
                          f"{params.n_classes} classes")
@@ -180,9 +207,7 @@ def cmd_explain(args) -> int:
 
 def cmd_eval_hybrid(args) -> int:
     _check_methods(args.methods)
-    params = load_checkpoint(args.checkpoint)
-    if params.vocab is None:
-        raise DataError("checkpoint has no vocabulary")
+    params = _load_model(args.checkpoint)
     docs = _read_corpus(args.corpus)
     sentences = []
     for doc in docs:
@@ -203,9 +228,7 @@ def cmd_eval_hybrid(args) -> int:
 
 def cmd_eval_agreement(args) -> int:
     _check_methods(args.methods)
-    params = load_checkpoint(args.checkpoint)
-    if params.vocab is None:
-        raise DataError("checkpoint has no vocabulary")
+    params = _load_model(args.checkpoint)
     try:
         with open(args.tsv, encoding="utf-8") as fh:
             samples = parse_agreement_tsv(fh)
@@ -226,9 +249,12 @@ def cmd_render(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {args.relevance}: {exc}")
     chunks = []
-    for r in records:
+    for index, r in enumerate(records, start=1):
         if "scores" not in r:
             continue
+        if "tokens" not in r:
+            raise DataError(f"{args.relevance}: record {index} has scores "
+                            f"but no tokens")
         colored = colorize(np.asarray(r["scores"], dtype=float), r["tokens"])
         if args.mode == "ansi":
             chunks.append(emit_ansi(colored))
@@ -326,6 +352,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_flags(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,9 @@
-"""Gradient-based explainers: {plain, integrated} x {score, prob} x {L2, dot}."""
+"""Gradient-based explainers: {plain, integrated} x {score, prob} x {L2, dot}.
+
+Gradients are exact: one batched forward and one reverse sweep per call of
+``models.embedding_gradients``. Integrated gradients stack their M scaled
+inputs into one such batch.
+"""
 
 from __future__ import annotations
 
@@ -32,18 +37,28 @@ class GradConfig:
         return f"{self.variant}_{self.output}_{self.reduction}"
 
 
+# Most cells (steps x length x width) one batch of integrated gradients
+# holds; longer inputs are split into several batches so that the trace of
+# one batch stays a few MB.
+IG_BATCH_CELLS = 1 << 18
+
+
 def integrated_gradients(params: NetworkParams, ids, output: str, k: int,
                          steps: int = 50) -> np.ndarray:
     """Average gradient over the scaled inputs (m/M) * E, m = 1..M.
 
     The baseline is the all-zero embedding matrix, so the interpolation is a
-    pure scaling of the actual embeddings.
+    pure scaling of the actual embeddings. The M scaled inputs are scored as
+    one batch, split only when it would exceed ``IG_BATCH_CELLS``.
     """
     emb = embed(params, ids)
+    width = max(params.d_embed, params.d_hidden)
+    chunk = max(1, IG_BATCH_CELLS // max(1, emb.shape[0] * width))
     total = np.zeros_like(emb)
-    for m in range(1, steps + 1):
+    for lo in range(1, steps + 1, chunk):
+        alphas = np.arange(lo, min(lo + chunk, steps + 1)) / steps
         total += embedding_gradients(params, output=output, k=k,
-                                     emb=emb * (m / steps))
+                                     emb=emb * alphas[:, None, None]).sum(axis=0)
     return total / steps
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..models import DirectionTrace, ForwardTrace, NetworkParams, embed, \
-    forward_embedded
+from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
+    _conv_transpose, embed, forward_embedded
 from ..relevance import RelevanceMap
 
 DEFAULT_EPS = 1e-3
@@ -64,25 +64,6 @@ def _diff(tr: DirectionTrace, base: DirectionTrace | None):
     return dh, dg, dgp, dc, dtc
 
 
-def _conv_relevance(emb: np.ndarray, kernel: np.ndarray, q: np.ndarray,
-                    offsets: range) -> np.ndarray:
-    """Sum over kernel slices: Re[t] = e_t * sum_k kernel[k].T @ q[t + off_k].
-
-    ``q`` is R(g)/stabilized-denominator, shape (T+1, d). Kernel slice k
-    multiplies e_{t-k} in the forward pass, so e_t feeds the candidates at
-    steps t..t+F-1 (causal) or t-F'..t+F' (centered); ``offsets`` lists the
-    step offset of each kernel slice in order.
-    """
-    t_len = emb.shape[0]
-    re = np.zeros_like(emb)
-    for slot, off in enumerate(offsets):
-        for t in range(1, t_len + 1):
-            tgt = t + off
-            if 1 <= tgt <= t_len:
-                re[t - 1] += emb[t - 1] * (kernel[slot].T @ q[tgt])
-    return re
-
-
 def _backprop_direction(arch: str, w: dict[str, np.ndarray],
                         tr: DirectionTrace, r_htop: np.ndarray, eps: float,
                         base: DirectionTrace | None) -> np.ndarray:
@@ -90,7 +71,13 @@ def _backprop_direction(arch: str, w: dict[str, np.ndarray],
     direction's own order."""
     t_len = tr.emb.shape[0]
     dh, dg, dgp, dc, dtc = _diff(tr, base)
-    f_width = None
+
+    def conv_relevance(rg, left):
+        # per-token share of the conv candidates' relevance rg (rows 1..T):
+        # e_t times the transposed convolution of rg / denominator
+        q = rg[1:] / _stab(dgp[1:], eps)
+        re = tr.emb * _conv_transpose(w["K"], q[None], left)[0]
+        return re.sum(axis=1)
 
     if arch == "GRU":
         z, r = tr.gates["z"], tr.gates["r"]
@@ -128,11 +115,7 @@ def _backprop_direction(arch: str, w: dict[str, np.ndarray],
         for t in range(t_len, 0, -1):
             rg[t] = rh * dg[t] * (1.0 - z[t]) / _stab(dh[t], eps)
             rh = rh * dh[t - 1] * z[t] / _stab(dh[t], eps)
-        q = np.zeros_like(rg)
-        q[1:] = rg[1:] / _stab(dgp[1:], eps)
-        f_width = w["K"].shape[0]
-        re = _conv_relevance(tr.emb, w["K"], q, range(0, f_width))
-        return re.sum(axis=1)
+        return conv_relevance(rg, w["K"].shape[0] - 1)
 
     if arch == "QLSTM":
         i, f, o = tr.gates["i"], tr.gates["f"], tr.gates["o"]
@@ -146,24 +129,14 @@ def _backprop_direction(arch: str, w: dict[str, np.ndarray],
                 rc = rc + rc_next * dc[t] * f[t + 1] / _stab(dc[t + 1], eps)
             rg[t] = rc * dg[t] * i[t] / _stab(dc[t], eps)
             rc_next = rc
-        q = np.zeros_like(rg)
-        q[1:] = rg[1:] / _stab(dgp[1:], eps)
-        f_width = w["K"].shape[0]
-        re = _conv_relevance(tr.emb, w["K"], q, range(0, f_width))
-        return re.sum(axis=1)
+        return conv_relevance(rg, w["K"].shape[0] - 1)
 
     if arch == "CNN":
         d = dh.shape[1]
         rg = np.zeros((t_len + 1, d))
         cols = np.arange(d)
         rg[tr.pool_argmax, cols] = r_htop
-        q = np.zeros_like(rg)
-        q[1:] = rg[1:] / _stab(dgp[1:], eps)
-        f_width = w["K"].shape[0]
-        half = (f_width - 1) // 2
-        # slice k+half multiplies e_{t-k}: e_t feeds g_{t+k}, k in [-F', F']
-        re = _conv_relevance(tr.emb, w["K"], q, range(-half, half + 1))
-        return re.sum(axis=1)
+        return conv_relevance(rg, (w["K"].shape[0] - 1) // 2)
 
     raise ValueError(f"unknown architecture {arch!r}")
 

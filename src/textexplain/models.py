@@ -11,6 +11,12 @@ consume. ``score_batch`` keeps only the running state and returns the class
 scores of every row; the black-box explainers score their inputs with it in
 equal-length buckets.
 
+Exact gradients come from one reverse sweep per architecture over a batched
+trace (``sweep``): given d(scores) (B, K) it returns d(embeddings)
+(B, T, d_e) and, for training, every parameter gradient summed over the
+batch. Recurrences step back over t with (B, d) matmuls; the convolutions
+are transposed as F shifted matmuls, mirroring the forward.
+
 Recurrences:
     GRU     h_t = z_t * h_{t-1} + (1 - z_t) * g_t,  g_t = tanh(V e_t + U (r_t * h_{t-1}) + b)
     LSTM    c_t = f_t * c_{t-1} + i_t * g_t,        h_t = o_t * tanh(c_t)
@@ -31,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Node, Tape
 from .numerics import SeededRng, sigmoid, softmax
 
 ARCHS = ("GRU", "QGRU", "LSTM", "QLSTM", "CNN")
@@ -474,16 +479,8 @@ def empty_sequence_scores(params: NetworkParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Autodiff graph (gradients for explainers and the trainer)
+# Exact gradients (one batched reverse sweep over the recorded trace)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Graph:
-    tape: Tape
-    emb_nodes: list[Node]               # one leaf per timestep
-    param_nodes: dict[str, Node]        # flat name -> leaf
-    scores: Node                        # (K,)
-
 
 def param_names(params: NetworkParams) -> list[str]:
     names = ["w_cls", "b_cls"]
@@ -503,163 +500,217 @@ def get_param(params: NetworkParams, name: str) -> np.ndarray:
     return params.layers[dname][wname]
 
 
-def build_graph(params: NetworkParams, emb: np.ndarray) -> Graph:
-    """Build the differentiable forward graph on an embedding matrix."""
-    if emb.shape[0] == 0:
-        raise ValueError("empty input sequence")
-    tape = Tape()
-    pn = {name: tape.leaf(get_param(params, name)) for name in param_names(params)}
-    emb_nodes = [tape.leaf(emb[t]) for t in range(emb.shape[0])]
-
-    parts = []
-    for dname in params.directions:
-        e_dir = emb_nodes if dname == "fwd" else emb_nodes[::-1]
-        parts.append(_graph_direction(tape, params, pn, dname, e_dir))
-    doc = parts[0] if len(parts) == 1 else tape.concat(parts[0], parts[1])
-    scores = tape.add(tape.matvec(pn["w_cls"], doc), pn["b_cls"])
-    return Graph(tape=tape, emb_nodes=emb_nodes, param_nodes=pn, scores=scores)
+def _conv_transpose(kernel: np.ndarray, dout: np.ndarray,
+                    left: int) -> np.ndarray:
+    """Transpose of ``_conv``: (B, T, d) output gradients of steps 1..T ->
+    (B, T, d_e) input gradients, as F shifted matmuls."""
+    f, _, d_e = kernel.shape
+    b, t_len, _ = dout.shape
+    dpad = np.zeros((b, t_len + f - 1, d_e))
+    for k in range(f):
+        dpad[:, f - 1 - k:f - 1 - k + t_len] += dout @ kernel[k]
+    return dpad[:, left:left + t_len]
 
 
-def _graph_direction(tape: Tape, params: NetworkParams,
-                     pn: dict[str, Node], dname: str,
-                     emb_nodes: list[Node]) -> Node:
-    arch = params.arch
-    t_len = len(emb_nodes)
-    d = params.d_hidden
-    ones = tape.leaf(np.ones(d))
-    zeros = tape.leaf(np.zeros(d))
+def _conv_kernel_grad(dout: np.ndarray, emb: np.ndarray, f: int,
+                      left: int) -> np.ndarray:
+    """Gradient (F, d, d_e) of ``_conv``'s kernel, summed over the batch."""
+    b, t_len, d = dout.shape
+    d_e = emb.shape[2]
+    padded = np.zeros((b, t_len + f - 1, d_e))
+    padded[:, left:left + t_len] = emb
+    g = dout.reshape(-1, d).T
+    return np.stack([g @ padded[:, f - 1 - k:f - 1 - k + t_len].reshape(-1, d_e)
+                     for k in range(f)])
 
-    def w(name):
-        return pn[f"{dname}.{name}"]
 
-    def dense(v_name, u_name, b_name, e_t, h_prev):
-        return tape.add(tape.add(tape.matvec(w(v_name), e_t),
-                                 tape.matvec(w(u_name), h_prev)), w(b_name))
+def _named(prefix: str, names, stacked: np.ndarray,
+           axis: int = 0) -> dict[str, np.ndarray]:
+    """Split the gradient of weights stacked along ``axis`` into named
+    equal blocks."""
+    return {prefix + n: block for n, block in
+            zip(names, np.split(stacked, len(names), axis=axis))}
 
-    def conv_preacts(k_name, b_name):
-        f = params.kernel_width
-        outs = []
-        for t in range(1, t_len + 1):
-            acc = w(b_name)
-            for k in range(f):
-                src = t - k
-                if src >= 1:
-                    acc = tape.add(acc, tape.kernel_matvec(w(k_name), k,
-                                                           emb_nodes[src - 1]))
-            outs.append(acc)
-        return outs
 
-    if arch == "GRU":
-        h = zeros
-        for t in range(1, t_len + 1):
-            e_t = emb_nodes[t - 1]
-            z_t = tape.sigmoid(dense("Vz", "Uz", "bz", e_t, h))
-            r_t = tape.sigmoid(dense("Vr", "Ur", "br", e_t, h))
-            gp = tape.add(tape.add(tape.matvec(w("V"), e_t),
-                                   tape.matvec(w("U"), tape.mul(r_t, h))),
-                          w("b"))
-            g_t = tape.tanh(gp)
-            h = tape.add(tape.mul(z_t, h), tape.mul(tape.sub(ones, z_t), g_t))
-        return h
+def _matmul_grad(d_pre: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """sum over batch and steps of d_pre (x) inputs: (n, m) weight gradient."""
+    return d_pre.reshape(-1, d_pre.shape[2]).T @ inputs.reshape(
+        -1, inputs.shape[2])
 
-    if arch == "LSTM":
-        h, c = zeros, zeros
-        for t in range(1, t_len + 1):
-            e_t = emb_nodes[t - 1]
-            i_t = tape.sigmoid(dense("Vi", "Ui", "bi", e_t, h))
-            f_t = tape.sigmoid(dense("Vf", "Uf", "bf", e_t, h))
-            o_t = tape.sigmoid(dense("Vo", "Uo", "bo", e_t, h))
-            g_t = tape.tanh(dense("V", "U", "b", e_t, h))
-            c = tape.add(tape.mul(f_t, c), tape.mul(i_t, g_t))
-            h = tape.mul(o_t, tape.tanh(c))
-        return h
 
-    if arch == "QGRU":
-        zp = conv_preacts("Kz", "bz")
-        gp = conv_preacts("K", "b")
-        h = zeros
-        for t in range(1, t_len + 1):
-            z_t = tape.sigmoid(zp[t - 1])
-            g_t = tape.tanh(gp[t - 1])
-            h = tape.add(tape.mul(z_t, h), tape.mul(tape.sub(ones, z_t), g_t))
-        return h
+def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
+                     dh: np.ndarray, want_params: bool,
+                     ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+    """Reverse sweep of one direction of a batched trace.
 
-    if arch == "QLSTM":
-        ip = conv_preacts("Ki", "bi")
-        fp = conv_preacts("Kf", "bf")
-        op = conv_preacts("Ko", "bo")
-        gp = conv_preacts("K", "b")
-        h, c = zeros, zeros
-        for t in range(1, t_len + 1):
-            i_t = tape.sigmoid(ip[t - 1])
-            f_t = tape.sigmoid(fp[t - 1])
-            o_t = tape.sigmoid(op[t - 1])
-            g_t = tape.tanh(gp[t - 1])
-            c = tape.add(tape.mul(f_t, c), tape.mul(i_t, g_t))
-            h = tape.mul(o_t, tape.tanh(c))
-        return h
+    ``dh`` (B, d) is the gradient of the final hidden state (the pooled
+    vector for the CNN). Returns the embedding gradients (B, T, d_e) in the
+    direction's own order and, when ``want_params``, the gradients of every
+    weight in ``w`` summed over the batch.
+    """
+    emb = tr.emb
+    b, t_len, _ = emb.shape
+    d = dh.shape[1]
+    h_prev = tr.hidden[:, :-1]
+    g = tr.cand[:, 1:]
+    dtanh = 1.0 - g * g
+
+    if arch in ("GRU", "LSTM"):
+        # d_pre[:, t-1] holds the gradients of every pre-activation at step t,
+        # in the stacked order of the forward's input weights
+        lstm = arch == "LSTM"
+        gate_names = ("i", "f", "o") if lstm else ("z", "r")
+        names = gate_names + ("",)
+        n_gate = len(gate_names) * d
+        gates = np.concatenate([tr.gates[n][:, 1:] for n in gate_names], axis=2)
+        dsig = gates * (1.0 - gates)
+        v_in = np.concatenate([w[f"V{n}"] for n in names])
+        u_in = np.concatenate([w[f"U{n}"] for n in gate_names]
+                              + ([w["U"]] if lstm else []))
+        d_pre = np.zeros((b, t_len, n_gate + d))
+        if lstm:
+            i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
+            c = tr.cell[:, 1:]
+            c_prev = tr.cell[:, :-1]
+            tc = np.tanh(c)
+            dc_from_h = o * (1.0 - tc * tc)
+            dc = np.zeros((b, d))
+            for t in range(t_len - 1, -1, -1):
+                dc = dc + dh * dc_from_h[:, t]
+                d_pre[:, t, :d] = dc * g[:, t]
+                d_pre[:, t, d:2 * d] = dc * c_prev[:, t]
+                d_pre[:, t, 2 * d:n_gate] = dh * tc[:, t]
+                d_pre[:, t, :n_gate] *= dsig[:, t]
+                d_pre[:, t, n_gate:] = dc * i[:, t] * dtanh[:, t]
+                dc = dc * f[:, t]
+                dh = d_pre[:, t] @ u_in
+        else:
+            z, r = gates[..., :d], gates[..., d:]
+            for t in range(t_len - 1, -1, -1):
+                dgp = dh * (1.0 - z[:, t]) * dtanh[:, t]
+                drh = dgp @ w["U"]
+                d_pre[:, t, :d] = dh * (h_prev[:, t] - g[:, t]) * dsig[:, t, :d]
+                d_pre[:, t, d:n_gate] = drh * h_prev[:, t] * dsig[:, t, d:]
+                d_pre[:, t, n_gate:] = dgp
+                dh = dh * z[:, t] + drh * r[:, t] + d_pre[:, t, :n_gate] @ u_in
+        demb = d_pre @ v_in
+        if not want_params:
+            return demb, None
+        grads = {**_named("V", names, _matmul_grad(d_pre, emb)),
+                 **_named("b", names, d_pre.sum(axis=(0, 1)))}
+        if lstm:
+            grads.update(_named("U", names, _matmul_grad(d_pre, h_prev)))
+        else:
+            grads.update(_named("U", gate_names, _matmul_grad(
+                d_pre[..., :n_gate], h_prev)))
+            grads["U"] = _matmul_grad(d_pre[..., n_gate:], r * h_prev)
+        return demb, grads
+
+    if arch in ("QGRU", "QLSTM"):
+        # the pooling recurrence is elementwise: carry the state gradient
+        # back over t, then form every pre-activation gradient at once
+        if arch == "QGRU":
+            z = tr.gates["z"][:, 1:]
+            dhs = np.zeros((b, t_len, d))
+            for t in range(t_len - 1, -1, -1):
+                dhs[:, t] = dh
+                dh = dh * z[:, t]
+            names = ("z", "")
+            d_pre = np.concatenate([dhs * (h_prev - g) * z * (1.0 - z),
+                                    dhs * (1.0 - z) * dtanh], axis=2)
+        else:
+            i, f, o = (tr.gates[n][:, 1:] for n in ("i", "f", "o"))
+            tc = np.tanh(tr.cell[:, -1])
+            dcs = np.zeros((b, t_len, d))
+            dc = dh * o[:, -1] * (1.0 - tc * tc)
+            for t in range(t_len - 1, -1, -1):
+                dcs[:, t] = dc
+                dc = dc * f[:, t]
+            do = np.zeros((b, t_len, d))
+            do[:, -1] = dh * tc * o[:, -1] * (1.0 - o[:, -1])
+            names = ("i", "f", "o", "")
+            d_pre = np.concatenate([dcs * g * i * (1.0 - i),
+                                    dcs * tr.cell[:, :-1] * f * (1.0 - f),
+                                    do, dcs * i * dtanh], axis=2)
+        kernel = np.concatenate([w[f"K{n}"] for n in names], axis=1)
+        f_width = kernel.shape[0]
+        demb = _conv_transpose(kernel, d_pre, f_width - 1)
+        if not want_params:
+            return demb, None
+        k_grad = _conv_kernel_grad(d_pre, emb, f_width, f_width - 1)
+        return demb, {**_named("b", names, d_pre.sum(axis=(0, 1))),
+                      **_named("K", names, k_grad, axis=1)}
 
     if arch == "CNN":
-        f = params.kernel_width
-        half = (f - 1) // 2
-        rows = []
-        for t in range(1, t_len + 1):
-            acc = w("b")
-            for k in range(-half, half + 1):
-                src = t - k
-                if 1 <= src <= t_len:
-                    acc = tape.add(acc, tape.kernel_matvec(w("K"), k + half,
-                                                           emb_nodes[src - 1]))
-            rows.append(tape.relu(acc))
-        return tape.channel_max(rows)
+        # the pooled value of each channel came from its argmax step (ties
+        # went to the lowest t), where the relu passed it if it was active
+        d_pre = np.zeros((b, t_len, d))
+        np.put_along_axis(d_pre, tr.pool_argmax[:, None, :] - 1,
+                          dh[:, None, :], axis=1)
+        d_pre *= tr.preact[:, 1:] > 0
+        f_width = w["K"].shape[0]
+        half = (f_width - 1) // 2
+        demb = _conv_transpose(w["K"], d_pre, half)
+        if not want_params:
+            return demb, None
+        return demb, {"K": _conv_kernel_grad(d_pre, emb, f_width, half),
+                      "b": d_pre.sum(axis=(0, 1))}
 
     raise ValueError(f"unknown architecture {arch!r}")
 
 
-def output_node(graph: Graph, output: str, k: int, label: int | None = None) -> Node:
-    """Scalar node for the requested output channel."""
-    n_classes = graph.scores.value.shape[0]
-    if output in ("s", "p") and not 0 <= k < n_classes:
-        raise ValueError(f"class {k} out of range [0, {n_classes})")
-    if output == "s":
-        return graph.tape.pick(graph.scores, k)
-    if output == "p":
-        return graph.tape.pick(graph.tape.softmax(graph.scores), k)
-    if output == "crossentropy":
-        if label is None:
-            raise ValueError("crossentropy output needs a label")
-        return graph.tape.cross_entropy(graph.scores, label)
-    raise ValueError(f"unknown output {output!r}")
+def sweep(params: NetworkParams, doc: np.ndarray,
+          dirs: dict[str, DirectionTrace], dscores: np.ndarray,
+          param_grads: bool = False,
+          ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+    """Exact reverse sweep over a batched forward of ``_run(..., keep=True)``.
+
+    ``doc`` and ``dirs`` are that run's document representations and traces,
+    ``dscores`` (B, K) the gradient of some function of each row's class
+    scores. Returns the gradients of the input embeddings (B, T, d_e) and,
+    when ``param_grads``, a dict of every parameter's gradient (names as in
+    ``param_names``) summed over the batch; embedding rows are the caller's
+    to scatter.
+    """
+    ddoc = dscores @ params.w_cls
+    d = params.d_hidden
+    grads = ({"w_cls": dscores.T @ doc, "b_cls": dscores.sum(axis=0)}
+             if param_grads else None)
+    demb = 0.0
+    for pos, dname in enumerate(params.directions):
+        de, wg = _sweep_direction(params.arch, params.layers[dname],
+                                  dirs[dname], ddoc[:, pos * d:(pos + 1) * d],
+                                  param_grads)
+        demb = demb + (de[:, ::-1] if dname == "bwd" else de)
+        if param_grads:
+            grads.update({f"{dname}.{n}": v for n, v in wg.items()})
+    return demb, grads
 
 
 def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
                         k: int = 0, emb: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of s_k or p_k with respect to every embedding entry; (T, d_e)."""
+    """Gradient of s_k or p_k with respect to every embedding entry.
+
+    ``emb`` may be one (T, d_e) input or a (B, T, d_e) stack of equal-length
+    inputs; the result has the same shape. All rows take one batched forward
+    and one reverse sweep.
+    """
+    if output not in ("s", "p"):
+        raise ValueError(f"unknown output {output!r}")
+    n_classes = params.n_classes
+    if not 0 <= k < n_classes:
+        raise ValueError(f"class {k} out of range [0, {n_classes})")
     if emb is None:
         emb = embed(params, ids)
-    graph = build_graph(params, emb)
-    root = output_node(graph, output, k)
-    graph.tape.backward(root)
-    return np.stack([
-        node.grad if node.grad is not None else np.zeros(params.d_embed)
-        for node in graph.emb_nodes
-    ])
-
-
-def grads_from_graph(graph: Graph, params: NetworkParams,
-                     ids: list[int]) -> dict[str, np.ndarray]:
-    """Collect parameter gradients after backward(); embedding rows are
-    scattered back into a dense (|V|, d_e) matrix."""
-    grads = {}
-    for name, node in graph.param_nodes.items():
-        grads[name] = (node.grad if node.grad is not None
-                       else np.zeros_like(node.value))
-    emb_grad = np.zeros_like(params.embedding)
-    for tok, node in zip(ids, graph.emb_nodes):
-        if node.grad is not None:
-            emb_grad[tok] += node.grad
-    grads["embedding"] = emb_grad
-    return grads
+    embs = emb if emb.ndim == 3 else emb[None]
+    doc, scores, dirs = _run(params, embs, keep=True)
+    dscores = np.zeros_like(scores)
+    dscores[:, k] = 1.0
+    if output == "p":
+        probs = softmax(scores)
+        dscores = probs[:, k:k + 1] * (dscores - probs)
+    demb, _ = sweep(params, doc, dirs, dscores)
+    return demb if emb.ndim == 3 else demb[0]
 
 
 # ---------------------------------------------------------------------------

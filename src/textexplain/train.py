@@ -1,8 +1,10 @@
 """Adam trainer minimizing categorical crossentropy.
 
-Plain full-graph backprop per example, gradients averaged over the batch.
-No dropout or learning-rate schedule; determinism comes from the seeded
-shuffle and fixed iteration order.
+Each example's gradients come from one forward trace and one exact reverse
+sweep (``models.sweep``) of d(loss)/d(scores) = softmax - one-hot; they are
+averaged over the batch in example order. No dropout or learning-rate
+schedule; determinism comes from the seeded shuffle and fixed iteration
+order.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NetworkParams, build_graph, embed, forward, get_param, \
-    grads_from_graph, output_node, param_names
-from .numerics import SeededRng
+from .models import NetworkParams, _run, embed, forward, get_param, \
+    param_names, sweep
+from .numerics import SeededRng, softmax
 
 
 @dataclass
@@ -27,11 +29,18 @@ class TrainConfig:
     seed: int = 0
 
 
-def _example_grads(params: NetworkParams, ids: list[int], label: int):
-    graph = build_graph(params, embed(params, ids))
-    loss = output_node(graph, "crossentropy", k=0, label=label)
-    graph.tape.backward(loss)
-    return float(loss.value), grads_from_graph(graph, params, ids)
+def _example_grads(params: NetworkParams, ids: list[int],
+                   label: int) -> dict[str, np.ndarray]:
+    """Crossentropy gradients of every parameter (names as in
+    ``param_names`` plus a dense ``"embedding"``) for one example."""
+    doc, scores, dirs = _run(params, embed(params, ids)[None], keep=True)
+    dscores = softmax(scores)
+    dscores[0, label] -= 1.0
+    demb, grads = sweep(params, doc, dirs, dscores, param_grads=True)
+    emb_grad = np.zeros_like(params.embedding)
+    np.add.at(emb_grad, ids, demb[0])
+    grads["embedding"] = emb_grad
+    return grads
 
 
 def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
@@ -61,7 +70,7 @@ def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
             acc: dict[str, np.ndarray] = {}
             for idx in batch:
                 ids, label = corpus[idx]
-                _, grads = _example_grads(params, ids, label)
+                grads = _example_grads(params, ids, label)
                 for name, g in grads.items():
                     if name in acc:
                         acc[name] += g
@@ -79,18 +88,25 @@ def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
     return params
 
 
+def loss_and_accuracy(params: NetworkParams,
+                      corpus: list[tuple[list[int], int]]) -> tuple[float, float]:
+    """Mean crossentropy and accuracy over the corpus from one forward pass
+    per example (no parameter updates)."""
+    total = 0.0
+    hits = 0
+    for ids, label in corpus:
+        tr = forward(params, ids)
+        total += -np.log(max(tr.probs[label], 1e-300))
+        hits += tr.predicted == label
+    return total / len(corpus), hits / len(corpus)
+
+
 def mean_loss(params: NetworkParams,
               corpus: list[tuple[list[int], int]]) -> float:
     """Mean crossentropy over the corpus (no parameter updates)."""
-    total = 0.0
-    for ids, label in corpus:
-        p = forward(params, ids).probs[label]
-        total += -np.log(max(p, 1e-300))
-    return total / len(corpus)
+    return loss_and_accuracy(params, corpus)[0]
 
 
 def accuracy(params: NetworkParams,
              corpus: list[tuple[list[int], int]]) -> float:
-    hits = sum(forward(params, ids).predicted == label
-               for ids, label in corpus)
-    return hits / len(corpus)
+    return loss_and_accuracy(params, corpus)[1]

@@ -1,17 +1,19 @@
 """Batched scoring equals one forward pass per input.
 
 Property tests over every architecture and direction: the batched runner,
-the bucketed perturbation explainer and the bucketed LIMSSE responses must
-agree with the one-input-at-a-time path within 1e-12.
+the batched reverse sweep, batched integrated gradients, the bucketed
+perturbation explainer and the bucketed LIMSSE responses must agree with the
+one-input-at-a-time path within 1e-12.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from textexplain.explain.gradient import integrated_gradients
 from textexplain.explain.limsse import _substring_responses
 from textexplain.explain.perturb import PerturbConfig, perturb_explain
-from textexplain.models import _run, embed, forward, forward_embedded, \
-    score_batch
+from textexplain.models import _run, embed, embedding_gradients, forward, \
+    forward_embedded, score_batch, sweep
 
 from conftest import rand_params
 from test_perturb import naive_perturb
@@ -61,6 +63,46 @@ def test_forward_embedded_is_a_batch_row(arch_dir, seed, t_len, batch):
             if d_tr.pool_argmax is not None:
                 np.testing.assert_array_equal(row.pool_argmax,
                                               d_tr.pool_argmax)
+
+
+@PROPERTY
+@given(models, seeds, st.integers(1, 20), st.integers(1, 6))
+def test_sweep_row_is_its_single_input_sweep(arch_dir, seed, t_len, batch):
+    """Row b of a batched sweep equals the sweep of input b alone, and the
+    batch's parameter gradients are the sum of the single-input ones."""
+    p = model(arch_dir, seed)
+    embs = np.stack([embed(p, token_ids(t_len, seed + b))
+                     for b in range(batch)])
+    dscores = np.random.default_rng(seed).normal(size=(batch, p.n_classes))
+    doc, _, dirs = _run(p, embs, keep=True)
+    demb, grads = sweep(p, doc, dirs, dscores, param_grads=True)
+    total = {}
+    for b in range(batch):
+        doc, _, dirs = _run(p, embs[b:b + 1], keep=True)
+        one, one_grads = sweep(p, doc, dirs, dscores[b:b + 1],
+                               param_grads=True)
+        np.testing.assert_allclose(demb[b], one[0], rtol=0, atol=1e-12)
+        for name, g in one_grads.items():
+            total[name] = total.get(name, 0.0) + g
+    assert set(total) == set(grads)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, total[name], rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(models, seeds, st.integers(1, 12), st.integers(1, 60),
+       st.sampled_from(["s", "p"]))
+def test_integrated_gradients_is_the_mean_of_serial_gradients(
+        arch_dir, seed, t_len, steps, output):
+    p = model(arch_dir, seed)
+    ids = token_ids(t_len, seed)
+    emb = embed(p, ids)
+    serial = np.zeros_like(emb)
+    for m in range(1, steps + 1):
+        serial += embedding_gradients(p, output=output, k=1,
+                                      emb=emb * (m / steps))
+    got = integrated_gradients(p, ids, output, 1, steps)
+    np.testing.assert_allclose(got, serial / steps, rtol=0, atol=1e-12)
 
 
 @PROPERTY

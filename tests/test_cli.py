@@ -227,3 +227,63 @@ class TestUsageErrors:
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 5)
         assert main(["train", str(corpus)]) == 1
+
+
+class TestOptionValidation:
+    """Bad numeric flags end in exit 1 with one line on stderr, before any
+    input file is read: the files named here do not exist."""
+
+    @pytest.mark.parametrize("command", ["explain", "eval-hybrid",
+                                         "eval-agreement"])
+    @pytest.mark.parametrize("flag", [["--eps", "0"], ["--eps", "-1"],
+                                      ["--eps", "nan"], ["--int-steps", "0"],
+                                      ["--int-steps", "-3"],
+                                      ["--limsse-n", "0"],
+                                      ["--limsse-maxlen", "0"]])
+    def test_explain_options(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        rc = main([command, str(tmp_path / "model.npz"),
+                   str(tmp_path / "docs"), "--out", str(out), *flag])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--batch-size", "0"],
+                                      ["--d-hidden", "0"],
+                                      ["--d-embed", "0"],
+                                      ["--epochs", "-1"]])
+    def test_train_options(self, tmp_path, capsys, flag):
+        out = tmp_path / "m.npz"
+        rc = main(["train", str(tmp_path / "c.jsonl"), "--out", str(out),
+                   *flag])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag[0] in err
+        assert not out.exists()
+
+    def test_group_size(self, tmp_path, capsys):
+        rc = main(["eval-hybrid", str(tmp_path / "m.npz"),
+                   str(tmp_path / "c.jsonl"), "--group-size", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize("command", ["explain", "eval-hybrid",
+                                         "eval-agreement"])
+    def test_missing_checkpoint(self, trained_checkpoint, tmp_path, capsys,
+                                command):
+        _, corpus, _ = trained_checkpoint
+        rc = main([command, str(tmp_path / "nope.npz"), str(corpus)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nope.npz" in err
+
+    def test_render_record_without_tokens(self, tmp_path, capsys):
+        rel = tmp_path / "rel.jsonl"
+        rel.write_text(json.dumps({"doc": 0, "method": "lrp",
+                                   "scores": [0.5, -1.0]}) + "\n")
+        assert main(["render", str(rel)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tokens" in err

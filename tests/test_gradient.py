@@ -64,6 +64,25 @@ class TestIntegratedGradients:
         assert gap(200) <= gap(10) + 1e-12
         assert gap(200) < 0.02 * max(abs(delta), 1e-9)
 
+    def test_split_batches_equal_one_batch(self, monkeypatch):
+        """Inputs too long for one batch are scored in chunks of steps, with
+        the same result as one batch."""
+        from textexplain.explain import gradient
+        p = rand_params("QLSTM", direction="bi", scale=3.0)
+        ids = [1, 2, 3, 4, 5]
+        whole = integrated_gradients(p, ids, "p", 1, steps=11)
+        # a budget of 4 scaled inputs gives chunks of 4, 4 and 3 steps
+        monkeypatch.setattr(gradient, "IG_BATCH_CELLS",
+                            4 * len(ids) * max(p.d_embed, p.d_hidden))
+        calls = []
+        real = gradient.embedding_gradients
+        monkeypatch.setattr(gradient, "embedding_gradients",
+                            lambda *a, **kw: calls.append(kw["emb"].shape[0])
+                            or real(*a, **kw))
+        split = integrated_gradients(p, ids, "p", 1, steps=11)
+        assert calls == [4, 4, 3]
+        np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)
+
     def test_linear_model_exact(self):
         """For a CNN acting linearly (all preactivations positive and the max
         window fixed), IG at any step count matches the plain gradient."""

@@ -5,7 +5,8 @@ import textexplain as tx
 from textexplain.explain.gradient import GradConfig, explain_gradient
 from textexplain.explain.lrp import deeplift_explain, esign, lrp_explain, \
     relevance_dense
-from textexplain.models import embed, forward, forward_embedded
+from textexplain.models import _conv_transpose, embed, forward, \
+    forward_embedded
 
 from conftest import rand_params
 
@@ -111,6 +112,41 @@ class TestCnnEquivalences:
         for t in range(1, len(ids) + 1):
             if t not in covered:
                 assert r[t - 1] == 0.0
+
+
+def _conv_relevance_loop(emb, kernel, q, offsets):
+    """Reference: Re[t] = e_t * sum_k kernel[k].T @ q[t + off_k], where q is
+    (T+1, d) with row 0 unused and kernel slice k multiplies e_{t-k}, so
+    e_t feeds the candidates at steps t + off_k."""
+    t_len = emb.shape[0]
+    re = np.zeros_like(emb)
+    for slot, off in enumerate(offsets):
+        for t in range(1, t_len + 1):
+            tgt = t + off
+            if 1 <= tgt <= t_len:
+                re[t - 1] += emb[t - 1] * (kernel[slot].T @ q[tgt])
+    return re
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 4, 9])
+@pytest.mark.parametrize("f_width", [1, 3, 5])
+@pytest.mark.parametrize("centered", [False, True])
+def test_conv_relevance_is_the_transposed_conv(t_len, f_width, centered):
+    """LRP's convolution relevance, emb * transposed conv, equals the
+    per-step loop for the causal (QRNN) and centered (CNN) offsets."""
+    rng = np.random.default_rng(t_len * 10 + f_width)
+    emb = rng.normal(size=(t_len, 3))
+    kernel = rng.normal(size=(f_width, 4, 3))
+    q = rng.normal(size=(t_len + 1, 4))
+    half = (f_width - 1) // 2
+    if centered:
+        offsets, left = range(-half, half + 1), half
+    else:
+        offsets, left = range(f_width), f_width - 1
+    got = emb * _conv_transpose(kernel, q[None, 1:], left)[0]
+    np.testing.assert_allclose(got, _conv_relevance_loop(emb, kernel, q,
+                                                         offsets),
+                               rtol=0, atol=1e-12)
 
 
 class TestGatesAsWeights:

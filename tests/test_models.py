@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import textexplain as tx
-from textexplain.models import build_graph, embed, embedding_gradients, \
-    empty_sequence_scores, forward, forward_embedded, grads_from_graph, \
-    init_params, load_checkpoint, output_node, save_checkpoint
+from textexplain.models import _run, embed, embedding_gradients, \
+    empty_sequence_scores, forward, forward_embedded, get_param, \
+    init_params, load_checkpoint, param_names, save_checkpoint, sweep
 from textexplain.numerics import SeededRng
-from textexplain.train import TrainConfig, train
+from textexplain.train import TrainConfig, _example_grads, train
 
 from conftest import finite_diff_embedding_grads, oracle_gru_states, \
     oracle_lstm_states, rand_params
@@ -150,13 +150,17 @@ class TestBidirectional:
         np.testing.assert_allclose(tr.doc_repr[d:], bwd_tr.doc_repr)
 
 
+MODELS = [(arch, direction) for arch in tx.ARCHS
+          for direction in ("uni", "bi") if (arch, direction) != ("CNN", "bi")]
+
+
 class TestGradients:
     def test_bias_gradient_is_one_hot(self):
         p = rand_params("GRU", n_classes=3, scale=3.0)
-        graph = build_graph(p, embed(p, [1, 2, 3]))
-        graph.tape.backward(output_node(graph, "s", 2))
-        np.testing.assert_array_equal(graph.param_nodes["b_cls"].grad,
-                                      [0.0, 0.0, 1.0])
+        doc, _, dirs = _run(p, embed(p, [1, 2, 3])[None], keep=True)
+        _, grads = sweep(p, doc, dirs, np.array([[0.0, 0.0, 1.0]]),
+                         param_grads=True)
+        np.testing.assert_array_equal(grads["b_cls"], [0.0, 0.0, 1.0])
 
     def test_constant_model_zero_gradients(self):
         p = rand_params("LSTM", scale=3.0)
@@ -177,32 +181,52 @@ class TestGradients:
         assert rel.max() < 1e-4
 
     def test_parameter_gradients_finite_difference(self):
-        p = rand_params("GRU", seed=8, scale=4.0)
-        ids = [1, 2, 3]
-        graph = build_graph(p, embed(p, ids))
-        graph.tape.backward(output_node(graph, "crossentropy", 0, label=1))
-        grads = grads_from_graph(graph, p, ids)
-
-        def loss():
-            tr = forward(p, ids)
-            return -np.log(tr.probs[1])
-
+        """Crossentropy gradients of every entry of every parameter array,
+        the embedding included, match central differences on all five
+        architectures, uni and bi. Token 1 occurs twice, so its embedding
+        row must accumulate both occurrences."""
+        ids = [1, 2, 1, 3]
         step = 1e-6
-        w = p.layers["fwd"]["Uz"]
-        for idx in [(0, 0), (2, 3), (5, 1)]:
-            orig = w[idx]
-            w[idx] = orig + step
-            up = loss()
-            w[idx] = orig - step
-            down = loss()
-            w[idx] = orig
-            fd = (up - down) / (2 * step)
-            assert abs(fd - grads["fwd.Uz"][idx]) < 1e-5
+        for seed, (arch, direction) in enumerate(MODELS):
+            p = rand_params(arch, seed=seed, d_embed=3, d_hidden=4,
+                            scale=3.0, direction=direction, kernel_width=3)
+            grads = _example_grads(p, ids, 1)
+            assert set(grads) == set(param_names(p)) | {"embedding"}
+
+            def loss():
+                return -np.log(forward(p, ids).probs[1])
+
+            for name, g in grads.items():
+                w = get_param(p, name)
+                fd = np.zeros_like(w)
+                for idx in np.ndindex(w.shape):
+                    orig = w[idx]
+                    w[idx] = orig + step
+                    up = loss()
+                    w[idx] = orig - step
+                    down = loss()
+                    w[idx] = orig
+                    fd[idx] = (up - down) / (2 * step)
+                np.testing.assert_allclose(
+                    g, fd, rtol=1e-5, atol=1e-8,
+                    err_msg=f"{arch}-{direction} {name}")
+
+    def test_cnn_tied_pooling_routes_to_lowest_step(self):
+        """With width-1 kernels a repeated token gives every channel the same
+        value at each of its steps; the whole gradient goes to the first."""
+        p = rand_params("CNN", seed=2, scale=3.0, kernel_width=1)
+        p.layers["fwd"]["b"][:] = 0.5          # keep every channel active
+        g = embedding_gradients(p, [4, 4, 4], output="s", k=1)
+        want = p.layers["fwd"]["K"][0].T @ p.w_cls[1]
+        np.testing.assert_allclose(g[0], want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(g[1:], 0.0)
 
     def test_invalid_class_rejected(self):
         p = rand_params("GRU")
         with pytest.raises(ValueError):
             embedding_gradients(p, [1, 2], output="s", k=5)
+        with pytest.raises(ValueError):
+            embedding_gradients(p, [1, 2], output="crossentropy", k=0)
 
 
 class TestTrain:
@@ -225,6 +249,22 @@ class TestTrain:
         p = rand_params("LSTM", d_embed=8, d_hidden=8)
         train(p, [([1, 2, 3, 4], 1)], TrainConfig(epochs=60, batch_size=1))
         assert forward(p, [1, 2, 3, 4]).predicted == 1
+
+    def test_loss_and_accuracy_from_one_pass(self):
+        from conftest import keyword_corpus
+        from textexplain.train import loss_and_accuracy
+        corpus = keyword_corpus(30, SeededRng(4))
+        p = rand_params("QGRU", vocab_size=40, scale=3.0)
+        train(p, corpus, TrainConfig(epochs=1))
+        loss, acc = loss_and_accuracy(p, corpus)
+        traces = [forward(p, ids) for ids, _ in corpus]
+        two_pass_loss = np.mean([-np.log(tr.probs[label])
+                                 for tr, (_, label) in zip(traces, corpus)])
+        two_pass_acc = np.mean([tr.predicted == label
+                                for tr, (_, label) in zip(traces, corpus)])
+        assert abs(loss - two_pass_loss) <= 1e-12
+        assert abs(acc - two_pass_acc) <= 1e-12
+        assert 0.0 < acc < 1.0
 
     def test_loss_decreases_over_epochs(self):
         from textexplain.train import mean_loss
