@@ -46,15 +46,29 @@ def _read_corpus(path: str) -> list[dict]:
                     doc = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataError(f"{path}:{lineno}: invalid JSON: {exc}")
-                if "label" not in doc or "sentences" not in doc:
+                if (not isinstance(doc, dict) or "label" not in doc
+                        or "sentences" not in doc):
                     raise DataError(
                         f"{path}:{lineno}: need 'label' and 'sentences'")
+                _check_record(doc, f"{path}:{lineno}")
                 docs.append(doc)
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}")
     if not docs:
         raise DataError(f"{path}: empty corpus")
     return docs
+
+
+def _check_record(doc: dict, where: str) -> None:
+    label, sentences = doc["label"], doc["sentences"]
+    if not isinstance(label, int) or isinstance(label, bool):
+        raise DataError(f"{where}: 'label' must be an integer, got {label!r}")
+    if not (isinstance(sentences, list) and all(
+            isinstance(sent, list)
+            and all(isinstance(tok, str) for tok in sent)
+            for sent in sentences)):
+        raise DataError(f"{where}: 'sentences' must be a list of lists of "
+                        f"strings")
 
 
 def _doc_tokens(doc: dict) -> list[str]:
@@ -79,7 +93,10 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
 # file is read
 _FLAG_MINIMUMS = {"d_embed": 1, "d_hidden": 1, "epochs": 0, "batch_size": 1,
                   "group_size": 1, "int_steps": 1, "limsse_n": 1,
-                  "limsse_maxlen": 1}
+                  "limsse_maxlen": 1, "vocab_cutoff": 1, "kernel_width": 1}
+
+# flags that must be a positive finite number
+_POSITIVE_FLAGS = ("eps", "lr")
 
 
 def _check_flags(args) -> None:
@@ -88,9 +105,14 @@ def _check_flags(args) -> None:
         if value < low:
             raise UsageError(f"--{name.replace('_', '-')} must be at least "
                              f"{low}, got {value}")
-    eps = getattr(args, "eps", 1.0)
-    if not (math.isfinite(eps) and eps > 0):
-        raise UsageError(f"--eps must be a positive number, got {eps}")
+    for name in _POSITIVE_FLAGS:
+        value = getattr(args, name, 1.0)
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"--{name} must be a positive number, "
+                             f"got {value}")
+    width = getattr(args, "kernel_width", 1)
+    if width % 2 == 0:
+        raise UsageError(f"--kernel-width must be odd, got {width}")
 
 
 def _options_from(args) -> ExplainOptions:

@@ -2,9 +2,11 @@
 
 Each network is an embedding matrix, a core layer (GRU, QGRU, LSTM, QLSTM or
 CNN), and a dense classifier head with softmax. The forward pass is batch-first:
-one runner per architecture steps a (B, T, d_e) stack of equal-length inputs
-with (B, d) matmuls, and the convolutions are one matmul per kernel slice
-over the whole batch. ``forward_embedded`` is its B = 1 case and records
+one runner per architecture steps a (B, T, d_e) stack of inputs with (B, d)
+matmuls, and the convolutions are one matmul per kernel slice over the whole
+batch. The stack may be ragged: right-padded rows with their own ``lengths``,
+each read out at its own last step (training minibatches and corpus scoring
+use this). ``forward_embedded`` is its B = 1 case and records
 every intermediate quantity (gates, pre-activations, cell/hidden states,
 pooling winners) in a ForwardTrace, which is what the white-box explainers
 consume. ``score_batch`` keeps only the running state and returns the class
@@ -234,13 +236,18 @@ class DirectionTrace:
     hidden: np.ndarray                  # (T+1, d)
     cell: np.ndarray | None = None      # (T+1, d), LSTM family
     pool_argmax: np.ndarray | None = None   # (d,), CNN: winning t in 1..T
+    lengths: np.ndarray | None = None   # (B,) of a ragged batch, else None
 
     def row(self, b: int) -> "DirectionTrace":
-        """Batch row ``b`` of a batched trace."""
+        """Batch row ``b`` of a batched trace, cut to its own length."""
+        t_len = (self.emb.shape[1] if self.lengths is None
+                 else int(self.lengths[b]))
         return DirectionTrace(
-            emb=self.emb[b], gates={n: a[b] for n, a in self.gates.items()},
-            preact=self.preact[b], cand=self.cand[b], hidden=self.hidden[b],
-            cell=None if self.cell is None else self.cell[b],
+            emb=self.emb[b, :t_len],
+            gates={n: a[b, :t_len + 1] for n, a in self.gates.items()},
+            preact=self.preact[b, :t_len + 1], cand=self.cand[b, :t_len + 1],
+            hidden=self.hidden[b, :t_len + 1],
+            cell=None if self.cell is None else self.cell[b, :t_len + 1],
             pool_argmax=(None if self.pool_argmax is None
                          else self.pool_argmax[b]))
 
@@ -318,15 +325,50 @@ def _with_initial(steps: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
-                   keep: bool) -> tuple[np.ndarray, DirectionTrace | None]:
-    """Run one direction over a (B, T, d_e) batch of equal-length inputs.
+def _row_ends(lengths: np.ndarray | None, t_len: int) -> dict[int, np.ndarray]:
+    """Rows of a ragged batch that end before step ``t_len``, keyed by their
+    last step (1-based); empty for an equal-length batch."""
+    ends: dict[int, list[int]] = {}
+    if lengths is not None:
+        for row, t in enumerate(lengths.tolist()):
+            if t < t_len:
+                ends.setdefault(t, []).append(row)
+    return {t: np.array(rows) for t, rows in ends.items()}
 
-    Returns the final hidden state (B, d) and, when ``keep`` is true, the
-    batched DirectionTrace; otherwise only the running state is held.
+
+def _reverse_index(lengths: np.ndarray, t_len: int) -> np.ndarray:
+    """(B, T) positions that reverse each row within its own length and keep
+    its padding in place; the permutation is its own inverse."""
+    t = np.arange(t_len)
+    return np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
+
+
+def _at_ends(state: np.ndarray, ends: dict[int, np.ndarray],
+             held: dict[int, np.ndarray]) -> np.ndarray:
+    """The running ``state`` after the last step, with the rows that ended
+    earlier replaced by their ``held`` states."""
+    if not ends:
+        return state
+    out = state.copy()
+    for t, rows in ends.items():
+        out[rows] = held[t]
+    return out
+
+
+def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
+                   keep: bool, lengths: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, DirectionTrace | None]:
+    """Run one direction over a (B, T, d_e) batch.
+
+    ``lengths`` (B,) marks a ragged batch whose padded positions the caller
+    has zeroed; each row's state is read at its own last step. Returns that
+    final hidden state (B, d) and, when ``keep`` is true, the batched
+    DirectionTrace; otherwise only the running state is held.
     """
     b, t_len, _ = emb.shape
     d = w["b"].shape[0]
+    ends = _row_ends(lengths, t_len)
+    held: dict[int, np.ndarray] = {}
 
     if arch in ("GRU", "LSTM"):
         # input and recurrent weights of every gate stacked side by side, so
@@ -355,8 +397,11 @@ def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
                 gp = x[:, n_gate:] + (r * h) @ w["U"].T + w["b"]
                 g = np.tanh(gp)
                 h = z * h + (1.0 - z) * g
+            if t + 1 in ends:
+                held[t + 1] = h[ends[t + 1]]
             if keep:
                 recorded.append((gates, gp, g, h) + ((c,) if lstm else ()))
+        h = _at_ends(h, ends, held)
         if not keep:
             return h, None
         gates_all, gp_all, g_all, h_all, *c_all = map(_with_initial,
@@ -366,7 +411,7 @@ def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
             gates={n: gates_all[:, :, j * d:(j + 1) * d]
                    for j, n in enumerate(gate_names)},
             preact=gp_all, cand=g_all, hidden=h_all,
-            cell=c_all[0] if lstm else None)
+            cell=c_all[0] if lstm else None, lengths=lengths)
 
     if arch in ("QGRU", "QLSTM"):
         gate_names = ("z",) if arch == "QGRU" else ("i", "f", "o")
@@ -387,48 +432,78 @@ def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
             else:
                 c = gates["f"][:, t] * c + gates["i"][:, t] * g[:, t]
                 h = gates["o"][:, t] * np.tanh(c)
+            if t in ends:
+                held[t] = h[ends[t]]
             if keep:
                 hs.append(h)
                 cs.append(c)
+        h = _at_ends(h, ends, held)
         if not keep:
             return h, None
         return h, DirectionTrace(
             emb=emb, gates=gates, preact=gp, cand=g, hidden=_with_initial(hs),
-            cell=_with_initial(cs) if arch == "QLSTM" else None)
+            cell=_with_initial(cs) if arch == "QLSTM" else None,
+            lengths=lengths)
 
     if arch == "CNN":
         gp = _centered_conv(w["K"], w["b"], emb)
         g = np.zeros_like(gp)
         g[:, 1:] = np.maximum(gp[:, 1:], 0.0)
-        # argmax over t = 1..T, ties to the lowest t
-        arg = np.argmax(g[:, 1:], axis=1) + 1
+        # argmax over the real steps t = 1..T, ties to the lowest t
+        pool = g[:, 1:]
+        if lengths is not None:
+            real = np.arange(t_len) < lengths[:, None]
+            pool = np.where(real[:, :, None], pool, -np.inf)
+        arg = np.argmax(pool, axis=1) + 1
         pooled = np.take_along_axis(g, arg[:, None, :], axis=1)[:, 0]
         if not keep:
             return pooled, None
         h = np.zeros((b, t_len + 1, d))
-        h[:, t_len] = pooled
+        h[np.arange(b), t_len if lengths is None else lengths] = pooled
         return pooled, DirectionTrace(emb=emb, gates={}, preact=gp, cand=g,
-                                      hidden=h, pool_argmax=arg)
+                                      hidden=h, pool_argmax=arg,
+                                      lengths=lengths)
 
     raise ValueError(f"unknown architecture {arch!r}")
 
 
 def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
+         lengths=None,
          ) -> tuple[np.ndarray, np.ndarray, dict[str, DirectionTrace]]:
     """Batched forward over (B, T, d_e): document representations (B, d_h),
-    class scores (B, K) and, when ``keep``, the batched direction traces."""
+    class scores (B, K) and, when ``keep``, the batched direction traces.
+
+    ``lengths`` (B,) makes the stack ragged: row b holds ``lengths[b]`` real
+    positions followed by padding, which is zeroed here so that its contents
+    never reach a real row. The traces carry the lengths, so ``sweep`` gives
+    the padding exactly zero gradient.
+    """
     if embs.ndim != 3:
         raise ValueError("expected a (batch, length, width) input stack")
-    if embs.shape[1] == 0:
+    b, t_len, d_e = embs.shape
+    if t_len == 0:
         raise ValueError("empty input sequence")
-    if embs.shape[2] != params.d_embed:
+    if d_e != params.d_embed:
         raise ValueError("embedding width mismatch")
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=int)
+        if lengths.shape != (b,):
+            raise ValueError("expected one length per batch row")
+        if lengths.min() < 1 or lengths.max() > t_len:
+            raise ValueError(f"row lengths must lie in [1, {t_len}]")
+        real = np.arange(t_len) < lengths[:, None]
+        embs = np.where(real[:, :, None], embs, 0.0)
     dirs: dict[str, DirectionTrace] = {}
     parts = []
     for dname in params.directions:
-        e_dir = embs if dname == "fwd" else embs[:, ::-1].copy()
+        if dname == "fwd":
+            e_dir = embs
+        elif lengths is None:
+            e_dir = embs[:, ::-1].copy()
+        else:
+            e_dir = embs[np.arange(b)[:, None], _reverse_index(lengths, t_len)]
         last, tr = _run_direction(params.arch, params.layers[dname], e_dir,
-                                  keep)
+                                  keep, lengths)
         parts.append(last)
         if keep:
             dirs[dname] = tr
@@ -554,6 +629,12 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
     h_prev = tr.hidden[:, :-1]
     g = tr.cand[:, 1:]
     dtanh = 1.0 - g * g
+    # a ragged row's state gradient enters at its own last step; until then
+    # (over its padding) it is exactly zero
+    ends = _row_ends(tr.lengths, t_len)
+    d_end = dh
+    if ends:
+        dh = np.where((tr.lengths == t_len)[:, None], dh, 0.0)
 
     if arch in ("GRU", "LSTM"):
         # d_pre[:, t-1] holds the gradients of every pre-activation at step t,
@@ -576,6 +657,8 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
             dc_from_h = o * (1.0 - tc * tc)
             dc = np.zeros((b, d))
             for t in range(t_len - 1, -1, -1):
+                if t + 1 in ends:
+                    dh[ends[t + 1]] = d_end[ends[t + 1]]
                 dc = dc + dh * dc_from_h[:, t]
                 d_pre[:, t, :d] = dc * g[:, t]
                 d_pre[:, t, d:2 * d] = dc * c_prev[:, t]
@@ -587,6 +670,8 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
         else:
             z, r = gates[..., :d], gates[..., d:]
             for t in range(t_len - 1, -1, -1):
+                if t + 1 in ends:
+                    dh[ends[t + 1]] = d_end[ends[t + 1]]
                 dgp = dh * (1.0 - z[:, t]) * dtanh[:, t]
                 drh = dgp @ w["U"]
                 d_pre[:, t, :d] = dh * (h_prev[:, t] - g[:, t]) * dsig[:, t, :d]
@@ -613,6 +698,8 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
             z = tr.gates["z"][:, 1:]
             dhs = np.zeros((b, t_len, d))
             for t in range(t_len - 1, -1, -1):
+                if t + 1 in ends:
+                    dh[ends[t + 1]] = d_end[ends[t + 1]]
                 dhs[:, t] = dh
                 dh = dh * z[:, t]
             names = ("z", "")
@@ -620,14 +707,21 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
                                     dhs * (1.0 - z) * dtanh], axis=2)
         else:
             i, f, o = (tr.gates[n][:, 1:] for n in ("i", "f", "o"))
-            tc = np.tanh(tr.cell[:, -1])
+            rows = np.arange(b)
+            last = t_len if tr.lengths is None else tr.lengths
+            tc = np.tanh(tr.cell[rows, last])
+            o_last = o[rows, last - 1]
             dcs = np.zeros((b, t_len, d))
-            dc = dh * o[:, -1] * (1.0 - tc * tc)
+            dc_end = d_end * o_last * (1.0 - tc * tc)
+            dc = np.where((last == t_len)[:, None], dc_end, 0.0) if ends \
+                else dc_end
             for t in range(t_len - 1, -1, -1):
+                if t + 1 in ends:
+                    dc[ends[t + 1]] = dc_end[ends[t + 1]]
                 dcs[:, t] = dc
                 dc = dc * f[:, t]
             do = np.zeros((b, t_len, d))
-            do[:, -1] = dh * tc * o[:, -1] * (1.0 - o[:, -1])
+            do[rows, last - 1] = d_end * tc * o_last * (1.0 - o_last)
             names = ("i", "f", "o", "")
             d_pre = np.concatenate([dcs * g * i * (1.0 - i),
                                     dcs * tr.cell[:, :-1] * f * (1.0 - f),
@@ -646,7 +740,7 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
         # went to the lowest t), where the relu passed it if it was active
         d_pre = np.zeros((b, t_len, d))
         np.put_along_axis(d_pre, tr.pool_argmax[:, None, :] - 1,
-                          dh[:, None, :], axis=1)
+                          d_end[:, None, :], axis=1)
         d_pre *= tr.preact[:, 1:] > 0
         f_width = w["K"].shape[0]
         half = (f_width - 1) // 2
@@ -670,20 +764,28 @@ def sweep(params: NetworkParams, doc: np.ndarray,
     scores. Returns the gradients of the input embeddings (B, T, d_e) and,
     when ``param_grads``, a dict of every parameter's gradient (names as in
     ``param_names``) summed over the batch; embedding rows are the caller's
-    to scatter.
+    to scatter. The padded positions of a ragged run get exactly zero.
     """
     ddoc = dscores @ params.w_cls
     d = params.d_hidden
     grads = ({"w_cls": dscores.T @ doc, "b_cls": dscores.sum(axis=0)}
              if param_grads else None)
+    lengths = dirs["fwd"].lengths
     demb = 0.0
     for pos, dname in enumerate(params.directions):
         de, wg = _sweep_direction(params.arch, params.layers[dname],
                                   dirs[dname], ddoc[:, pos * d:(pos + 1) * d],
                                   param_grads)
-        demb = demb + (de[:, ::-1] if dname == "bwd" else de)
+        if dname == "bwd":
+            de = (de[:, ::-1] if lengths is None else
+                  de[np.arange(len(de))[:, None],
+                     _reverse_index(lengths, de.shape[1])])
+        demb = demb + de
         if param_grads:
             grads.update({f"{dname}.{n}": v for n, v in wg.items()})
+    if lengths is not None:
+        real = np.arange(demb.shape[1]) < lengths[:, None]
+        demb = np.where(real[:, :, None], demb, 0.0)
     return demb, grads
 
 
@@ -737,6 +839,7 @@ def save_checkpoint(path, params: NetworkParams) -> None:
 
 
 def load_checkpoint(path) -> NetworkParams:
+    """Read a checkpoint; a non-finite weight array is rejected by name."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if meta.get("format") != CHECKPOINT_FORMAT:
@@ -757,4 +860,7 @@ def load_checkpoint(path) -> NetworkParams:
             kernel_width=int(meta["kernel_width"]), vocab=vocab,
         )
     params.validate()
+    for name in ["embedding"] + param_names(params):
+        if not np.all(np.isfinite(get_param(params, name))):
+            raise ValueError(f"{path}: non-finite values in {name}")
     return params

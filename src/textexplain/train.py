@@ -1,10 +1,10 @@
 """Adam trainer minimizing categorical crossentropy.
 
-Each example's gradients come from one forward trace and one exact reverse
-sweep (``models.sweep``) of d(loss)/d(scores) = softmax - one-hot; they are
-averaged over the batch in example order. No dropout or learning-rate
-schedule; determinism comes from the seeded shuffle and fixed iteration
-order.
+Each minibatch is one ragged batch: one forward trace and one exact reverse
+sweep (``models.sweep``) of d(loss)/d(scores) = softmax - one-hot per row
+give every parameter gradient summed over the batch, which is averaged. No
+dropout or learning-rate schedule; determinism comes from the seeded
+shuffle and fixed iteration order.
 """
 
 from __future__ import annotations
@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NetworkParams, _run, embed, forward, get_param, \
-    param_names, sweep
+from .models import NetworkParams, _run, get_param, param_names, sweep
 from .numerics import SeededRng, softmax
+
+# Most cells (documents x padded length x width) one scoring chunk of
+# ``loss_and_accuracy`` holds; the corpus is scored in length-sorted chunks
+# so that the padding stays small and one chunk's state a few MB.
+SCORE_BATCH_CELLS = 1 << 18
 
 
 @dataclass
@@ -29,16 +33,34 @@ class TrainConfig:
     seed: int = 0
 
 
-def _example_grads(params: NetworkParams, ids: list[int],
-                   label: int) -> dict[str, np.ndarray]:
+def _padded(params: NetworkParams, examples) -> tuple[np.ndarray,
+                                                      np.ndarray, np.ndarray]:
+    """Right-padded token ids (B, T_max), their embeddings and the row
+    lengths of a list of (ids, label) examples."""
+    lengths = np.array([len(ids) for ids, _ in examples])
+    ids = np.zeros((len(examples), lengths.max()), dtype=int)
+    for row, (seq, _) in enumerate(examples):
+        ids[row, :len(seq)] = seq
+    n = params.embedding.shape[0]
+    if ids.min() < 0 or ids.max() >= n:
+        raise ValueError(f"token id out of range [0, {n})")
+    return ids, params.embedding[ids], lengths
+
+
+def minibatch_grads(params: NetworkParams,
+                    examples: list[tuple[list[int], int]],
+                    ) -> dict[str, np.ndarray]:
     """Crossentropy gradients of every parameter (names as in
-    ``param_names`` plus a dense ``"embedding"``) for one example."""
-    doc, scores, dirs = _run(params, embed(params, ids)[None], keep=True)
+    ``param_names`` plus a dense ``"embedding"``), summed over the examples
+    of one minibatch: one ragged forward and one reverse sweep."""
+    ids, embs, lengths = _padded(params, examples)
+    doc, scores, dirs = _run(params, embs, keep=True, lengths=lengths)
     dscores = softmax(scores)
-    dscores[0, label] -= 1.0
+    dscores[np.arange(len(examples)), [label for _, label in examples]] -= 1.0
     demb, grads = sweep(params, doc, dirs, dscores, param_grads=True)
+    real = np.arange(ids.shape[1]) < lengths[:, None]
     emb_grad = np.zeros_like(params.embedding)
-    np.add.at(emb_grad, ids, demb[0])
+    np.add.at(emb_grad, ids[real], demb[real])
     grads["embedding"] = emb_grad
     return grads
 
@@ -56,9 +78,12 @@ def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
         if not 0 <= label < n_classes:
             raise ValueError(f"label {label} out of range [0, {n_classes})")
 
+    # Adam runs elementwise, so every parameter is updated as one flat vector
     names = param_names(params) + ["embedding"]
-    m = {n: np.zeros_like(get_param(params, n)) for n in names}
-    v = {n: np.zeros_like(get_param(params, n)) for n in names}
+    arrays = [get_param(params, n) for n in names]
+    splits = np.cumsum([a.size for a in arrays])[:-1]
+    m = np.zeros(splits[-1] + arrays[-1].size)
+    v = np.zeros_like(m)
     step = 0
     rng = SeededRng(config.seed)
 
@@ -67,38 +92,44 @@ def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            acc: dict[str, np.ndarray] = {}
-            for idx in batch:
-                ids, label = corpus[idx]
-                grads = _example_grads(params, ids, label)
-                for name, g in grads.items():
-                    if name in acc:
-                        acc[name] += g
-                    else:
-                        acc[name] = g
+            grads = minibatch_grads(params, [corpus[idx] for idx in batch])
             step += 1
-            for name in names:
-                g = acc[name] / len(batch)
-                m[name] = config.beta1 * m[name] + (1 - config.beta1) * g
-                v[name] = config.beta2 * v[name] + (1 - config.beta2) * g * g
-                m_hat = m[name] / (1 - config.beta1 ** step)
-                v_hat = v[name] / (1 - config.beta2 ** step)
-                get_param(params, name)[...] -= (
-                    config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps))
+            g = np.concatenate([grads[n].ravel() for n in names]) / len(batch)
+            m = config.beta1 * m + (1 - config.beta1) * g
+            v = config.beta2 * v + (1 - config.beta2) * g * g
+            m_hat = m / (1 - config.beta1 ** step)
+            v_hat = v / (1 - config.beta2 ** step)
+            update = config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            for a, u in zip(arrays, np.split(update, splits)):
+                a -= u.reshape(a.shape)
     return params
 
 
 def loss_and_accuracy(params: NetworkParams,
                       corpus: list[tuple[list[int], int]]) -> tuple[float, float]:
-    """Mean crossentropy and accuracy over the corpus from one forward pass
-    per example (no parameter updates)."""
-    total = 0.0
-    hits = 0
-    for ids, label in corpus:
-        tr = forward(params, ids)
-        total += -np.log(max(tr.probs[label], 1e-300))
-        hits += tr.predicted == label
-    return total / len(corpus), hits / len(corpus)
+    """Mean crossentropy and accuracy over the corpus (no parameter
+    updates), scored in length-sorted ragged chunks of at most
+    ``SCORE_BATCH_CELLS`` cells; the losses are summed in corpus order."""
+    order = sorted(range(len(corpus)), key=lambda i: len(corpus[i][0]))
+    width = max(params.d_embed, params.d_hidden)
+    losses = np.zeros(len(corpus))
+    hits = np.zeros(len(corpus), dtype=bool)
+    lo = 0
+    while lo < len(order):
+        # the chunk's padded length is its last (longest) document's
+        hi = lo + 1
+        while (hi < len(order) and (hi + 1 - lo) * width
+               * len(corpus[order[hi]][0]) <= SCORE_BATCH_CELLS):
+            hi += 1
+        chunk = order[lo:hi]
+        examples = [corpus[i] for i in chunk]
+        _, embs, lengths = _padded(params, examples)
+        probs = softmax(_run(params, embs, keep=False, lengths=lengths)[1])
+        for row, (i, (_, label)) in enumerate(zip(chunk, examples)):
+            losses[i] = -np.log(max(probs[row, label], 1e-300))
+            hits[i] = np.argmax(probs[row]) == label
+        lo = hi
+    return sum(losses.tolist()) / len(corpus), int(hits.sum()) / len(corpus)
 
 
 def mean_loss(params: NetworkParams,

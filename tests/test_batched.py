@@ -1,25 +1,30 @@
 """Batched scoring equals one forward pass per input.
 
 Property tests over every architecture and direction: the batched runner,
-the batched reverse sweep, batched integrated gradients, the bucketed
-perturbation explainer and the bucketed LIMSSE responses must agree with the
-one-input-at-a-time path within 1e-12.
+the batched reverse sweep (equal-length and ragged), batched training,
+batched integrated gradients, the bucketed perturbation explainer and the
+bucketed LIMSSE responses must agree with the one-input-at-a-time path
+within 1e-12.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from textexplain.explain.gradient import integrated_gradients
 from textexplain.explain.limsse import _substring_responses
 from textexplain.explain.perturb import PerturbConfig, perturb_explain
 from textexplain.models import _run, embed, embedding_gradients, forward, \
-    forward_embedded, score_batch, sweep
+    forward_embedded, get_param, param_names, score_batch, sweep
+from textexplain.numerics import SeededRng, softmax
+from textexplain.train import TrainConfig, train
 
-from conftest import rand_params
+from conftest import keyword_corpus, rand_params
 from test_perturb import naive_perturb
 
 MODELS = [(arch, direction) for arch in ("GRU", "LSTM", "QGRU", "QLSTM", "CNN")
           for direction in ("uni", "bi") if (arch, direction) != ("CNN", "bi")]
+MODEL_IDS = [f"{arch}-{direction}" for arch, direction in MODELS]
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -87,6 +92,120 @@ def test_sweep_row_is_its_single_input_sweep(arch_dir, seed, t_len, batch):
     assert set(total) == set(grads)
     for name, g in grads.items():
         np.testing.assert_allclose(g, total[name], rtol=0, atol=1e-12)
+
+
+def ragged_stack(p, lengths, seed, fill):
+    """Right-padded embeddings of one token sequence per length, with the
+    padding set to ``fill`` (a scalar or a full-size array)."""
+    t_max = max(lengths)
+    embs = np.broadcast_to(fill, (len(lengths), t_max, p.d_embed)).copy()
+    for b, t_len in enumerate(lengths):
+        embs[b, :t_len] = embed(p, token_ids(t_len, seed + b))
+    return embs
+
+
+@pytest.mark.parametrize("arch_dir", MODELS, ids=MODEL_IDS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seeds, st.lists(st.integers(1, 12), min_size=1, max_size=5))
+def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
+    """Each row of a ragged forward and sweep equals the B = 1 run of its
+    real positions: scores, trace, real-position embedding gradients, and
+    parameter gradients summed over rows. The padding gets exactly zero
+    gradient, and its contents change no output."""
+    p = model(arch_dir, seed)
+    lengths = lengths + [1]
+    embs = ragged_stack(p, lengths, seed, 0.0)
+    dscores = np.random.default_rng(seed).normal(size=(len(lengths),
+                                                       p.n_classes))
+    doc, scores, dirs = _run(p, embs, keep=True, lengths=lengths)
+    demb, grads = sweep(p, doc, dirs, dscores, param_grads=True)
+    np.testing.assert_allclose(
+        _run(p, embs, keep=False, lengths=lengths)[1], scores, rtol=0,
+        atol=1e-12)
+    total = {}
+    for b, t_len in enumerate(lengths):
+        one_doc, one_scores, one_dirs = _run(p, embs[b:b + 1, :t_len],
+                                             keep=True)
+        one, one_grads = sweep(p, one_doc, one_dirs, dscores[b:b + 1],
+                               param_grads=True)
+        np.testing.assert_allclose(scores[b], one_scores[0], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(demb[b, :t_len], one[0], rtol=0,
+                                   atol=1e-12)
+        assert np.all(demb[b, t_len:] == 0.0)
+        for dname, tr in one_dirs.items():
+            row, want = dirs[dname].row(b), tr.row(0)
+            for field in ("emb", "preact", "cand", "hidden"):
+                np.testing.assert_allclose(getattr(row, field),
+                                           getattr(want, field), rtol=0,
+                                           atol=1e-12)
+        for name, g in one_grads.items():
+            total[name] = total.get(name, 0.0) + g
+    assert set(total) == set(grads)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, total[name], rtol=0, atol=1e-12)
+
+    noise = np.random.default_rng(seed + 1).normal(scale=50.0,
+                                                   size=embs.shape)
+    filled = ragged_stack(p, lengths, seed, noise)
+    doc2, scores2, dirs2 = _run(p, filled, keep=True, lengths=lengths)
+    demb2, grads2 = sweep(p, doc2, dirs2, dscores, param_grads=True)
+    np.testing.assert_array_equal(scores2, scores)
+    np.testing.assert_array_equal(demb2, demb)
+    for name, g in grads.items():
+        np.testing.assert_array_equal(grads2[name], g)
+
+
+def oracle_train(p, corpus, config):
+    """Adam over per-example B = 1 sweeps, summed in example order."""
+    names = param_names(p) + ["embedding"]
+    m = {n: np.zeros_like(get_param(p, n)) for n in names}
+    v = {n: np.zeros_like(get_param(p, n)) for n in names}
+    rng = SeededRng(config.seed)
+    order = list(range(len(corpus)))
+    step = 0
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            acc = {n: np.zeros_like(get_param(p, n)) for n in names}
+            for idx in batch:
+                ids, label = corpus[idx]
+                doc, scores, dirs = _run(p, embed(p, ids)[None], keep=True)
+                dscores = softmax(scores)
+                dscores[0, label] -= 1.0
+                demb, grads = sweep(p, doc, dirs, dscores, param_grads=True)
+                np.add.at(acc["embedding"], ids, demb[0])
+                for name, g in grads.items():
+                    acc[name] += g
+            step += 1
+            for name in names:
+                g = acc[name] / len(batch)
+                m[name] = config.beta1 * m[name] + (1 - config.beta1) * g
+                v[name] = config.beta2 * v[name] + (1 - config.beta2) * g * g
+                m_hat = m[name] / (1 - config.beta1 ** step)
+                v_hat = v[name] / (1 - config.beta2 ** step)
+                get_param(p, name)[...] -= (
+                    config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps))
+    return p
+
+
+@pytest.mark.parametrize("arch_dir", MODELS, ids=MODEL_IDS)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seeds)
+def test_train_matches_per_example_oracle(arch_dir, seed):
+    """Two epochs of ragged minibatch training equal the per-example loop
+    within 1e-12 of each parameter array's largest entry."""
+    corpus = keyword_corpus(11, SeededRng(seed), vocab_size=20, min_len=1,
+                            max_len=12)
+    config = TrainConfig(epochs=2, lr=0.01, batch_size=4, seed=seed)
+    got = train(model(arch_dir, seed), corpus, config)
+    want = oracle_train(model(arch_dir, seed), corpus, config)
+    for name in param_names(want) + ["embedding"]:
+        w = get_param(want, name)
+        np.testing.assert_allclose(get_param(got, name), w, rtol=0,
+                                   atol=1e-12 * np.abs(w).max(),
+                                   err_msg=name)
 
 
 @PROPERTY

@@ -5,7 +5,7 @@ import pytest
 
 from textexplain.cli import main
 from textexplain.explain import METHOD_NAMES
-from textexplain.models import load_checkpoint
+from textexplain.models import load_checkpoint, save_checkpoint
 from textexplain.numerics import SeededRng
 
 
@@ -252,7 +252,13 @@ class TestOptionValidation:
     @pytest.mark.parametrize("flag", [["--batch-size", "0"],
                                       ["--d-hidden", "0"],
                                       ["--d-embed", "0"],
-                                      ["--epochs", "-1"]])
+                                      ["--epochs", "-1"],
+                                      ["--lr", "nan"], ["--lr", "inf"],
+                                      ["--lr", "0"], ["--lr", "-0.1"],
+                                      ["--vocab-cutoff", "0"],
+                                      ["--kernel-width", "4"],
+                                      ["--kernel-width", "0"],
+                                      ["--kernel-width", "-3"]])
     def test_train_options(self, tmp_path, capsys, flag):
         out = tmp_path / "m.npz"
         rc = main(["train", str(tmp_path / "c.jsonl"), "--out", str(out),
@@ -270,6 +276,39 @@ class TestOptionValidation:
 
 
 class TestDataErrors:
+    @pytest.mark.parametrize("record", [
+        {"label": 1, "sentences": "abc"},
+        {"label": 1, "sentences": ["a", "b"]},
+        {"label": 1, "sentences": [["a", 2]]},
+        {"label": True, "sentences": [["a"]]},
+        {"label": 1.5, "sentences": [["a"]]},
+        {"label": "x", "sentences": [["a"]]},
+        [1, 2],
+    ])
+    def test_corpus_schema(self, tmp_path, capsys, record):
+        """A record that is not an int label over a list of lists of str
+        is a data error naming the file and line."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"label": 0, "sentences": [["a"]]})
+                          + "\n" + json.dumps(record) + "\n")
+        out = tmp_path / "m.npz"
+        assert main(["train", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{corpus}:2:" in err
+        assert not out.exists()
+
+    def test_non_finite_checkpoint(self, trained_checkpoint, tmp_path,
+                                   capsys):
+        _, corpus, ckpt = trained_checkpoint
+        params = load_checkpoint(ckpt)
+        params.w_cls[0, 0] = np.nan
+        bad = tmp_path / "nan.npz"
+        save_checkpoint(bad, params)
+        rc = main(["explain", str(bad), str(corpus), "--methods", "lrp"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "w_cls" in err
+
     @pytest.mark.parametrize("command", ["explain", "eval-hybrid",
                                          "eval-agreement"])
     def test_missing_checkpoint(self, trained_checkpoint, tmp_path, capsys,

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from textexplain.models import _run, embed, embedding_gradients, \
     empty_sequence_scores, forward, forward_embedded, get_param, \
     init_params, load_checkpoint, param_names, save_checkpoint, sweep
 from textexplain.numerics import SeededRng
-from textexplain.train import TrainConfig, _example_grads, train
+from textexplain.train import TrainConfig, minibatch_grads, train
 
 from conftest import finite_diff_embedding_grads, oracle_gru_states, \
     oracle_lstm_states, rand_params
@@ -181,16 +183,17 @@ class TestGradients:
         assert rel.max() < 1e-4
 
     def test_parameter_gradients_finite_difference(self):
-        """Crossentropy gradients of every entry of every parameter array,
-        the embedding included, match central differences on all five
-        architectures, uni and bi. Token 1 occurs twice, so its embedding
-        row must accumulate both occurrences."""
+        """Crossentropy gradients of a one-example minibatch, for every
+        entry of every parameter array, the embedding included, match
+        central differences on all five architectures, uni and bi. Token 1
+        occurs twice, so its embedding row must accumulate both
+        occurrences."""
         ids = [1, 2, 1, 3]
         step = 1e-6
         for seed, (arch, direction) in enumerate(MODELS):
             p = rand_params(arch, seed=seed, d_embed=3, d_hidden=4,
                             scale=3.0, direction=direction, kernel_width=3)
-            grads = _example_grads(p, ids, 1)
+            grads = minibatch_grads(p, [(ids, 1)])
             assert set(grads) == set(param_names(p)) | {"embedding"}
 
             def loss():
@@ -245,6 +248,12 @@ class TestTrain:
             train(rand_params("GRU", n_classes=2), [([1], 2)],
                   TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("ids", [[1, 20], [-1, 2], []])
+    def test_bad_document_rejected(self, ids):
+        with pytest.raises(ValueError):
+            train(rand_params("GRU", vocab_size=20), [([1, 2], 0), (ids, 1)],
+                  TrainConfig(epochs=1))
+
     def test_overfits_single_example(self):
         p = rand_params("LSTM", d_embed=8, d_hidden=8)
         train(p, [([1, 2, 3, 4], 1)], TrainConfig(epochs=60, batch_size=1))
@@ -265,6 +274,28 @@ class TestTrain:
         assert abs(loss - two_pass_loss) <= 1e-12
         assert abs(acc - two_pass_acc) <= 1e-12
         assert 0.0 < acc < 1.0
+
+    def test_loss_and_accuracy_chunks(self, monkeypatch):
+        """A small cell budget splits the length-sorted corpus into several
+        ragged runs; the result still equals one forward per document."""
+        train_mod = importlib.import_module("textexplain.train")
+        corpus = [([1, 2, 3], 0), ([4], 1), ([5, 6, 7, 8, 9, 1], 1),
+                  ([2, 2], 0), ([3, 1, 4, 1, 5], 0)]
+        p = rand_params("LSTM", direction="bi", scale=3.0)
+        width = max(p.d_embed, p.d_hidden)
+        monkeypatch.setattr(train_mod, "SCORE_BATCH_CELLS", 2 * 5 * width)
+        runs = []
+        real = train_mod._run
+        monkeypatch.setattr(train_mod, "_run", lambda *a, **kw: runs.append(
+            list(kw["lengths"])) or real(*a, **kw))
+        loss, acc = train_mod.loss_and_accuracy(p, corpus)
+        assert runs == [[1, 2, 3], [5], [6]]
+        traces = [forward(p, ids) for ids, _ in corpus]
+        want = np.mean([-np.log(tr.probs[label])
+                        for tr, (_, label) in zip(traces, corpus)])
+        assert abs(loss - want) <= 1e-12
+        assert acc == np.mean([tr.predicted == label
+                               for tr, (_, label) in zip(traces, corpus)])
 
     def test_loss_decreases_over_epochs(self):
         from textexplain.train import mean_loss
@@ -295,6 +326,15 @@ class TestCheckpoint:
                 np.testing.assert_array_equal(q.layers[dname][wname], arr)
         assert q.vocab.id_to_token == vocab.id_to_token
         assert q.vocab.oov_id == vocab.oov_id
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, tmp_path, value):
+        p = rand_params("GRU")
+        p.w_cls[1, 2] = value
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, p)
+        with pytest.raises(ValueError, match="w_cls"):
+            load_checkpoint(path)
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"
