@@ -9,6 +9,7 @@ Corpus files are JSON lines: {"label": int, "sentences": [[token, ...], ...]}
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -76,7 +77,8 @@ def _doc_tokens(doc: dict) -> list[str]:
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--methods", nargs="+", default=["grad1_s_dot", "lrp"],
+    # a tuple: the parser and its defaults live as long as the process
+    p.add_argument("--methods", nargs="+", default=("grad1_s_dot", "lrp"),
                    metavar="NAME",
                    help=f"explanation methods; known: {', '.join(METHOD_NAMES)}")
     p.add_argument("--eps", type=float, default=1e-3,
@@ -200,13 +202,11 @@ def cmd_explain(args) -> int:
         if not tokens:
             continue
         ids = params.vocab.encode(tokens)
-        if args.k is not None:
-            k = args.k
-        else:
-            k = forward(params, ids).predicted
+        trace = forward(params, ids)
+        k = trace.predicted if args.k is None else args.k
         for name in args.methods:
             try:
-                rel = explain(name, params, ids, k, opts)
+                rel = explain(name, params, ids, k, opts, trace=trace)
             except ValueError as exc:
                 records.append({"doc": doc_idx, "method": name,
                                 "error": str(exc)})
@@ -304,7 +304,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged and gives each call a fresh namespace."""
     p = _Parser(prog="textexplain",
                 description="Train small text classifiers, explain their "
                             "predictions, and score explanations with "

@@ -11,6 +11,9 @@ Two paradigms:
   the subject position, award hit_target when the maximally relevant token is
   the subject (on correct predictions) and hit_feat when it is a noun/verb
   carrying the predicted number, partitioned by prediction correctness.
+
+Both run each document's forward pass once: its trace gives the prediction
+and is handed to every method, so the white-box methods skip their own.
 """
 
 from __future__ import annotations
@@ -193,11 +196,12 @@ def run_hybrid_eval(params: NetworkParams, docs: list[HybridDocument],
     rng = SeededRng(baseline_seed)
     counters = {name: [0, 0] for name in list(methods) + ["random"]}
     for doc in docs:
-        predicted = forward(params, doc.ids).predicted
+        trace = forward(params, doc.ids)
+        predicted = trace.predicted
         if predicted not in doc.origin_labels:
             continue
         for name in methods:
-            rel = explain(name, params, doc.ids, predicted, opts)
+            rel = explain(name, params, doc.ids, predicted, opts, trace=trace)
             counters[name][0] += hit_hybrid(doc, predicted, rel)
             counters[name][1] += 1
         rel = baseline_random(rng, len(doc.ids))
@@ -247,7 +251,8 @@ def run_agreement_eval(params: NetworkParams, samples: list[AgreementSample],
 
     for sample in samples:
         ids = params.vocab.encode(sample.tokens)
-        predicted = forward(params, ids).predicted
+        trace = forward(params, ids)
+        predicted = trace.predicted
         correct = predicted == sample.label_id
         for name in all_methods:
             if name == "random":
@@ -255,7 +260,8 @@ def run_agreement_eval(params: NetworkParams, samples: list[AgreementSample],
             elif name == "last":
                 rel = baseline_last(len(ids))
             else:
-                rel = explain(name, params, ids, predicted, opts)
+                rel = explain(name, params, ids, predicted, opts,
+                              trace=trace)
             if correct:
                 c = counters[(name, "hit_target")]
                 c[0] += hit_target(sample, rel)

@@ -1,10 +1,20 @@
-"""Name-keyed dispatch over the full catalog of explanation methods."""
+"""Name-keyed dispatch over the full catalog of explanation methods.
+
+``explain`` takes the document's forward trace as an optional argument. A
+caller that already ran ``forward(params, ids)`` for the prediction passes
+that trace, and every white-box method reads it in place of its own forward
+pass: plain gradients run only their reverse sweep, LRP and decomposition
+only their backward pass, and DeepLIFT adds its baseline's forward pass.
+Integrated gradients, perturbation and LIMSSE score inputs of their own and
+ignore it. A trace that does not belong to ``params`` and ``ids`` is
+rejected, so it can never yield a map of another input.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..models import NetworkParams
+from ..models import ForwardTrace, NetworkParams, check_trace
 from ..relevance import RelevanceMap
 from .decomp import decomp_explain
 from .gradient import GradConfig, explain_gradient
@@ -36,22 +46,30 @@ class ExplainOptions:
 
 
 def explain(name: str, params: NetworkParams, ids, k: int,
-            opts: ExplainOptions | None = None) -> RelevanceMap:
-    """Run one explanation method by catalog name for target class ``k``."""
+            opts: ExplainOptions | None = None,
+            trace: ForwardTrace | None = None) -> RelevanceMap:
+    """Run one explanation method by catalog name for target class ``k``.
+
+    ``trace``, when given, must be ``forward(params, ids)``: its
+    architecture and embeddings are checked (ValueError otherwise), and the
+    white-box methods reuse it.
+    """
     if not 0 <= k < params.n_classes:
         raise ValueError(f"class {k} out of range [0, {params.n_classes})")
+    if trace is not None:
+        check_trace(params, ids, trace)
     opts = opts or ExplainOptions()
     if name in GRADIENT_METHODS:
         variant, output, reduction = name.split("_")
         cfg = GradConfig(variant=variant, output=output, reduction=reduction,
                          steps=opts.int_steps)
-        return explain_gradient(params, ids, k, cfg)
+        return explain_gradient(params, ids, k, cfg, trace=trace)
     if name == "lrp":
-        return lrp_explain(params, ids, k, eps=opts.eps)
+        return lrp_explain(params, ids, k, eps=opts.eps, trace=trace)
     if name == "deeplift":
-        return deeplift_explain(params, ids, k, eps=opts.eps)
+        return deeplift_explain(params, ids, k, eps=opts.eps, trace=trace)
     if name == "decomp":
-        return decomp_explain(params, ids, k)
+        return decomp_explain(params, ids, k, trace=trace)
     if name in PERTURB_METHODS:
         mode, n = name.rsplit("_", 1)
         cfg = PerturbConfig(mode="omit" if mode == "omit" else "occlude",

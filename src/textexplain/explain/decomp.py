@@ -12,6 +12,10 @@ and for the GRU family
 with elementwise products. A token's relevance is the first difference
 nl(t) - nl(t-1). The Q-variants use the same formulas over their
 convolutionally computed gates. Not defined for the CNN.
+
+Everything is read from the document's forward trace, which the caller may
+pass in to share it with other methods: the suffix products are one reversed
+cumulative product over t and each series is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ _DECOMP_ARCHS = ("LSTM", "QLSTM", "GRU", "QGRU")
 def _suffix_gate_products(gates: np.ndarray, t_len: int) -> np.ndarray:
     """prod[t] = elementwise product of gates[t+1..T]; prod[T] = ones."""
     prod = np.ones((t_len + 1, gates.shape[1]))
-    for t in range(t_len - 1, -1, -1):
-        prod[t] = prod[t + 1] * gates[t + 1]
+    # multiplied in the order gates[T], gates[T-1], ..., as the recursion
+    # prod[t] = prod[t+1] * gates[t+1] would
+    prod[:t_len] = np.cumprod(gates[t_len:0:-1], axis=0)[::-1]
     return prod
 
 
@@ -45,11 +50,9 @@ def net_load_series(trace: ForwardTrace, params: NetworkParams, k: int,
     if params.arch in ("LSTM", "QLSTM"):
         prod = _suffix_gate_products(tr.gates["f"], t_len)
         o_last = tr.gates["o"][t_len]
-        return np.array([w_k @ (o_last * np.tanh(prod[t] * tr.cell[t]))
-                         for t in range(t_len + 1)])
+        return (o_last * np.tanh(prod * tr.cell)) @ w_k
     prod = _suffix_gate_products(tr.gates["z"], t_len)
-    return np.array([w_k @ (prod[t] * tr.hidden[t])
-                     for t in range(t_len + 1)])
+    return (prod * tr.hidden) @ w_k
 
 
 def net_load(trace: ForwardTrace, params: NetworkParams, k: int,
@@ -61,10 +64,14 @@ def net_load(trace: ForwardTrace, params: NetworkParams, k: int,
     return float(series[t])
 
 
-def decomp_explain(params: NetworkParams, ids, k: int) -> RelevanceMap:
+def decomp_explain(params: NetworkParams, ids, k: int,
+                   trace: ForwardTrace | None = None) -> RelevanceMap:
     """First difference of the net-load series; bidirectional models sum the
-    per-direction decompositions at the original token positions."""
-    trace = forward(params, ids)
+    per-direction decompositions at the original token positions.
+
+    ``trace`` is ``forward(params, ids)`` if the caller has it."""
+    if trace is None:
+        trace = forward(params, ids)
     t_len = trace.length
     total = np.zeros(t_len)
     for dname in params.directions:

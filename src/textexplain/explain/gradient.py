@@ -1,8 +1,10 @@
 """Gradient-based explainers: {plain, integrated} x {score, prob} x {L2, dot}.
 
 Gradients are exact: one batched forward and one reverse sweep per call of
-``models.embedding_gradients``. Integrated gradients stack their M scaled
-inputs into one such batch.
+``models.embedding_gradients``. Plain gradients run only the sweep over the
+document's forward trace, which the caller may pass in to share it with
+other methods. Integrated gradients stack their M scaled inputs into one
+batch of their own.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import NetworkParams, embed, embedding_gradients
+from ..models import ForwardTrace, NetworkParams, embed, \
+    embedding_gradients, forward
 from ..relevance import RelevanceMap
 
 
@@ -74,13 +77,19 @@ def reduce_gradients(grads: np.ndarray, emb: np.ndarray,
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def explain_gradient(params: NetworkParams, ids, k: int,
-                     cfg: GradConfig) -> RelevanceMap:
+def explain_gradient(params: NetworkParams, ids, k: int, cfg: GradConfig,
+                     trace: ForwardTrace | None = None) -> RelevanceMap:
+    """``trace`` is ``forward(params, ids)`` if the caller has it; plain
+    gradients compute it otherwise, integrated gradients never read it."""
     cfg.validate()
-    emb = embed(params, ids)
     if cfg.variant == "grad1":
-        grads = embedding_gradients(params, output=cfg.output, k=k, emb=emb)
+        if trace is None:
+            trace = forward(params, ids)
+        emb = trace.embeddings
+        grads = embedding_gradients(params, output=cfg.output, k=k,
+                                    trace=trace)
     else:
+        emb = embed(params, ids)
         grads = integrated_gradients(params, ids, cfg.output, k, cfg.steps)
     return RelevanceMap(scores=reduce_gradients(grads, emb, cfg.reduction),
                         k=k, method=cfg.name)

@@ -10,6 +10,10 @@ multiply numerators but never receive relevance themselves. The difference
 variant starts from s(k, X) - s(k, X0) for an all-zero-embedding baseline X0
 and replaces activations by their differences from the baseline forward pass
 (gates stay at their actual-input values).
+
+Both read the forward trace of the input, which the caller may pass in to
+share one forward pass between the prediction and several methods; the
+baseline forward pass of the difference variant is always run here.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
-    _conv_transpose, embed, forward_embedded
+    _conv_transpose, forward, forward_embedded
 from ..relevance import RelevanceMap
 
 DEFAULT_EPS = 1e-3
@@ -142,16 +146,16 @@ def _backprop_direction(arch: str, w: dict[str, np.ndarray],
 
 
 def _explain(params: NetworkParams, ids, k: int, eps: float,
-             use_baseline: bool, method: str) -> RelevanceMap:
-    emb = embed(params, ids)
-    trace = forward_embedded(params, emb)
-    base: ForwardTrace | None = None
-    if use_baseline:
-        base = forward_embedded(params, np.zeros_like(emb))
-
+             use_baseline: bool, method: str,
+             trace: ForwardTrace | None) -> RelevanceMap:
     n_classes = params.n_classes
     if not 0 <= k < n_classes:
         raise ValueError(f"class {k} out of range [0, {n_classes})")
+    if trace is None:
+        trace = forward(params, ids)
+    base: ForwardTrace | None = None
+    if use_baseline:
+        base = forward_embedded(params, np.zeros_like(trace.embeddings))
 
     s_k = trace.scores[k]
     if base is None:
@@ -177,14 +181,22 @@ def _explain(params: NetworkParams, ids, k: int, eps: float,
     return RelevanceMap(scores=total, k=k, method=method)
 
 
-def lrp_explain(params: NetworkParams, ids, k: int,
-                eps: float = DEFAULT_EPS) -> RelevanceMap:
-    """Stabilized proportional relevance backpropagation of s(k, X)."""
-    return _explain(params, ids, k, eps, use_baseline=False, method="lrp")
+def lrp_explain(params: NetworkParams, ids, k: int, eps: float = DEFAULT_EPS,
+                trace: ForwardTrace | None = None) -> RelevanceMap:
+    """Stabilized proportional relevance backpropagation of s(k, X).
+
+    ``trace`` is ``forward(params, ids)`` if the caller has it."""
+    return _explain(params, ids, k, eps, use_baseline=False, method="lrp",
+                    trace=trace)
 
 
 def deeplift_explain(params: NetworkParams, ids, k: int,
-                     eps: float = DEFAULT_EPS) -> RelevanceMap:
+                     eps: float = DEFAULT_EPS,
+                     trace: ForwardTrace | None = None) -> RelevanceMap:
     """Difference-from-baseline relevance backpropagation of
-    s(k, X) - s(k, X0), baseline X0 = all-zero embeddings."""
-    return _explain(params, ids, k, eps, use_baseline=True, method="deeplift")
+    s(k, X) - s(k, X0), baseline X0 = all-zero embeddings.
+
+    ``trace`` is ``forward(params, ids)`` if the caller has it; the
+    baseline's forward pass is run here."""
+    return _explain(params, ids, k, eps, use_baseline=True, method="deeplift",
+                    trace=trace)

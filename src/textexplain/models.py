@@ -9,7 +9,11 @@ each read out at its own last step (training minibatches and corpus scoring
 use this). ``forward_embedded`` is its B = 1 case and records
 every intermediate quantity (gates, pre-activations, cell/hidden states,
 pooling winners) in a ForwardTrace, which is what the white-box explainers
-consume. ``score_batch`` keeps only the running state and returns the class
+consume. One document's trace is meant to be computed once and shared: it
+keeps the runner's B = 1 arrays (``batch_dirs``) beside their row views
+(``dirs``), so ``embedding_gradients(..., trace=...)`` runs only the sweep,
+and ``check_trace`` tells whether a trace belongs to given parameters and
+token ids. ``score_batch`` keeps only the running state and returns the class
 scores of every row; the black-box explainers score their inputs with it in
 equal-length buckets.
 
@@ -254,6 +258,14 @@ class DirectionTrace:
 
 @dataclass
 class ForwardTrace:
+    """Everything one forward pass of one input computed.
+
+    ``batch_dirs`` are the runner's direction traces with their batch axis
+    of one, as ``sweep`` takes them. ``dirs`` holds their row 0, and
+    ``doc_repr`` and ``scores`` are row 0 of the runner's outputs: views of
+    the same arrays, not copies.
+    """
+
     arch: str
     direction: str
     embeddings: np.ndarray              # (T, d_e), input order
@@ -261,6 +273,7 @@ class ForwardTrace:
     doc_repr: np.ndarray                # (d_h_total,)
     scores: np.ndarray                  # (K,)
     probs: np.ndarray                   # (K,)
+    batch_dirs: dict[str, DirectionTrace]   # (1, ...) arrays per direction
 
     @property
     def length(self) -> int:
@@ -520,7 +533,7 @@ def forward_embedded(params: NetworkParams, emb: np.ndarray) -> ForwardTrace:
                         embeddings=emb,
                         dirs={n: tr.row(0) for n, tr in dirs.items()},
                         doc_repr=doc[0], scores=scores[0],
-                        probs=softmax(scores[0]))
+                        probs=softmax(scores[0]), batch_dirs=dirs)
 
 
 def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
@@ -537,6 +550,20 @@ def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
 def forward(params: NetworkParams, ids) -> ForwardTrace:
     """Forward pass on a token id sequence."""
     return forward_embedded(params, embed(params, ids))
+
+
+def check_trace(params: NetworkParams, ids, trace: ForwardTrace) -> None:
+    """Raise ValueError unless ``trace`` can stand for ``forward(params,
+    ids)``: same architecture and shapes, and embeddings equal to
+    ``embed(params, ids)``."""
+    if (trace.arch != params.arch or trace.direction != params.direction
+            or trace.scores.shape != (params.n_classes,)
+            or trace.doc_repr.shape != (params.w_cls.shape[1],)):
+        raise ValueError(f"trace of a {trace.arch}-{trace.direction} model "
+                         f"given for a {params.arch}-{params.direction} one")
+    if not np.array_equal(trace.embeddings, embed(params, ids)):
+        raise ValueError("trace is not the forward pass of these token ids "
+                         "under these parameters")
 
 
 def empty_sequence_scores(params: NetworkParams) -> np.ndarray:
@@ -790,22 +817,29 @@ def sweep(params: NetworkParams, doc: np.ndarray,
 
 
 def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
-                        k: int = 0, emb: np.ndarray | None = None) -> np.ndarray:
+                        k: int = 0, emb: np.ndarray | None = None,
+                        trace: ForwardTrace | None = None) -> np.ndarray:
     """Gradient of s_k or p_k with respect to every embedding entry.
 
     ``emb`` may be one (T, d_e) input or a (B, T, d_e) stack of equal-length
     inputs; the result has the same shape. All rows take one batched forward
-    and one reverse sweep.
+    and one reverse sweep. Given the ``trace`` of one input, only the sweep
+    runs, over ``trace.batch_dirs``; ``ids`` and ``emb`` are then unused.
     """
     if output not in ("s", "p"):
         raise ValueError(f"unknown output {output!r}")
     n_classes = params.n_classes
     if not 0 <= k < n_classes:
         raise ValueError(f"class {k} out of range [0, {n_classes})")
-    if emb is None:
-        emb = embed(params, ids)
-    embs = emb if emb.ndim == 3 else emb[None]
-    doc, scores, dirs = _run(params, embs, keep=True)
+    if trace is not None:
+        emb = trace.embeddings
+        doc, scores = trace.doc_repr[None], trace.scores[None]
+        dirs = trace.batch_dirs
+    else:
+        if emb is None:
+            emb = embed(params, ids)
+        doc, scores, dirs = _run(params, emb if emb.ndim == 3 else emb[None],
+                                 keep=True)
     dscores = np.zeros_like(scores)
     dscores[:, k] = 1.0
     if output == "p":

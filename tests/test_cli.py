@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from textexplain.cli import main
-from textexplain.explain import METHOD_NAMES
-from textexplain.models import load_checkpoint, save_checkpoint
+from textexplain.cli import build_parser, main
+from textexplain.explain import METHOD_NAMES, ExplainOptions, explain
+from textexplain.models import forward, load_checkpoint, save_checkpoint
 from textexplain.numerics import SeededRng
 
 
@@ -227,6 +227,45 @@ class TestUsageErrors:
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 5)
         assert main(["train", str(corpus)]) == 1
+
+
+class TestParserReuse:
+    def test_successive_calls_do_not_leak(self, trained_checkpoint, tmp_path):
+        """main parses with one parser per process, yet each call sees only
+        its own flags: values and subcommands of the calls before it do not
+        become the next call's defaults."""
+        assert build_parser() is build_parser()
+        _, corpus, ckpt = trained_checkpoint
+        docs = tmp_path / "docs.jsonl"
+        write_corpus(docs, 4, seed=4)
+        assert main(["train", str(corpus), "--out", str(tmp_path / "l.npz"),
+                     "--arch", "LSTM", "--direction", "bi", "--d-embed", "6",
+                     "--d-hidden", "4", "--epochs", "1", "--seed", "3"]) == 0
+        assert main(["explain", str(ckpt), str(docs), "--out",
+                     str(tmp_path / "fixed.jsonl"), "--k", "0", "--methods",
+                     "lrp", "deeplift", "--eps", "0.5"]) == 0
+        plain = tmp_path / "plain.jsonl"
+        assert main(["explain", str(ckpt), str(docs), "--out",
+                     str(plain)]) == 0
+        params = load_checkpoint(ckpt)
+        records = [json.loads(l) for l in plain.read_text().splitlines()]
+        assert [r["method"] for r in records] == ["grad1_s_dot", "lrp"] * 4
+        for r in records:
+            ids = params.vocab.encode(r["tokens"])
+            assert r["k"] == forward(params, ids).predicted
+            want = explain(r["method"], params, ids, r["k"], ExplainOptions())
+            assert r["scores"] == [float(v) for v in want.scores]
+        assert any(r["k"] != 0 for r in records)     # a leaked --k shows
+
+        default = tmp_path / "default.npz"
+        assert main(["train", str(corpus), "--out", str(default),
+                     "--epochs", "1"]) == 0
+        p = load_checkpoint(default)
+        assert (p.arch, p.direction, p.d_embed, p.d_hidden) == (
+            "GRU", "uni", 16, 16)
+        args = build_parser().parse_args(["explain", "a", "b"])
+        assert (list(args.methods), args.eps, args.k) == (
+            ["grad1_s_dot", "lrp"], 1e-3, None)
 
 
 class TestOptionValidation:

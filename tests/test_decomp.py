@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from textexplain.explain.decomp import decomp_explain, net_load, \
-    net_load_series
+from textexplain.explain.decomp import _suffix_gate_products, \
+    decomp_explain, net_load, net_load_series
 from textexplain.models import forward
 
 from conftest import rand_params
@@ -27,6 +27,49 @@ def naive_net_load(trace, params, k, t, dname="fwd"):
     for j in range(t + 1, t_len + 1):
         carried = carried * tr.gates["z"][j]
     return float(w_k @ carried)
+
+
+def loop_suffix_products(gates, t_len):
+    """prod[t] = prod[t+1] * gates[t+1], one step at a time."""
+    prod = np.ones((t_len + 1, gates.shape[1]))
+    for t in range(t_len - 1, -1, -1):
+        prod[t] = prod[t + 1] * gates[t + 1]
+    return prod
+
+
+def loop_net_load_series(trace, params, k, dname):
+    """One dot product per step over the loop's suffix products."""
+    tr = trace.dirs[dname]
+    t_len = tr.emb.shape[0]
+    pos = params.directions.index(dname)
+    d = params.d_hidden
+    w_k = params.w_cls[k, pos * d:(pos + 1) * d]
+    if params.arch in ("LSTM", "QLSTM"):
+        prod = loop_suffix_products(tr.gates["f"], t_len)
+        o_last = tr.gates["o"][t_len]
+        return np.array([w_k @ (o_last * np.tanh(prod[t] * tr.cell[t]))
+                         for t in range(t_len + 1)])
+    prod = loop_suffix_products(tr.gates["z"], t_len)
+    return np.array([w_k @ (prod[t] * tr.hidden[t])
+                     for t in range(t_len + 1)])
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 7, 15])
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("arch", GATED)
+def test_vectorised_series_match_the_step_loop(arch, direction, t_len):
+    """Suffix products equal the loop bitwise; the series within 1e-12."""
+    p = rand_params(arch, seed=t_len, scale=3.0, direction=direction,
+                    n_classes=3)
+    tr = forward(p, [1 + (5 * i + 2) % 19 for i in range(t_len)])
+    for dname in p.directions:
+        for gate in tr.dirs[dname].gates.values():
+            np.testing.assert_array_equal(_suffix_gate_products(gate, t_len),
+                                          loop_suffix_products(gate, t_len))
+        for k in range(3):
+            np.testing.assert_allclose(
+                net_load_series(tr, p, k, dname),
+                loop_net_load_series(tr, p, k, dname), rtol=0, atol=1e-12)
 
 
 class TestNetLoad:

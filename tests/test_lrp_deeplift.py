@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import textexplain as tx
+from textexplain.explain import lrp as lrp_module
 from textexplain.explain.gradient import GradConfig, explain_gradient
 from textexplain.explain.lrp import deeplift_explain, esign, lrp_explain, \
     relevance_dense
@@ -204,6 +205,18 @@ class TestGeneralProperties:
     def test_invalid_class(self, fn):
         with pytest.raises(ValueError):
             fn(rand_params("GRU"), [1, 2], 9)
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
+    def test_invalid_class_rejected_before_any_forward_pass(
+            self, fn, k, monkeypatch):
+        def no_forward(*args):
+            raise AssertionError("forward pass before the class check")
+
+        monkeypatch.setattr(lrp_module, "forward", no_forward)
+        monkeypatch.setattr(lrp_module, "forward_embedded", no_forward)
+        with pytest.raises(ValueError, match="out of range"):
+            fn(rand_params("GRU", n_classes=2), [1, 2], k)
 
     def test_zero_embedding_input_gives_zero_deeplift(self):
         """If the input equals the baseline, every delta is zero."""
