@@ -4,7 +4,7 @@ classifiers, plus pointing-game evaluation harnesses."""
 from .models import ARCHS, ForwardTrace, NetworkParams, Vocabulary, \
     embed, embedding_gradients, forward, forward_embedded, init_params, \
     load_checkpoint, save_checkpoint, score_batch
-from .numerics import SeededRng, activation, softmax
+from .numerics import SeededRng, softmax
 from .relevance import RelevanceMap, rmax
 from .train import TrainConfig, accuracy, mean_loss, train
 from .explain import METHOD_NAMES, ExplainOptions, explain
@@ -13,7 +13,7 @@ __all__ = [
     "ARCHS", "ForwardTrace", "NetworkParams", "Vocabulary",
     "embed", "embedding_gradients", "forward", "forward_embedded",
     "init_params", "load_checkpoint", "save_checkpoint", "score_batch",
-    "SeededRng", "activation", "softmax",
+    "SeededRng", "softmax",
     "RelevanceMap", "rmax",
     "TrainConfig", "accuracy", "mean_loss", "train",
     "METHOD_NAMES", "ExplainOptions", "explain",

@@ -123,18 +123,6 @@ def hit_feat(sample: AgreementSample, predicted: int, rel) -> int:
     return int(feat == NUMBER_CLASSES[predicted])
 
 
-def match_manual_gt(tokens: list[str], gt_types: list[str]) -> set[int]:
-    """Positions whose lowercased token is a prefix or suffix of some listed
-    ground-truth word type."""
-    types = [w for w in gt_types]
-    out = set()
-    for t, tok in enumerate(tokens):
-        low = tok.lower()
-        if any(w.startswith(low) or w.endswith(low) for w in types):
-            out.add(t)
-    return out
-
-
 def baseline_random(rng: SeededRng, t_len: int) -> RelevanceMap:
     """One-hot map at a uniformly random position."""
     if t_len < 1:

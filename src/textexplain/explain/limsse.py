@@ -3,9 +3,13 @@
 Samples contiguous substrings of the input uniformly (length first, then
 start), queries the classifier on each substring as a standalone sequence,
 and fits a linear surrogate over binary coverage vectors. The surrogate's
-weights are the token relevances. Each distinct substring is scored once,
-all substrings of one length in a single batched forward run. Three fitting
-objectives:
+weights are the token relevances.
+
+The work is done per distinct (start, length) pair: the draw is one array
+computation that returns exactly what a loop of scalar draws would, each
+distinct substring is scored once (all substrings of one length in a single
+batched forward run) and has one coverage row, and the fits weight or
+gather the rows by how often they were drawn. Three fitting objectives:
 
     bb    logistic loss on "did the classifier predict k on the substring"
     ms_s  least squares on the unnormalized class score s(k, Z)
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ..models import NetworkParams, embed, score_batch
-from ..numerics import SeededRng, sigmoid, softmax
+from ..numerics import SeededRng, lemire_bounded, sigmoid, softmax
 from ..relevance import RelevanceMap
 
 DEFAULT_N_SAMPLES = 3000
@@ -46,73 +50,148 @@ class SubstringSample:
         return z
 
 
-def sample_substrings(rng: SeededRng, t_len: int, n: int,
-                      l_max: int = DEFAULT_MAX_LEN) -> list[SubstringSample]:
-    """Length uniform on [1, min(l_max, T)], then start uniform over the
-    valid positions."""
+def draw_substrings(rng: SeededRng, t_len: int, n: int,
+                    l_max: int = DEFAULT_MAX_LEN,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of ``n`` substrings: length uniform on
+    [1, min(l_max, T)], then start uniform over the valid positions.
+
+    Draw for draw, and in the generator state it leaves, this equals a loop
+    of two ``rng.uniform_int`` calls per substring. For T > l_max every
+    start range has at least two values, so each substring reads a fixed
+    number of 32-bit words and the whole draw is one array computation. For
+    T <= l_max (a one-value start range reads no word) and in the rare case
+    where numpy would reject a word, the scalar loop runs.
+    """
     if t_len < 1:
         raise ValueError("cannot sample substrings of an empty sequence")
     if n < 1 or l_max < 1:
         raise ValueError("n and l_max must be >= 1")
-    out = []
-    for _ in range(n):
-        length = rng.uniform_int(1, min(l_max, t_len))
-        start = rng.uniform_int(0, t_len - length)
-        out.append(SubstringSample(start=start, length=length))
-    return out
+    n_len = min(l_max, t_len)
+    if t_len > l_max:
+        state = rng.state
+        words = rng.uint32_stream(n * (1 + (n_len > 1))).reshape(n, -1)
+        if n_len > 1:
+            lengths, rejected = lemire_bounded(words[:, 0], n_len)
+            lengths += np.uint64(1)
+        else:  # a one-value length range reads no word
+            lengths, rejected = np.ones(n, dtype=np.uint64), False
+        starts, rejected_start = lemire_bounded(words[:, -1],
+                                                t_len - lengths + 1)
+        if not np.any(rejected | rejected_start):
+            return starts.astype(np.int64), lengths.astype(np.int64)
+        rng.state = state
+    pairs = np.empty((n, 2), dtype=np.int64)
+    for i in range(n):
+        length = rng.uniform_int(1, n_len)
+        pairs[i] = rng.uniform_int(0, t_len - length), length
+    return pairs[:, 0], pairs[:, 1]
 
 
-def _design(samples: list[SubstringSample], t_len: int) -> np.ndarray:
-    """(N, T) coverage matrix: row i is samples[i].coverage(t_len)."""
-    starts = np.array([s.start for s in samples])[:, None]
-    ends = starts + np.array([s.length for s in samples])[:, None]
+def sample_substrings(rng: SeededRng, t_len: int, n: int,
+                      l_max: int = DEFAULT_MAX_LEN) -> list[SubstringSample]:
+    """``draw_substrings`` as a list of samples."""
+    starts, lengths = draw_substrings(rng, t_len, n, l_max)
+    return [SubstringSample(start=s, length=l)
+            for s, l in zip(starts.tolist(), lengths.tolist())]
+
+
+@dataclass
+class DistinctSubstrings:
+    """Sampled substrings as their distinct (start, length) pairs, sorted by
+    length, then start; sample i is pair ``inv[i]``."""
+    starts: np.ndarray
+    lengths: np.ndarray
+    inv: np.ndarray
+
+    @classmethod
+    def of(cls, starts: np.ndarray, lengths: np.ndarray,
+           t_len: int) -> "DistinctSubstrings":
+        keys, inv = np.unique((lengths - 1) * t_len + starts,
+                              return_inverse=True)
+        return cls(starts=keys % t_len, lengths=keys // t_len + 1, inv=inv)
+
+
+def _design(starts: np.ndarray, lengths: np.ndarray,
+            t_len: int) -> np.ndarray:
+    """(N, T) coverage matrix: row i covers [starts[i], starts[i] +
+    lengths[i])."""
+    starts = starts[:, None]
+    ends = starts + lengths[:, None]
     pos = np.arange(t_len)
     return ((starts <= pos) & (pos < ends)).astype(np.float64)
 
 
-def fit_magnitude(z: np.ndarray, y: np.ndarray,
-                  ridge: float | None = None) -> np.ndarray:
+def fit_magnitude(z: np.ndarray, y: np.ndarray, ridge: float | None = None,
+                  counts: np.ndarray | None = None) -> np.ndarray:
     """Least-squares surrogate weights for real responses.
 
-    ``z`` is the (N, T) coverage design. An unpenalized intercept column is
+    ``z`` is the (U, T) coverage design and ``counts`` how many samples
+    each row stands for (default: one each), so the fit is the row-wise
+    one over the rows repeated by count. An unpenalized intercept column is
     added and discarded, so a constant shift of the responses moves only the
     intercept. ridge=0 requires a full-rank design.
     """
-    n, t_len = z.shape
+    t_len = z.shape[1]
+    c = np.ones(z.shape[0]) if counts is None else np.asarray(counts, float)
     if ridge is None:
-        ridge = DEFAULT_RIDGE_MS_PER_SAMPLE * n
-    a = np.hstack([z, np.ones((n, 1))])
+        ridge = DEFAULT_RIDGE_MS_PER_SAMPLE * c.sum()
+    a = np.hstack([z, np.ones((z.shape[0], 1))])
     if ridge == 0.0:
         if np.linalg.matrix_rank(a) < t_len + 1:
             raise np.linalg.LinAlgError(
                 "singular substring design; pass a positive ridge")
-        v, *_ = np.linalg.lstsq(a, y, rcond=None)
+        root = np.sqrt(c)
+        v, *_ = np.linalg.lstsq(a * root[:, None], y * root, rcond=None)
         return v[:t_len]
-    gram = a.T @ a
+    gram = a.T @ (a * c[:, None])
     gram[np.arange(t_len), np.arange(t_len)] += ridge
-    v = np.linalg.solve(gram, a.T @ y)
+    v = np.linalg.solve(gram, a.T @ (c * y))
     return v[:t_len]
 
 
 def fit_blackbox(z: np.ndarray, labels: np.ndarray,
                  ridge: float = DEFAULT_RIDGE_BB, tol: float = 1e-6,
-                 max_iter: int = 2000) -> np.ndarray:
+                 max_iter: int = 2000,
+                 inv: np.ndarray | None = None) -> np.ndarray:
     """Logistic surrogate weights for binary labels (prediction == k).
 
     Minimizes the negative log-likelihood of sigmoid(z . v) plus a ridge on
-    the weights (the intercept is unpenalized), by deterministic L-BFGS to
-    gradient norm ``tol`` or the iteration cap.
+    the weights (the intercept is unpenalized), by deterministic L-BFGS-B
+    from v = 0. It stops at projected gradient norm ``tol``, at the
+    iteration cap, or when an iteration lowers the objective by less than
+    scipy's default relative ``ftol`` (about 2.2e-9). So the weights are
+    where L-BFGS stopped, which can be a few percent of their peak away
+    from the optimum.
+
+    ``z`` holds the (U, T) distinct coverage rows and ``labels`` their
+    labels; sample i is row ``inv[i]`` (default: each row once). The
+    margins are one product over all samples, as in a row-wise fit; when
+    every copy of a row got the same margin, the probability and log terms
+    are computed once per distinct row and gathered per sample before the
+    sums. So the objective and gradient are bitwise those of the row-wise
+    fit over all samples, and so is the result.
     """
-    n, t_len = z.shape
-    y = np.asarray(labels, dtype=np.float64)
-    a = np.hstack([z, np.ones((n, 1))])
+    t_len = z.shape[1]
+    if inv is None:
+        inv = np.arange(z.shape[0])
+    a = np.hstack([z, np.ones((z.shape[0], 1))])[inv]
+    y = np.asarray(labels, dtype=np.float64)[inv]
+    first = np.unique(inv, return_index=True)[1]
+    every = slice(None)
+    eps = 1e-12
 
     def loss_grad(v):
         margins = a @ v
-        p = sigmoid(margins)
-        eps = 1e-12
-        nll = -np.sum(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-        grad = a.T @ (p - y)
+        # one probability per distinct row, unless BLAS gave two copies of
+        # a row different bits
+        rows, back = ((first, inv)
+                      if np.array_equal(margins[first][inv], margins)
+                      else (every, every))
+        p, y_rows = sigmoid(margins[rows]), y[rows]
+        terms = y_rows * np.log(p + eps) + (1 - y_rows) * np.log(1 - p + eps)
+        nll = -np.sum(terms[back])
+        grad = a.T @ (p - y_rows)[back]
         nll += ridge * np.dot(v[:t_len], v[:t_len])
         grad[:t_len] += 2 * ridge * v[:t_len]
         return nll, grad
@@ -125,38 +204,38 @@ def fit_blackbox(z: np.ndarray, labels: np.ndarray,
     return v
 
 
-def surrogate_fit(samples: list[SubstringSample], responses: np.ndarray,
+def surrogate_fit(samples: DistinctSubstrings, responses: np.ndarray,
                   variant: str, t_len: int,
                   ridge: float | None = None) -> np.ndarray:
-    z = _design(samples, t_len)
+    """Surrogate weights from one response per distinct substring."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown surrogate variant {variant!r}")
+    z = _design(samples.starts, samples.lengths, t_len)
     if variant == "bb":
-        return fit_blackbox(z, responses,
+        return fit_blackbox(z, responses, inv=samples.inv,
                             **({} if ridge is None else {"ridge": ridge}))
-    if variant in ("ms_s", "ms_p"):
-        return fit_magnitude(z, responses, ridge=ridge)
-    raise ValueError(f"unknown surrogate variant {variant!r}")
+    counts = np.bincount(samples.inv, minlength=z.shape[0])
+    return fit_magnitude(z, responses, ridge=ridge, counts=counts)
 
 
 def _substring_responses(params: NetworkParams, ids: list[int], k: int,
-                         variant: str, keys: set[tuple[int, int]],
-                         ) -> dict[tuple[int, int], float]:
-    """Response of each distinct (start, length) substring, scored as a
-    standalone sequence; one batched forward run per substring length."""
+                         variant: str, starts: np.ndarray,
+                         lengths: np.ndarray) -> np.ndarray:
+    """Response of each (start, length) substring, scored as a standalone
+    sequence; one batched forward run per substring length, in the order
+    given."""
     emb = embed(params, ids)
-    by_len: dict[int, list[int]] = {}
-    for start, length in sorted(keys):
-        by_len.setdefault(length, []).append(start)
-    out = {}
-    for length, starts in by_len.items():
-        windows = np.asarray(starts)[:, None] + np.arange(length)
+    out = np.empty(len(starts))
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        windows = starts[rows][:, None] + np.arange(length)
         scores = score_batch(params, emb[windows])
         if variant == "bb":
-            vals = np.argmax(softmax(scores), axis=1) == k
+            out[rows] = np.argmax(softmax(scores), axis=1) == k
         elif variant == "ms_s":
-            vals = scores[:, k]
+            out[rows] = scores[:, k]
         else:
-            vals = softmax(scores)[:, k]
-        out.update(((start, length), float(v)) for start, v in zip(starts, vals))
+            out[rows] = softmax(scores)[:, k]
     return out
 
 
@@ -169,11 +248,9 @@ def limsse_explain(params: NetworkParams, ids, k: int, variant: str = "ms_s",
         raise ValueError(f"unknown surrogate variant {variant!r}")
     ids = list(ids)
     t_len = len(ids)
-    rng = SeededRng(seed)
-    samples = sample_substrings(rng, t_len, n, l_max)
-
-    keys = [(s.start, s.length) for s in samples]
-    resp = _substring_responses(params, ids, k, variant, set(keys))
-    responses = np.array([resp[key] for key in keys])
+    starts, lengths = draw_substrings(SeededRng(seed), t_len, n, l_max)
+    samples = DistinctSubstrings.of(starts, lengths, t_len)
+    responses = _substring_responses(params, ids, k, variant, samples.starts,
+                                     samples.lengths)
     v = surrogate_fit(samples, responses, variant, t_len)
     return RelevanceMap(scores=v, k=k, method=f"limsse_{variant}")

@@ -34,8 +34,9 @@ def esign(a, eps: float):
     return np.where(np.asarray(a, dtype=np.float64) < 0, -eps, eps)
 
 
-def _stab(a, eps: float):
-    return a + esign(a, eps)
+def _stab(a: np.ndarray, eps: float) -> np.ndarray:
+    """a + esign(a, eps) for float64 ``a``; eps is checked once per map."""
+    return a + np.where(a < 0, -eps, eps)
 
 
 def relevance_dense(r_out: np.ndarray, a_in: np.ndarray, w: np.ndarray,
@@ -51,7 +52,7 @@ def relevance_dense(r_out: np.ndarray, a_in: np.ndarray, w: np.ndarray,
         raise ValueError("weight shape inconsistent with activations")
     num_in = a_in if a_in_base is None else a_in - a_in_base
     den = a_out_pre if a_out_pre_base is None else a_out_pre - a_out_pre_base
-    return num_in * (w.T @ (r_out / _stab(den, eps)))
+    return num_in * (w.T @ (r_out / (den + esign(den, eps))))
 
 
 def _diff(tr: DirectionTrace, base: DirectionTrace | None):
@@ -151,6 +152,8 @@ def _explain(params: NetworkParams, ids, k: int, eps: float,
     n_classes = params.n_classes
     if not 0 <= k < n_classes:
         raise ValueError(f"class {k} out of range [0, {n_classes})")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     if trace is None:
         trace = forward(params, ids)
     base: ForwardTrace | None = None

@@ -242,11 +242,12 @@ def test_limsse_responses_match_per_substring_forward(arch_dir, seed, t_len,
                                                       l_max, variant):
     p = model(arch_dir, seed)
     ids = token_ids(t_len, seed)
-    keys = {(start, length) for length in range(1, min(l_max, t_len) + 1)
-            for start in range(t_len - length + 1)}
-    got = _substring_responses(p, ids, 1, variant, keys)
-    assert set(got) == keys
-    for (start, length), value in got.items():
+    keys = [(start, length) for start in range(t_len)
+            for length in range(1, min(l_max, t_len - start) + 1)]
+    starts, lengths = np.array(keys).T
+    got = _substring_responses(p, ids, 1, variant, starts, lengths)
+    assert got.shape == (len(keys),)
+    for (start, length), value in zip(keys, got):
         tr = forward(p, ids[start:start + length])
         if variant == "bb":
             assert value == float(tr.predicted == 1)

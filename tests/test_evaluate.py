@@ -5,7 +5,7 @@ import pytest
 
 from textexplain.evaluate import AgreementSample, EvalRow, HybridDocument, \
     baseline_last, baseline_random, build_hybrid_docs, feat_of_pos, \
-    format_report_tsv, hit_feat, hit_hybrid, hit_target, match_manual_gt, \
+    format_report_tsv, hit_feat, hit_hybrid, hit_target, \
     parse_agreement_tsv, pointing_accuracy, random_hybrid_expectation, \
     run_agreement_eval, run_hybrid_eval
 from textexplain.numerics import SeededRng
@@ -103,24 +103,6 @@ class TestAgreementHits:
     def test_label_id(self):
         assert AgreementSample(["a"], ["NN"], 0, "Sg").label_id == 0
         assert SAMPLE.label_id == 1
-
-
-class TestMatchManualGt:
-    def test_prefix_and_suffix(self):
-        # "ray" is a prefix of "rays"; "rays" is a suffix of "x-rays"
-        got = match_manual_gt(["ray", "x-rays", "beam"], ["rays"])
-        assert got == {0}
-        got = match_manual_gt(["rays", "ray"], ["x-rays"])
-        assert got == {0}
-
-    def test_case_insensitive_token(self):
-        assert match_manual_gt(["Rays"], ["rays"]) == {0}
-
-    def test_exact_match(self):
-        assert match_manual_gt(["fracture"], ["fracture"]) == {0}
-
-    def test_no_match(self):
-        assert match_manual_gt(["knee", "pain"], ["fracture"]) == set()
 
 
 class TestBaselines:

@@ -1,13 +1,80 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from textexplain.explain.limsse import SubstringSample, _design, \
-    fit_blackbox, fit_magnitude, limsse_explain, sample_substrings, \
-    surrogate_fit
+from textexplain.explain import limsse as limsse_module
+from textexplain.explain.limsse import DEFAULT_N_SAMPLES, DEFAULT_RIDGE_BB, \
+    DistinctSubstrings, SubstringSample, _design, _substring_responses, \
+    draw_substrings, fit_blackbox, fit_magnitude, limsse_explain, \
+    sample_substrings, surrogate_fit
 from textexplain.models import forward
-from textexplain.numerics import SeededRng, sigmoid
+from textexplain.numerics import SeededRng, lemire_bounded, sigmoid
 
 from conftest import rand_params
+
+MODELS = [(arch, direction) for arch in ("GRU", "LSTM", "QGRU", "QLSTM", "CNN")
+          for direction in ("uni", "bi") if (arch, direction) != ("CNN", "bi")]
+MODEL_IDS = [f"{arch}-{direction}" for arch, direction in MODELS]
+
+
+def scalar_draws(rng, t_len, n, l_max):
+    """The two-stage draw one ``uniform_int`` call at a time."""
+    out = []
+    for _ in range(n):
+        length = rng.uniform_int(1, min(l_max, t_len))
+        out.append((rng.uniform_int(0, t_len - length), length))
+    return np.array(out).reshape(n, 2)
+
+
+class TestBatchedDraw:
+    @pytest.mark.parametrize("t_len", [1, 2, 6, 7, 80, 200])
+    @pytest.mark.parametrize("l_max", [1, 6])
+    def test_equals_scalar_loop_and_leaves_the_same_state(self, t_len, l_max):
+        for seed in range(40):
+            batched, scalar = SeededRng(seed), SeededRng(seed)
+            # an odd number of earlier draws leaves half a PCG64 word pending
+            for _ in range(seed % 3):
+                batched.uniform_int(0, 9)
+                scalar.uniform_int(0, 9)
+            n = 1 + 23 * seed
+            starts, lengths = draw_substrings(batched, t_len, n, l_max)
+            want = scalar_draws(scalar, t_len, n, l_max)
+            assert starts.dtype == lengths.dtype == np.int64
+            assert np.array_equal(starts, want[:, 0])
+            assert np.array_equal(lengths, want[:, 1])
+            assert batched.state == scalar.state
+            assert batched.uniform_int(0, 99) == scalar.uniform_int(0, 99)
+
+    def test_lemire_rejection_falls_back_to_the_scalar_loop(self):
+        """Seed 1056 draws a word numpy rejects at T = 200; the batched draw
+        must then return what the scalar loop does."""
+        t_len, n, seed = 200, 3000, 1056
+        words = SeededRng(seed).uint32_stream(2 * n).reshape(n, 2)
+        below_length, rejected = lemire_bounded(words[:, 0], 6)
+        _, rejected_start = lemire_bounded(words[:, 1], t_len - below_length)
+        assert np.any(rejected | rejected_start)
+        batched, scalar = SeededRng(seed), SeededRng(seed)
+        starts, lengths = draw_substrings(batched, t_len, n, 6)
+        want = scalar_draws(scalar, t_len, n, 6)
+        assert np.array_equal(np.stack([starts, lengths], axis=1), want)
+        assert batched.state == scalar.state
+
+    def test_sample_substrings_wraps_the_draw(self):
+        got = sample_substrings(SeededRng(8), 30, 500, l_max=6)
+        starts, lengths = draw_substrings(SeededRng(8), 30, 500, l_max=6)
+        assert [(s.start, s.length) for s in got] == \
+            list(zip(starts.tolist(), lengths.tolist()))
+        assert all(type(s.start) is int for s in got)
+
+    @pytest.mark.parametrize("t_len", [1, 6, 80])
+    def test_distinct_pairs_reproduce_every_draw(self, t_len):
+        starts, lengths = draw_substrings(SeededRng(t_len), t_len, 3000)
+        d = DistinctSubstrings.of(starts, lengths, t_len)
+        assert np.array_equal(d.starts[d.inv], starts)
+        assert np.array_equal(d.lengths[d.inv], lengths)
+        keys = list(zip(d.lengths.tolist(), d.starts.tolist()))
+        assert keys == sorted(set(keys))
 
 
 class TestSampling:
@@ -25,7 +92,8 @@ class TestSampling:
     @pytest.mark.parametrize("t_len", [1, 6, 80])
     def test_design_equals_stacked_coverage(self, t_len):
         samples = sample_substrings(SeededRng(t_len), t_len, 3000, l_max=6)
-        z = _design(samples, t_len)
+        z = _design(np.array([s.start for s in samples]),
+                    np.array([s.length for s in samples]), t_len)
         assert z.dtype == np.float64
         assert np.array_equal(z, np.stack([s.coverage(t_len)
                                            for s in samples]))
@@ -143,6 +211,83 @@ class TestFitBlackbox:
         assert np.all(got[1:] == 0.0)
 
 
+def row_wise_fit_blackbox(z, labels, ridge=DEFAULT_RIDGE_BB, tol=1e-6,
+                          max_iter=2000):
+    """Oracle: the logistic fit with every term computed over all N sample
+    rows, as before the distinct-row path."""
+    n, t_len = z.shape
+    y = np.asarray(labels, dtype=np.float64)
+    a = np.hstack([z, np.ones((n, 1))])
+
+    def loss_grad(v):
+        margins = a @ v
+        p = sigmoid(margins)
+        eps = 1e-12
+        nll = -np.sum(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
+        grad = a.T @ (p - y)
+        nll += ridge * np.dot(v[:t_len], v[:t_len])
+        grad[:t_len] += 2 * ridge * v[:t_len]
+        return nll, grad
+
+    res = minimize(loss_grad, np.zeros(t_len + 1), jac=True, method="L-BFGS-B",
+                   options={"gtol": tol, "maxiter": max_iter})
+    v = res.x[:t_len]
+    v[z.sum(axis=0) == 0] = 0.0
+    return v
+
+
+def distinct_design(t_len, n, seed):
+    starts, lengths = draw_substrings(SeededRng(seed), t_len, n)
+    d = DistinctSubstrings.of(starts, lengths, t_len)
+    return _design(d.starts, d.lengths, t_len), d.inv
+
+
+class TestDistinctRowFits:
+    @pytest.mark.parametrize("t_len", [3, 12, 40])
+    def test_blackbox_on_distinct_rows_is_bitwise_row_wise(self, t_len):
+        z, inv = distinct_design(t_len, 1000, t_len)
+        v_true = np.random.default_rng(t_len).normal(scale=2.0, size=t_len)
+        labels = (z @ v_true > 0.5).astype(float)
+        got = fit_blackbox(z, labels, inv=inv)
+        assert np.array_equal(got, row_wise_fit_blackbox(z[inv], labels[inv]))
+
+    def test_blackbox_copies_with_different_margins_fall_back(self,
+                                                              monkeypatch):
+        """When BLAS gives two copies of a row different bits, every sample
+        row keeps its own margin, as in the row-wise fit."""
+        class CopiesDiffer:
+            """numpy, except that no two margin vectors compare equal."""
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def array_equal(a, b):
+                return False
+
+        sizes = []
+
+        def recording_sigmoid(x):
+            sizes.append(len(x))
+            return sigmoid(x)
+
+        z, inv = distinct_design(9, 400, 2)
+        labels = (z[:, 4] > 0).astype(float)
+        monkeypatch.setattr(limsse_module, "np", CopiesDiffer())
+        monkeypatch.setattr(limsse_module, "sigmoid", recording_sigmoid)
+        got = fit_blackbox(z, labels, inv=inv)
+        monkeypatch.undo()
+        assert set(sizes) == {len(inv)}
+        assert np.array_equal(got, row_wise_fit_blackbox(z[inv], labels[inv]))
+
+    @pytest.mark.parametrize("ridge", [None, 0.0, 0.5])
+    def test_count_weighted_magnitude_equals_row_wise(self, ridge):
+        z, inv = distinct_design(15, 3000, 4)
+        y = np.random.default_rng(5).normal(size=z.shape[0])
+        got = fit_magnitude(z, y, ridge=ridge, counts=np.bincount(inv))
+        want = fit_magnitude(z[inv], y[inv], ridge=ridge)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 class TestSurrogateFit:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -218,3 +363,77 @@ class TestLimsseExplain:
         for variant in ("bb", "ms_s", "ms_p"):
             r = limsse_explain(p, [1, 2, 3], 0, variant=variant, n=50)
             assert r.method == f"limsse_{variant}"
+
+
+def row_wise_limsse(params, ids, k, variant, seed):
+    """Oracle: scalar draws, one design row per sample and row-wise fits,
+    scoring each distinct substring in the same length batches."""
+    t_len = len(ids)
+    draws = scalar_draws(SeededRng(seed), t_len, DEFAULT_N_SAMPLES, 6)
+    keys = np.array(sorted(set(map(tuple, draws.tolist())),
+                           key=lambda key: (key[1], key[0])))
+    values = _substring_responses(params, ids, k, variant, keys[:, 0],
+                                  keys[:, 1])
+    lookup = {tuple(key): value for key, value in zip(keys.tolist(), values)}
+    y = np.array([lookup[tuple(row)] for row in draws.tolist()])
+    z = _design(draws[:, 0], draws[:, 1], t_len)
+    if variant == "bb":
+        return row_wise_fit_blackbox(z, y)
+    return fit_magnitude(z, y)
+
+
+@pytest.mark.parametrize("arch_dir", MODELS, ids=MODEL_IDS)
+def test_maps_match_the_row_wise_oracle(arch_dir):
+    """limsse_bb maps are bitwise the row-wise fit's. limsse_ms_* maps agree
+    to 1e-10 of the peak: the row-wise normal equations sum 3,000 rows and
+    lie up to ~2e-11 of the peak from an extended-precision solve, which
+    the count-weighted ones match to 1e-12 (see below). At T = 1 the one
+    weight is 0 in exact arithmetic, so it is compared absolutely."""
+    arch, direction = arch_dir
+    p = rand_params(arch, seed=5, scale=3.0, direction=direction)
+    for t_len in (1, 5, 7, 18, 80):
+        ids = [1 + (7 * t_len + 3 * i * i) % 19 for i in range(t_len)]
+        for variant in ("bb", "ms_s", "ms_p"):
+            got = limsse_explain(p, ids, 1, variant=variant,
+                                 seed=t_len).scores
+            want = row_wise_limsse(p, ids, 1, variant, seed=t_len)
+            if variant == "bb":
+                assert np.array_equal(got, want), (t_len, variant)
+            else:
+                tol = 1e-12 if t_len == 1 else 1e-10 * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= tol, (t_len, variant)
+
+
+def extended_precision_fit(z, y, counts):
+    """The count-weighted ridge normal equations, solved with 40 digits."""
+    a = np.hstack([z, np.ones((z.shape[0], 1))])
+    with mpmath.workdps(40):
+        gram = mpmath.matrix((a.T @ (a * counts[:, None])).tolist())
+        for j in range(z.shape[1]):
+            gram[j, j] += mpmath.mpf(1e-6 * counts.sum())
+        rhs = mpmath.matrix([mpmath.fsum(mpmath.mpf(int(c)) * mpmath.mpf(v)
+                                         for c, v, on in zip(counts, y, col)
+                                         if on)
+                             for col in a.T])
+        solution = mpmath.lu_solve(gram, rhs)
+    return np.array(solution.tolist(), dtype=float)[:-1, 0]
+
+
+@pytest.mark.parametrize("arch_dir", MODELS, ids=MODEL_IDS)
+def test_ms_maps_near_extended_precision(arch_dir):
+    """limsse_ms_* maps lie within 1e-12 of their peak from a 40-digit
+    solve of the same count-weighted problem."""
+    arch, direction = arch_dir
+    p = rand_params(arch, seed=5, scale=3.0, direction=direction)
+    for t_len in (5, 18):
+        ids = [1 + (7 * t_len + 3 * i * i) % 19 for i in range(t_len)]
+        d = DistinctSubstrings.of(*draw_substrings(SeededRng(t_len), t_len,
+                                                   DEFAULT_N_SAMPLES), t_len)
+        for variant in ("ms_s", "ms_p"):
+            got = limsse_explain(p, ids, 1, variant=variant,
+                                 seed=t_len).scores
+            y = _substring_responses(p, ids, 1, variant, d.starts, d.lengths)
+            exact = extended_precision_fit(
+                _design(d.starts, d.lengths, t_len), y, np.bincount(d.inv))
+            assert np.max(np.abs(got - exact)) <= \
+                1e-12 * np.max(np.abs(exact)), (t_len, variant)

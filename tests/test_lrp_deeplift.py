@@ -218,6 +218,18 @@ class TestGeneralProperties:
         with pytest.raises(ValueError, match="out of range"):
             fn(rand_params("GRU", n_classes=2), [1, 2], k)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3])
+    @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
+    def test_nonpositive_eps_rejected_before_any_forward_pass(
+            self, fn, eps, monkeypatch):
+        def no_forward(*args):
+            raise AssertionError("forward pass before the eps check")
+
+        monkeypatch.setattr(lrp_module, "forward", no_forward)
+        monkeypatch.setattr(lrp_module, "forward_embedded", no_forward)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            fn(rand_params("GRU"), [1, 2], 0, eps=eps)
+
     def test_zero_embedding_input_gives_zero_deeplift(self):
         """If the input equals the baseline, every delta is zero."""
         p = rand_params("GRU", seed=5, scale=3.0)

@@ -1,30 +1,19 @@
 import numpy as np
 import pytest
 
-from textexplain.numerics import SeededRng, activation, sigmoid, softmax
+from textexplain.numerics import SeededRng, sigmoid, softmax
 
 
 class TestActivation:
     def test_sigmoid_at_zero(self):
-        assert activation("sigmoid", np.array([0.0]))[0] == 0.5
-
-    def test_tanh_at_zero(self):
-        assert activation("tanh", np.array([0.0]))[0] == 0.0
-
-    def test_relu(self):
-        np.testing.assert_array_equal(
-            activation("relu", np.array([-1.0, 2.0])), [0.0, 2.0])
+        assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_against_high_precision_reference(self):
         import mpmath
         xs = np.array([-20.0, -3.3, -0.7, 0.0, 0.2, 4.1, 15.0])
         sig_ref = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(x))))
                             for x in xs])
-        tanh_ref = np.array([float(mpmath.tanh(mpmath.mpf(x))) for x in xs])
-        np.testing.assert_allclose(activation("sigmoid", xs), sig_ref,
-                                   atol=1e-12)
-        np.testing.assert_allclose(activation("tanh", xs), tanh_ref,
-                                   atol=1e-12)
+        np.testing.assert_allclose(sigmoid(xs), sig_ref, atol=1e-12)
 
     def test_sigmoid_equals_two_branch_form_bitwise(self):
         """The branch-free sigmoid gives exactly 1/(1+e^-x) for x >= 0 and
@@ -44,10 +33,6 @@ class TestActivation:
         x = np.random.default_rng(1).normal(scale=5.0, size=(7, 3))
         rows = np.stack([softmax(r) for r in x])
         assert np.array_equal(softmax(x), rows)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            activation("softplus", np.array([1.0]))
 
 
 class TestSoftmax:
