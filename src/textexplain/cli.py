@@ -134,7 +134,7 @@ def _load_model(path: str):
     """A checkpoint that carries its vocabulary."""
     try:
         params = load_checkpoint(path)
-    except (OSError, KeyError) as exc:
+    except (OSError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}")
     if params.vocab is None:
         raise DataError("checkpoint has no vocabulary")
@@ -272,11 +272,12 @@ def cmd_render(args) -> int:
         raise DataError(f"cannot read {args.relevance}: {exc}")
     chunks = []
     for index, r in enumerate(records, start=1):
+        where = f"{args.relevance}: record {index}"
+        if not isinstance(r, dict):
+            raise DataError(f"{where}: expected a JSON object")
         if "scores" not in r:
             continue
-        if "tokens" not in r:
-            raise DataError(f"{args.relevance}: record {index} has scores "
-                            f"but no tokens")
+        _check_rendered(r, where)
         colored = colorize(np.asarray(r["scores"], dtype=float), r["tokens"])
         if args.mode == "ansi":
             chunks.append(emit_ansi(colored))
@@ -284,6 +285,21 @@ def cmd_render(args) -> int:
             chunks.append(emit_html(colored))
     _write_output(args.out, "".join(chunks))
     return 0
+
+
+def _check_rendered(r: dict, where: str) -> None:
+    """A map record to render: finite scores, one string token each."""
+    scores, tokens = r["scores"], r.get("tokens")
+    if not (isinstance(scores, list) and all(
+            type(v) in (int, float) and abs(v) <= sys.float_info.max
+            for v in scores)):
+        raise DataError(f"{where}: 'scores' must be a list of finite numbers")
+    if tokens is None:
+        raise DataError(f"{where}: has scores but no tokens")
+    if not (isinstance(tokens, list) and len(tokens) == len(scores)
+            and all(isinstance(tok, str) for tok in tokens)):
+        raise DataError(f"{where}: 'tokens' must be a list of one string "
+                        f"per score")
 
 
 def _write_output(path: str | None, text: str) -> None:

@@ -230,6 +230,9 @@ def run_agreement_eval(params: NetworkParams, samples: list[AgreementSample],
     opts = opts or ExplainOptions()
     if params.vocab is None:
         raise ValueError("agreement evaluation needs a checkpoint vocabulary")
+    if params.n_classes != len(NUMBER_CLASSES):
+        raise ValueError(f"agreement evaluation needs a 2-class (Sg/Pl) "
+                         f"model, got {params.n_classes} classes")
     rng = SeededRng(baseline_seed)
     all_methods = list(methods) + ["random", "last"]
     counters = {(name, metric): [0, 0]

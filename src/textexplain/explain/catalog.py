@@ -3,8 +3,9 @@
 ``explain`` takes the document's forward trace as an optional argument. A
 caller that already ran ``forward(params, ids)`` for the prediction passes
 that trace, and every white-box method reads it in place of its own forward
-pass: plain gradients run only their reverse sweep, LRP and decomposition
-only their backward pass, and DeepLIFT adds its baseline's forward pass.
+pass: plain gradients and LRP run only the reverse sweep (``models.sweep``;
+LRP and DeepLIFT are rules of it), DeepLIFT adds its baseline's forward
+pass, and decomposition reads the trace alone.
 Integrated gradients, perturbation and LIMSSE score inputs of their own and
 ignore it. A trace that does not belong to ``params`` and ``ids`` is
 rejected, so it can never yield a map of another input.

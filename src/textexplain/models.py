@@ -21,7 +21,10 @@ Exact gradients come from one reverse sweep per architecture over a batched
 trace (``sweep``): given d(scores) (B, K) it returns d(embeddings)
 (B, T, d_e) and, for training, every parameter gradient summed over the
 batch. Recurrences step back over t with (B, d) matmuls; the convolutions
-are transposed as F shifted matmuls, mirroring the forward.
+are transposed as F shifted matmuls, mirroring the forward. The same sweep
+is the relevance pass of ε-LRP and DeepLIFT: a ``RelevanceRule`` swaps its
+local factors, so this module alone knows how gradients and relevance flow
+through each architecture.
 
 Recurrences:
     GRU     h_t = z_t * h_{t-1} + (1 - z_t) * g_t,  g_t = tanh(V e_t + U (r_t * h_{t-1}) + b)
@@ -39,11 +42,13 @@ e_{t-k}.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import SeededRng, sigmoid, softmax
+from .numerics import SeededRng, esign, sigmoid, softmax
 
 ARCHS = ("GRU", "QGRU", "LSTM", "QLSTM", "CNN")
 
@@ -640,22 +645,85 @@ def _matmul_grad(d_pre: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         -1, inputs.shape[2])
 
 
+@dataclass(frozen=True)
+class RelevanceRule:
+    """Turns ``sweep`` into ε-LRP, or with ``base`` (the batched direction
+    traces of a baseline input) into DeepLIFT-Rescale; ``eps`` > 0.
+
+    Both are gradient × input under a modified chain rule (Ancona et al.,
+    ICLR 2018), so a rule changes only the local factors of the sweep,
+    computed from the traces before its loops:
+
+    1. sigmoid gates get a zero derivative: they act as weights;
+    2. the derivative f'(z) of a tanh or relu becomes f(z) / stab(z), or
+       Δf / stab(Δz) for DeepLIFT;
+    3. a summed state a scales the gradient it passes back by a / stab(a),
+       or Δa / stab(Δa): all of it for h_t, and for an LSTM-family c_t the
+       part from c_{t+1} (on the path from h_t, tanh(c_t)'s rule 2 divides
+       by stab(c_t) already).
+
+    The caller seeds s_k / stab(s_k) (or its deltas' ratio) on class k and
+    reads token t's relevance as e_t · demb_t.
+    """
+
+    eps: float
+    base: dict[str, DirectionTrace] | None = None
+
+
+class _Factors(NamedTuple):
+    """Local factors of one direction's sweep, steps 1..T on axis 1."""
+
+    gate: float                     # multiplies every sigmoid derivative
+    act: np.ndarray                 # (B, T, d) the candidate's f'(z)
+    h: np.ndarray | float | None    # scales d h_t; not the CNN's
+    cell_act: np.ndarray | None     # (B, T, d) tanh'(c_t), LSTM family
+    c: np.ndarray | float           # scales d c_{t-1}, LSTM family
+
+
+def _local_factors(tr: DirectionTrace, rule: RelevanceRule | None,
+                   base: DirectionTrace | None) -> _Factors:
+    """The exact derivatives of ``tr`` (state factors 1.0), or their
+    replacements under ``rule``; ``base`` is the baseline's trace of the
+    same direction."""
+    cnn, lstm = tr.pool_argmax is not None, tr.cell is not None
+    if rule is None:
+        g = tr.cand[:, 1:]
+        tc = np.tanh(tr.cell[:, 1:]) if lstm else None
+        return _Factors(1.0, tr.preact[:, 1:] > 0 if cnn else 1.0 - g * g,
+                        1.0, 1.0 - tc * tc if lstm else None, 1.0)
+
+    def delta(name, f=lambda a: a):
+        a = f(getattr(tr, name))
+        return a if base is None else a - f(getattr(base, name))
+
+    def ratio(num, den):
+        return num / (den + esign(den, rule.eps))
+
+    dh = None if cnn else delta("hidden")
+    dc = delta("cell") if lstm else None
+    return _Factors(
+        0.0, ratio(delta("cand"), delta("preact"))[:, 1:],
+        None if cnn else ratio(dh, dh)[:, 1:],
+        ratio(delta("cell", np.tanh), dc)[:, 1:] if lstm else None,
+        ratio(dc, dc)[:, :-1] if lstm else None)
+
+
 def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
-                     dh: np.ndarray, want_params: bool,
+                     dh: np.ndarray, want_params: bool, fac: _Factors,
                      ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
     """Reverse sweep of one direction of a batched trace.
 
     ``dh`` (B, d) is the gradient of the final hidden state (the pooled
-    vector for the CNN). Returns the embedding gradients (B, T, d_e) in the
-    direction's own order and, when ``want_params``, the gradients of every
-    weight in ``w`` summed over the batch.
+    vector for the CNN), ``fac`` the local factors from ``_local_factors``.
+    Returns the embedding gradients (B, T, d_e) in the direction's own order
+    and, when ``want_params``, the gradients of every weight in ``w`` summed
+    over the batch.
     """
     emb = tr.emb
     b, t_len, _ = emb.shape
     d = dh.shape[1]
     h_prev = tr.hidden[:, :-1]
     g = tr.cand[:, 1:]
-    dtanh = 1.0 - g * g
     # a ragged row's state gradient enters at its own last step; until then
     # (over its padding) it is exactly zero
     ends = _row_ends(tr.lengths, t_len)
@@ -671,17 +739,17 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
         names = gate_names + ("",)
         n_gate = len(gate_names) * d
         gates = np.concatenate([tr.gates[n][:, 1:] for n in gate_names], axis=2)
-        dsig = gates * (1.0 - gates)
+        dsig = gates * (1.0 - gates) * fac.gate
         v_in = np.concatenate([w[f"V{n}"] for n in names])
         u_in = np.concatenate([w[f"U{n}"] for n in gate_names]
                               + ([w["U"]] if lstm else []))
         d_pre = np.zeros((b, t_len, n_gate + d))
         if lstm:
             i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
-            c = tr.cell[:, 1:]
             c_prev = tr.cell[:, :-1]
-            tc = np.tanh(c)
-            dc_from_h = o * (1.0 - tc * tc)
+            tc = np.tanh(tr.cell[:, 1:])
+            dc_from_h = o * fac.cell_act * fac.h
+            carry = f * fac.c
             dc = np.zeros((b, d))
             for t in range(t_len - 1, -1, -1):
                 if t + 1 in ends:
@@ -691,20 +759,22 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
                 d_pre[:, t, d:2 * d] = dc * c_prev[:, t]
                 d_pre[:, t, 2 * d:n_gate] = dh * tc[:, t]
                 d_pre[:, t, :n_gate] *= dsig[:, t]
-                d_pre[:, t, n_gate:] = dc * i[:, t] * dtanh[:, t]
-                dc = dc * f[:, t]
+                d_pre[:, t, n_gate:] = dc * i[:, t] * fac.act[:, t]
+                dc = dc * carry[:, t]
                 dh = d_pre[:, t] @ u_in
         else:
             z, r = gates[..., :d], gates[..., d:]
+            keep = (1.0 - z) * fac.h
+            carry = z * fac.h
             for t in range(t_len - 1, -1, -1):
                 if t + 1 in ends:
                     dh[ends[t + 1]] = d_end[ends[t + 1]]
-                dgp = dh * (1.0 - z[:, t]) * dtanh[:, t]
+                dgp = dh * keep[:, t] * fac.act[:, t]
                 drh = dgp @ w["U"]
                 d_pre[:, t, :d] = dh * (h_prev[:, t] - g[:, t]) * dsig[:, t, :d]
                 d_pre[:, t, d:n_gate] = drh * h_prev[:, t] * dsig[:, t, d:]
                 d_pre[:, t, n_gate:] = dgp
-                dh = dh * z[:, t] + drh * r[:, t] + d_pre[:, t, :n_gate] @ u_in
+                dh = dh * carry[:, t] + drh * r[:, t] + d_pre[:, t, :n_gate] @ u_in
         demb = d_pre @ v_in
         if not want_params:
             return demb, None
@@ -723,36 +793,42 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
         # back over t, then form every pre-activation gradient at once
         if arch == "QGRU":
             z = tr.gates["z"][:, 1:]
+            carry = z * fac.h
             dhs = np.zeros((b, t_len, d))
             for t in range(t_len - 1, -1, -1):
                 if t + 1 in ends:
                     dh[ends[t + 1]] = d_end[ends[t + 1]]
                 dhs[:, t] = dh
-                dh = dh * z[:, t]
+                dh = dh * carry[:, t]
             names = ("z", "")
-            d_pre = np.concatenate([dhs * (h_prev - g) * z * (1.0 - z),
-                                    dhs * (1.0 - z) * dtanh], axis=2)
+            d_pre = np.concatenate(
+                [dhs * (h_prev - g) * z * (1.0 - z) * fac.gate,
+                 dhs * ((1.0 - z) * fac.h) * fac.act], axis=2)
         else:
             i, f, o = (tr.gates[n][:, 1:] for n in ("i", "f", "o"))
             rows = np.arange(b)
             last = t_len if tr.lengths is None else tr.lengths
+            at_last = (rows, last - 1)
             tc = np.tanh(tr.cell[rows, last])
-            o_last = o[rows, last - 1]
+            o_last = o[at_last]
+            carry = f * fac.c
             dcs = np.zeros((b, t_len, d))
-            dc_end = d_end * o_last * (1.0 - tc * tc)
+            dc_end = (d_end * o_last * fac.cell_act[at_last]
+                      * np.broadcast_to(fac.h, o.shape)[at_last])
             dc = np.where((last == t_len)[:, None], dc_end, 0.0) if ends \
                 else dc_end
             for t in range(t_len - 1, -1, -1):
                 if t + 1 in ends:
                     dc[ends[t + 1]] = dc_end[ends[t + 1]]
                 dcs[:, t] = dc
-                dc = dc * f[:, t]
+                dc = dc * carry[:, t]
             do = np.zeros((b, t_len, d))
-            do[rows, last - 1] = d_end * tc * o_last * (1.0 - o_last)
+            do[at_last] = d_end * tc * o_last * (1.0 - o_last) * fac.gate
             names = ("i", "f", "o", "")
-            d_pre = np.concatenate([dcs * g * i * (1.0 - i),
-                                    dcs * tr.cell[:, :-1] * f * (1.0 - f),
-                                    do, dcs * i * dtanh], axis=2)
+            d_pre = np.concatenate(
+                [dcs * g * i * (1.0 - i) * fac.gate,
+                 dcs * tr.cell[:, :-1] * f * (1.0 - f) * fac.gate,
+                 do, dcs * i * fac.act], axis=2)
         kernel = np.concatenate([w[f"K{n}"] for n in names], axis=1)
         f_width = kernel.shape[0]
         demb = _conv_transpose(kernel, d_pre, f_width - 1)
@@ -768,7 +844,7 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
         d_pre = np.zeros((b, t_len, d))
         np.put_along_axis(d_pre, tr.pool_argmax[:, None, :] - 1,
                           d_end[:, None, :], axis=1)
-        d_pre *= tr.preact[:, 1:] > 0
+        d_pre *= fac.act
         f_width = w["K"].shape[0]
         half = (f_width - 1) // 2
         demb = _conv_transpose(w["K"], d_pre, half)
@@ -782,16 +858,18 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
 
 def sweep(params: NetworkParams, doc: np.ndarray,
           dirs: dict[str, DirectionTrace], dscores: np.ndarray,
-          param_grads: bool = False,
+          param_grads: bool = False, rule: RelevanceRule | None = None,
           ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
-    """Exact reverse sweep over a batched forward of ``_run(..., keep=True)``.
+    """The one reverse sweep over a batched forward of ``_run(...,
+    keep=True)``: exact gradients, or relevance under ``rule``.
 
     ``doc`` and ``dirs`` are that run's document representations and traces,
     ``dscores`` (B, K) the gradient of some function of each row's class
     scores. Returns the gradients of the input embeddings (B, T, d_e) and,
     when ``param_grads``, a dict of every parameter's gradient (names as in
     ``param_names``) summed over the batch; embedding rows are the caller's
-    to scatter. The padded positions of a ragged run get exactly zero.
+    to scatter. The padded positions of a ragged run get exactly zero. A
+    ``rule`` swaps the local factors of every step (see ``RelevanceRule``).
     """
     ddoc = dscores @ params.w_cls
     d = params.d_hidden
@@ -800,9 +878,11 @@ def sweep(params: NetworkParams, doc: np.ndarray,
     lengths = dirs["fwd"].lengths
     demb = 0.0
     for pos, dname in enumerate(params.directions):
+        base = None if rule is None or rule.base is None else rule.base[dname]
+        fac = _local_factors(dirs[dname], rule, base)
         de, wg = _sweep_direction(params.arch, params.layers[dname],
                                   dirs[dname], ddoc[:, pos * d:(pos + 1) * d],
-                                  param_grads)
+                                  param_grads, fac)
         if dname == "bwd":
             de = (de[:, ::-1] if lengths is None else
                   de[np.arange(len(de))[:, None],
@@ -873,10 +953,18 @@ def save_checkpoint(path, params: NetworkParams) -> None:
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Read a checkpoint; a non-finite weight array is rejected by name."""
-    with np.load(path, allow_pickle=False) as data:
+    """Read a checkpoint. A file that is not one, and a non-finite weight
+    array (by name), raise ValueError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"{path}: not a checkpoint file ({exc})")
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a checkpoint file")
+    with data:
         meta = json.loads(str(data["meta"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
+        if (not isinstance(meta, dict)
+                or meta.get("format") != CHECKPOINT_FORMAT):
             raise ValueError(f"{path}: not a checkpoint file")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version")

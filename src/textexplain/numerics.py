@@ -1,4 +1,5 @@
-"""Shared numeric kernels: a safe sigmoid, stable softmax, seeded randomness.
+"""Shared numeric kernels: a safe sigmoid, stable softmax, the
+sign-preserving stabilizer of relevance ratios, seeded randomness.
 
 Everything runs in float64. The RNG is numpy's PCG64 behind a thin wrapper,
 so identical seeds give identical draw sequences on every platform.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sigmoid", "softmax", "lemire_bounded", "SeededRng"]
+__all__ = ["sigmoid", "softmax", "esign", "lemire_bounded", "SeededRng"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -31,6 +32,13 @@ def softmax(x: np.ndarray) -> np.ndarray:
         raise ValueError("softmax of empty vector")
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def esign(a, eps: float) -> np.ndarray:
+    """Sign-preserving stabilizer: -eps where a < 0, +eps otherwise."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return np.where(np.asarray(a, dtype=np.float64) < 0, -eps, eps)
 
 
 _WORD = np.uint64(1 << 32)

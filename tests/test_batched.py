@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from textexplain.explain.gradient import integrated_gradients
 from textexplain.explain.limsse import _substring_responses
 from textexplain.explain.perturb import PerturbConfig, perturb_explain
-from textexplain.models import _run, embed, embedding_gradients, forward, \
-    forward_embedded, get_param, param_names, score_batch, sweep
+from textexplain.models import RelevanceRule, _run, embed, \
+    embedding_gradients, forward, forward_embedded, get_param, param_names, \
+    score_batch, sweep
 from textexplain.numerics import SeededRng, softmax
 from textexplain.train import TrainConfig, train
 
@@ -154,6 +155,35 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
     np.testing.assert_array_equal(demb2, demb)
     for name, g in grads.items():
         np.testing.assert_array_equal(grads2[name], g)
+
+
+@pytest.mark.parametrize("arch_dir", MODELS, ids=MODEL_IDS)
+@pytest.mark.parametrize("deeplift", [False, True], ids=["lrp", "deeplift"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seeds, st.lists(st.integers(1, 12), min_size=1, max_size=5))
+def test_ragged_rule_sweep_rows_are_their_single_input_sweeps(
+        arch_dir, deeplift, seed, lengths):
+    """Under an LRP or DeepLIFT rule, each row of a ragged sweep equals the
+    rule sweep of its input alone within 1e-12 of the row's peak, and its
+    padding gets exactly zero."""
+    p = model(arch_dir, seed)
+    lengths = lengths + [1]
+    embs = ragged_stack(p, lengths, seed, 0.0)
+    dscores = np.random.default_rng(seed).normal(size=(len(lengths),
+                                                       p.n_classes))
+
+    def rule_sweep(stack, row_lengths, ds):
+        doc, _, dirs = _run(p, stack, keep=True, lengths=row_lengths)
+        base = (_run(p, np.zeros_like(stack), keep=True,
+                     lengths=row_lengths)[2] if deeplift else None)
+        return sweep(p, doc, dirs, ds, rule=RelevanceRule(1e-3, base))[0]
+
+    demb = rule_sweep(embs, lengths, dscores)
+    for b, t_len in enumerate(lengths):
+        one = rule_sweep(embs[b:b + 1, :t_len], None, dscores[b:b + 1])[0]
+        peak = np.abs(one).max()
+        assert np.abs(demb[b, :t_len] - one).max() <= 1e-12 * peak
+        assert np.all(demb[b, t_len:] == 0.0)
 
 
 def oracle_train(p, corpus, config):

@@ -365,3 +365,59 @@ class TestDataErrors:
         assert main(["render", str(rel)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "tokens" in err
+
+    @pytest.mark.parametrize("line", [
+        "3",
+        '{"scores": [1, null], "tokens": ["a", "b"]}',
+        '{"scores": [1, 1e999], "tokens": ["a", "b"]}',
+        '{"scores": [1, 2], "tokens": "ab"}',
+        '{"scores": [1, 2], "tokens": ["a"]}',
+    ], ids=["not-object", "null-score", "inf-score", "string-tokens",
+            "length-mismatch"])
+    def test_render_bad_record(self, tmp_path, capsys, line):
+        """A record that is not an object, or a map whose scores are not
+        finite numbers or whose tokens are not one string per score, is a
+        data error naming the file and record; nothing is rendered."""
+        rel = tmp_path / "rel.jsonl"
+        rel.write_text(json.dumps({"doc": 0, "method": "lrp", "error": "x"})
+                       + "\n" + line + "\n")
+        assert main(["render", str(rel)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and f"{rel}: record 2:" in err
+
+    @pytest.mark.parametrize("write", [
+        lambda path, good: path.write_bytes(b"PK\x03\x04 not a zip archive"),
+        lambda path, good: np.savez(path, meta=np.asarray(json.dumps([1]))),
+        lambda path, good: np.savez(path, **{
+            **good, "meta": np.asarray(str(good["meta"]).replace(
+                '"kernel_width": 5', '"kernel_width": null'))}),
+    ], ids=["bad-zip", "meta-not-object", "kernel-width-null"])
+    def test_corrupt_checkpoint(self, trained_checkpoint, tmp_path, capsys,
+                                write):
+        _, corpus, ckpt = trained_checkpoint
+        bad = tmp_path / "bad.npz"
+        with np.load(ckpt) as good:
+            write(bad, dict(good))
+        rc = main(["explain", str(bad), str(corpus), "--methods", "lrp"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.npz" in err
+
+    def test_agreement_on_a_three_class_model(self, trained_checkpoint,
+                                              tmp_path, capsys):
+        """The agreement game scores Sg/Pl predictions only; a model with
+        another class count (here one that predicts class 2) is a data
+        error, not an IndexError."""
+        _, _, ckpt = trained_checkpoint
+        params = load_checkpoint(ckpt)
+        params.w_cls = np.vstack([params.w_cls, params.w_cls[:1]])
+        params.b_cls = np.append(params.b_cls, 100.0)
+        three = tmp_path / "three.npz"
+        save_checkpoint(three, params)
+        tsv = tmp_path / "agree.tsv"
+        tsv.write_text("w1 w2 yes\tNN DT VBZ\t1\tSg\n")
+        assert main(["eval-agreement", str(three), str(tsv)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "3 classes" in err

@@ -260,3 +260,20 @@ class TestRunEvals:
         p.vocab = None
         with pytest.raises(ValueError):
             run_agreement_eval(p, [SAMPLE], ["grad1_s_l2"])
+
+    def test_agreement_needs_two_classes(self, monkeypatch):
+        """A model with other than two classes is rejected by its class
+        count before the first sample is run."""
+        import textexplain as tx
+        from conftest import rand_params
+        from textexplain import evaluate
+        p = rand_params("GRU", vocab_size=40, n_classes=3)
+        p.vocab = tx.Vocabulary.build([[f"t{i}" for i in range(40)]],
+                                      cutoff=40)
+
+        def no_forward(*args):
+            raise AssertionError("sample run before the class-count check")
+
+        monkeypatch.setattr(evaluate, "forward", no_forward)
+        with pytest.raises(ValueError, match="got 3 classes"):
+            run_agreement_eval(p, [SAMPLE], ["grad1_s_l2"])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import textexplain as tx
 from textexplain.explain import lrp as lrp_module
 from textexplain.explain.gradient import GradConfig, explain_gradient
-from textexplain.explain.lrp import deeplift_explain, esign, lrp_explain, \
-    relevance_dense
-from textexplain.models import _conv_transpose, embed, forward, \
-    forward_embedded
+from textexplain.explain.lrp import deeplift_explain, esign, lrp_explain
+from textexplain.models import DirectionTrace, _conv_transpose, embed, \
+    forward, forward_embedded
 
 from conftest import rand_params
 
@@ -20,43 +20,6 @@ class TestEsign:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             esign(np.array([1.0]), 0.0)
-
-
-class TestRelevanceDense:
-    def test_identity_layer_passthrough(self):
-        r_out = np.array([2.0, -1.0])
-        a_in = np.array([3.0, 4.0])
-        w = np.eye(2)
-        # pre-activation equals a_in; tiny eps barely perturbs the ratio
-        got = relevance_dense(r_out, a_in, w, a_in, eps=1e-9)
-        np.testing.assert_allclose(got, r_out, rtol=1e-8)
-
-    def test_conservation_without_bias(self):
-        """With zero bias the pre-activation is exactly sum_i a_i w_ij, so
-        relevance is conserved up to the stabilizer."""
-        rng = np.random.default_rng(0)
-        a_in = rng.normal(size=5)
-        w = rng.normal(size=(3, 5))
-        pre = w @ a_in
-        r_out = rng.normal(size=3)
-        got = relevance_dense(r_out, a_in, w, pre, eps=1e-10)
-        assert abs(got.sum() - r_out.sum()) < 1e-7
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            relevance_dense(np.zeros(3), np.zeros(4), np.zeros((3, 5)),
-                            np.zeros(3), eps=1e-3)
-
-    def test_difference_rule(self):
-        a_in = np.array([1.0, 2.0])
-        base = np.array([0.5, 0.5])
-        w = np.array([[1.0, 1.0]])
-        pre = w @ a_in
-        pre_base = w @ base
-        got = relevance_dense(np.array([2.0]), a_in, w, pre, eps=1e-12,
-                              a_in_base=base, a_out_pre_base=pre_base)
-        np.testing.assert_allclose(got, 2.0 * np.array([0.5, 1.5]) / 2.0,
-                                   rtol=1e-9)
 
 
 def _positive_relu_cnn(seed=0):
@@ -236,3 +199,175 @@ class TestGeneralProperties:
         p.embedding[7][:] = 0.0
         r = deeplift_explain(p, [7, 7, 7], 0).scores
         np.testing.assert_allclose(r, 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-document relevance pass that ``models.sweep`` under a
+# ``RelevanceRule`` replaced, kept verbatim as an independent reference
+# ---------------------------------------------------------------------------
+
+def _stab(a: np.ndarray, eps: float) -> np.ndarray:
+    """a + esign(a, eps) for float64 ``a``; eps is checked once per map."""
+    return a + np.where(a < 0, -eps, eps)
+
+
+def _diff(tr: DirectionTrace, base: DirectionTrace | None):
+    """(dh, dg, dgp, dc, dtanh_c): activations or their baseline deltas."""
+    if base is None:
+        dtc = None if tr.cell is None else np.tanh(tr.cell)
+        return tr.hidden, tr.cand, tr.preact, tr.cell, dtc
+    dh = tr.hidden - base.hidden
+    dg = tr.cand - base.cand
+    dgp = tr.preact - base.preact
+    dc = None if tr.cell is None else tr.cell - base.cell
+    dtc = (None if tr.cell is None
+           else np.tanh(tr.cell) - np.tanh(base.cell))
+    return dh, dg, dgp, dc, dtc
+
+
+def _backprop_direction(arch: str, w: dict[str, np.ndarray],
+                        tr: DirectionTrace, r_htop: np.ndarray, eps: float,
+                        base: DirectionTrace | None) -> np.ndarray:
+    """Returns per-token embedding relevance sums, shape (T,), in the
+    direction's own order."""
+    t_len = tr.emb.shape[0]
+    dh, dg, dgp, dc, dtc = _diff(tr, base)
+
+    def conv_relevance(rg, left):
+        # per-token share of the conv candidates' relevance rg (rows 1..T):
+        # e_t times the transposed convolution of rg / denominator
+        q = rg[1:] / _stab(dgp[1:], eps)
+        re = tr.emb * _conv_transpose(w["K"], q[None], left)[0]
+        return re.sum(axis=1)
+
+    if arch == "GRU":
+        z, r = tr.gates["z"], tr.gates["r"]
+        re = np.zeros_like(tr.emb)
+        rh = r_htop
+        for t in range(t_len, 0, -1):
+            rg = rh * dg[t] * (1.0 - z[t]) / _stab(dh[t], eps)
+            q = rg / _stab(dgp[t], eps)
+            re[t - 1] = tr.emb[t - 1] * (w["V"].T @ q)
+            rh = (rh * dh[t - 1] * z[t] / _stab(dh[t], eps)
+                  + dh[t - 1] * r[t] * (w["U"].T @ q))
+        return re.sum(axis=1)
+
+    if arch == "LSTM":
+        i, f, o = tr.gates["i"], tr.gates["f"], tr.gates["o"]
+        re = np.zeros_like(tr.emb)
+        rh = r_htop
+        rc_next = np.zeros_like(r_htop)
+        for t in range(t_len, 0, -1):
+            rc = rh * dtc[t] * o[t] / _stab(dh[t], eps)
+            if t < t_len:
+                rc += rc_next * dc[t] * f[t + 1] / _stab(dc[t + 1], eps)
+            rg = rc * dg[t] * i[t] / _stab(dc[t], eps)
+            q = rg / _stab(dgp[t], eps)
+            re[t - 1] = tr.emb[t - 1] * (w["V"].T @ q)
+            rh = dh[t - 1] * (w["U"].T @ q)
+            rc_next = rc
+        return re.sum(axis=1)
+
+    if arch == "QGRU":
+        z = tr.gates["z"]
+        d = dh.shape[1]
+        rg = np.zeros((t_len + 1, d))
+        rh = r_htop
+        for t in range(t_len, 0, -1):
+            rg[t] = rh * dg[t] * (1.0 - z[t]) / _stab(dh[t], eps)
+            rh = rh * dh[t - 1] * z[t] / _stab(dh[t], eps)
+        return conv_relevance(rg, w["K"].shape[0] - 1)
+
+    if arch == "QLSTM":
+        i, f, o = tr.gates["i"], tr.gates["f"], tr.gates["o"]
+        d = dh.shape[1]
+        rg = np.zeros((t_len + 1, d))
+        rc_next = np.zeros(d)
+        for t in range(t_len, 0, -1):
+            rh = r_htop if t == t_len else 0.0
+            rc = rh * dtc[t] * o[t] / _stab(dh[t], eps)
+            if t < t_len:
+                rc = rc + rc_next * dc[t] * f[t + 1] / _stab(dc[t + 1], eps)
+            rg[t] = rc * dg[t] * i[t] / _stab(dc[t], eps)
+            rc_next = rc
+        return conv_relevance(rg, w["K"].shape[0] - 1)
+
+    if arch == "CNN":
+        d = dh.shape[1]
+        rg = np.zeros((t_len + 1, d))
+        cols = np.arange(d)
+        rg[tr.pool_argmax, cols] = r_htop
+        return conv_relevance(rg, (w["K"].shape[0] - 1) // 2)
+
+    raise ValueError(f"unknown architecture {arch!r}")
+
+
+def _oracle_map(params, ids, k, eps, use_baseline):
+    """The per-document relevance pass's map (``_explain`` before the
+    sweep took it over)."""
+    trace = forward(params, ids)
+    base = None
+    if use_baseline:
+        base = forward_embedded(params, np.zeros_like(trace.embeddings))
+    s_k = trace.scores[k]
+    if base is None:
+        root, doc, den = s_k, trace.doc_repr, s_k
+    else:
+        root = s_k - base.scores[k]
+        doc = trace.doc_repr - base.doc_repr
+        den = root
+    r_doc = root * doc * params.w_cls[k] / _stab(den, eps)
+    d_dir = params.d_hidden
+    total = np.zeros(trace.length)
+    for pos, dname in enumerate(params.directions):
+        per_tok = _backprop_direction(
+            params.arch, params.layers[dname], trace.dirs[dname],
+            r_doc[pos * d_dir:(pos + 1) * d_dir], eps,
+            base.dirs[dname] if base is not None else None)
+        if dname == "bwd":
+            per_tok = per_tok[::-1]
+        total += per_tok
+    return total
+
+
+ARCH_DIRS = [(arch, direction) for arch in tx.ARCHS
+             for direction in (("uni",) if arch == "CNN" else ("uni", "bi"))]
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(t_len=st.integers(1, 15), k=st.sampled_from([0, 1]),
+       eps=st.sampled_from([1e-3, 0.5]), kernel_width=st.sampled_from([3, 5]),
+       seed=st.integers(0, 2 ** 16))
+@example(t_len=1, k=0, eps=1e-3, kernel_width=5, seed=0)
+def test_sweep_rules_match_the_per_document_pass(arch_dir, t_len, k, eps,
+                                                  kernel_width, seed):
+    """``lrp_explain`` and ``deeplift_explain`` (one rule sweep each) equal
+    the per-document relevance pass within 1e-12 of each map's peak."""
+    arch, direction = arch_dir
+    p = rand_params(arch, seed=seed, scale=3.0, direction=direction,
+                    kernel_width=kernel_width)
+    ids = np.random.default_rng(seed).integers(0, 20, size=t_len).tolist()
+    for fn, use_baseline in ((lrp_explain, False), (deeplift_explain, True)):
+        want = _oracle_map(p, ids, k, eps, use_baseline)
+        got = fn(p, ids, k, eps=eps).scores
+        peak = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * peak, fn.__name__
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS)
+@pytest.mark.parametrize("t_len", [1, 2, 5, 12])
+def test_relevance_is_conserved_on_bias_free_models(arch_dir, t_len):
+    """With every bias zero and a tiny eps, LRP relevances sum to s_k and
+    DeepLIFT relevances to s_k(X) - s_k(0), on every architecture."""
+    arch, direction = arch_dir
+    p = rand_params(arch, seed=t_len, zero_bias=True, scale=3.0,
+                    direction=direction)
+    ids = [(3 * t + 1) % 20 for t in range(t_len)]
+    emb = embed(p, ids)
+    s_k = forward_embedded(p, emb).scores[1]
+    delta = s_k - forward_embedded(p, np.zeros_like(emb)).scores[1]
+    lrp = lrp_explain(p, ids, 1, eps=1e-9).scores.sum()
+    dl = deeplift_explain(p, ids, 1, eps=1e-9).scores.sum()
+    assert abs(lrp - s_k) <= 1e-3 * abs(s_k)
+    assert abs(dl - delta) <= 1e-3 * abs(delta)
