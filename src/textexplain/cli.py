@@ -19,9 +19,10 @@ import numpy as np
 
 from .evaluate import build_hybrid_docs, format_report_tsv, \
     parse_agreement_tsv, run_agreement_eval, run_hybrid_eval
-from .explain import METHOD_NAMES, ExplainOptions, explain
-from .models import ARCHS, Vocabulary, forward, init_params, \
-    load_checkpoint, save_checkpoint
+from .explain import METHOD_NAMES, ExplainOptions, document_trace, \
+    explain_all
+from .models import ARCHS, Vocabulary, init_params, load_checkpoint, \
+    save_checkpoint
 from .numerics import SeededRng
 from .render import colorize, emit_ansi, emit_html
 from .train import TrainConfig, loss_and_accuracy, train
@@ -115,6 +116,13 @@ def _check_flags(args) -> None:
     width = getattr(args, "kernel_width", 1)
     if width % 2 == 0:
         raise UsageError(f"--kernel-width must be odd, got {width}")
+    if getattr(args, "direction", "uni") == "bi":
+        if args.arch == "CNN":
+            raise UsageError("--direction bi needs a recurrent --arch, "
+                             "got CNN")
+        if args.d_hidden % 2:
+            raise UsageError(f"--direction bi needs an even --d-hidden "
+                             f"(half per direction), got {args.d_hidden}")
 
 
 def _options_from(args) -> ExplainOptions:
@@ -148,9 +156,13 @@ def _load_model(path: str):
 def cmd_train(args) -> int:
     if args.arch not in ARCHS:
         raise DataError(f"unknown architecture {args.arch!r}")
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise DataError(f"cannot write checkpoint {args.out}: "
+                        f"no directory {out_dir}")
     docs = _read_corpus(args.corpus)
     labels = [int(d["label"]) for d in docs]
-    n_classes = max(labels) + 1
+    n_classes = _class_count(labels, args.corpus)
     vocab = Vocabulary.build((_doc_tokens(d) for d in docs),
                              cutoff=args.vocab_cutoff)
     corpus = [(vocab.encode(_doc_tokens(d)), lab)
@@ -163,7 +175,10 @@ def cmd_train(args) -> int:
     params = init_params(args.arch, len(vocab), args.d_embed, args.d_hidden,
                          n_classes, rng, direction=args.direction,
                          kernel_width=args.kernel_width, vocab=vocab)
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
+    try:
+        log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
+    except OSError as exc:
+        raise DataError(f"cannot write {args.log}: {exc}")
 
     def log_epoch(epoch):
         loss, acc = loss_and_accuracy(params, corpus)
@@ -183,8 +198,29 @@ def cmd_train(args) -> int:
     finally:
         if log_fh:
             log_fh.close()
-    save_checkpoint(args.out, params)
+    try:
+        save_checkpoint(args.out, params)
+    except OSError as exc:
+        raise DataError(f"cannot write checkpoint {args.out}: {exc}")
     return 0
+
+
+def _class_count(labels: list[int], path: str) -> int:
+    """max label + 1. Every class from 0 up needs a document, except that
+    labels 0 and 1 always make a two-class model: a small sample of a
+    binary corpus may hold one of them only."""
+    present = set(labels)
+    if min(present) < 0:
+        raise DataError(f"{path}: negative label {min(present)}")
+    if max(present) <= 1:
+        return max(present) + 1
+    # a gap, if any, lies below len(present): that many distinct labels
+    # without one are exactly 0..len(present) - 1
+    for cls in range(len(present)):
+        if cls not in present:
+            raise DataError(f"{path}: no document has label {cls}, but "
+                            f"labels go up to {max(present)}")
+    return len(present)
 
 
 def cmd_explain(args) -> int:
@@ -202,18 +238,22 @@ def cmd_explain(args) -> int:
         if not tokens:
             continue
         ids = params.vocab.encode(tokens)
-        trace = forward(params, ids)
+        trace = document_trace(args.methods, params, ids, opts)
         k = trace.predicted if args.k is None else args.k
-        for name in args.methods:
-            try:
-                rel = explain(name, params, ids, k, opts, trace=trace)
-            except ValueError as exc:
+        try:
+            rels = explain_all(args.methods, params, ids, k, opts, trace=trace)
+        except ValueError:
+            # some method cannot run on this model: run each on its own
+            rels = [_explain_one(name, params, ids, k, opts, trace)
+                    for name in args.methods]
+        for name, rel in zip(args.methods, rels):
+            if isinstance(rel, ValueError):
                 records.append({"doc": doc_idx, "method": name,
-                                "error": str(exc)})
-                continue
-            records.append({"doc": doc_idx, "method": name, "k": int(k),
-                            "tokens": tokens,
-                            "scores": [float(v) for v in rel.scores]})
+                                "error": str(rel)})
+            else:
+                records.append({"doc": doc_idx, "method": name, "k": int(k),
+                                "tokens": tokens,
+                                "scores": [float(v) for v in rel.scores]})
     out = "\n".join(json.dumps(r) for r in records) + "\n"
     _write_output(args.out, out)
     if args.html:
@@ -223,8 +263,16 @@ def cmd_explain(args) -> int:
                 colored = colorize(np.asarray(r["scores"]), r["tokens"])
                 pages.append(f"<h3>doc {r['doc']} / {r['method']}</h3>"
                              + emit_html(colored))
-        Path(args.html).write_text("\n".join(pages), encoding="utf-8")
+        _write_output(args.html, "\n".join(pages))
     return 0
+
+
+def _explain_one(name, params, ids, k, opts, trace):
+    """The map of one method, or the ValueError it raised."""
+    try:
+        return explain_all([name], params, ids, k, opts, trace=trace)[0]
+    except ValueError as exc:
+        return exc
 
 
 def cmd_eval_hybrid(args) -> int:
@@ -303,10 +351,13 @@ def _check_rendered(r: dict, where: str) -> None:
 
 
 def _write_output(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Two paradigms:
   the subject (on correct predictions) and hit_feat when it is a noun/verb
   carrying the predicted number, partitioned by prediction correctness.
 
-Both run each document's forward pass once: its trace gives the prediction
-and is handed to every method, so the white-box methods skip their own.
+Both run one white-box pass per document: ``document_trace`` runs the
+document beside every baseline and interpolation row the asked methods
+read, its row 0 gives the prediction, and ``explain_all`` computes every
+method's map from it with one exact-gradient sweep and one rule sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import ExplainOptions, explain
+from .explain import ExplainOptions, document_trace, explain_all
 from .models import NetworkParams, forward
 from .numerics import SeededRng
 from .relevance import RelevanceMap, rmax
@@ -184,12 +186,13 @@ def run_hybrid_eval(params: NetworkParams, docs: list[HybridDocument],
     rng = SeededRng(baseline_seed)
     counters = {name: [0, 0] for name in list(methods) + ["random"]}
     for doc in docs:
-        trace = forward(params, doc.ids)
+        trace = document_trace(methods, params, doc.ids, opts)
         predicted = trace.predicted
         if predicted not in doc.origin_labels:
             continue
-        for name in methods:
-            rel = explain(name, params, doc.ids, predicted, opts, trace=trace)
+        rels = explain_all(methods, params, doc.ids, predicted, opts,
+                           trace=trace)
+        for name, rel in zip(methods, rels):
             counters[name][0] += hit_hybrid(doc, predicted, rel)
             counters[name][1] += 1
         rel = baseline_random(rng, len(doc.ids))
@@ -242,17 +245,12 @@ def run_agreement_eval(params: NetworkParams, samples: list[AgreementSample],
 
     for sample in samples:
         ids = params.vocab.encode(sample.tokens)
-        trace = forward(params, ids)
+        trace = document_trace(methods, params, ids, opts)
         predicted = trace.predicted
         correct = predicted == sample.label_id
-        for name in all_methods:
-            if name == "random":
-                rel = baseline_random(rng, len(ids))
-            elif name == "last":
-                rel = baseline_last(len(ids))
-            else:
-                rel = explain(name, params, ids, predicted, opts,
-                              trace=trace)
+        rels = explain_all(methods, params, ids, predicted, opts, trace=trace)
+        rels += [baseline_random(rng, len(ids)), baseline_last(len(ids))]
+        for name, rel in zip(all_methods, rels):
             if correct:
                 c = counters[(name, "hit_target")]
                 c[0] += hit_target(sample, rel)

@@ -1,26 +1,32 @@
 """Name-keyed dispatch over the full catalog of explanation methods.
 
-``explain`` takes the document's forward trace as an optional argument. A
-caller that already ran ``forward(params, ids)`` for the prediction passes
-that trace, and every white-box method reads it in place of its own forward
-pass: plain gradients and LRP run only the reverse sweep (``models.sweep``;
-LRP and DeepLIFT are rules of it), DeepLIFT adds its baseline's forward
-pass, and decomposition reads the trace alone.
-Integrated gradients, perturbation and LIMSSE score inputs of their own and
-ignore it. A trace that does not belong to ``params`` and ``ids`` is
-rejected, so it can never yield a map of another input.
+The white-box methods of one (document, model) share one pass: one forward
+and two sweeps. ``document_trace`` runs the forward over every row the
+asked methods read: the document (row 0, whose scores give the
+prediction), DeepLIFT's all-zero input, and the integrated-gradient inputs.
+``explain_all`` then runs one exact-gradient sweep for the gradient methods
+and one rule sweep for LRP and DeepLIFT (``gradient.white_box_pass``), and
+decomposition reads row 0 alone. Perturbation and LIMSSE score inputs of
+their own.
+
+``explain_all`` takes the trace as an optional argument; with none it starts
+from ``forward(params, ids)``, and any row its trace lacks (a plain forward
+trace, or one built for another ``int_steps``) runs in one more forward.
+``explain`` is its one-name case. A trace that does not belong to
+``params`` and ``ids`` is rejected, so it can never yield a map of another
+input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..models import ForwardTrace, NetworkParams, check_trace
+from ..models import ForwardTrace, NetworkParams, check_trace, forward
 from ..relevance import RelevanceMap
 from .decomp import decomp_explain
-from .gradient import GradConfig, explain_gradient
+from .gradient import DEFAULT_EPS, check_white_box, forward_rows, \
+    reduce_gradients, white_box_pass
 from .limsse import DEFAULT_MAX_LEN, DEFAULT_N_SAMPLES, limsse_explain
-from .lrp import DEFAULT_EPS, deeplift_explain, lrp_explain
 from .perturb import PerturbConfig, perturb_explain
 
 GRADIENT_METHODS = tuple(
@@ -46,39 +52,76 @@ class ExplainOptions:
     seed: int = 0
 
 
-def explain(name: str, params: NetworkParams, ids, k: int,
-            opts: ExplainOptions | None = None,
-            trace: ForwardTrace | None = None) -> RelevanceMap:
-    """Run one explanation method by catalog name for target class ``k``.
+def _white_box(name: str) -> bool:
+    return name in GRADIENT_METHODS or name in ("lrp", "deeplift", "decomp")
 
-    ``trace``, when given, must be ``forward(params, ids)``: its
-    architecture and embeddings are checked (ValueError otherwise), and the
-    white-box methods reuse it.
+
+def document_trace(names, params: NetworkParams, ids,
+                   opts: ExplainOptions | None = None) -> ForwardTrace:
+    """The forward trace of ``ids`` with every row the white-box methods
+    among ``names`` read, in one batch: row 0 is the document, so the
+    trace's row-0 fields read as ``forward(params, ids)``'s."""
+    opts = opts or ExplainOptions()
+    return forward_rows(names, params, ids, opts.int_steps)
+
+
+def explain_all(names, params: NetworkParams, ids, k: int,
+                opts: ExplainOptions | None = None,
+                trace: ForwardTrace | None = None) -> list[RelevanceMap]:
+    """One map per catalog name, for target class ``k``.
+
+    ``trace``, when given, must be a forward trace of ``ids`` under
+    ``params`` (``forward`` or ``document_trace``): its architecture and
+    embeddings are checked (ValueError otherwise), and the white-box
+    methods read it.
     """
+    names = list(names)
     if not 0 <= k < params.n_classes:
         raise ValueError(f"class {k} out of range [0, {params.n_classes})")
+    for name in names:
+        if name not in METHOD_NAMES:
+            raise ValueError(f"unknown explanation method {name!r}")
     if trace is not None:
         check_trace(params, ids, trace)
     opts = opts or ExplainOptions()
-    if name in GRADIENT_METHODS:
-        variant, output, reduction = name.split("_")
-        cfg = GradConfig(variant=variant, output=output, reduction=reduction,
-                         steps=opts.int_steps)
-        return explain_gradient(params, ids, k, cfg, trace=trace)
-    if name == "lrp":
-        return lrp_explain(params, ids, k, eps=opts.eps, trace=trace)
-    if name == "deeplift":
-        return deeplift_explain(params, ids, k, eps=opts.eps, trace=trace)
-    if name == "decomp":
-        return decomp_explain(params, ids, k, trace=trace)
+    white = [name for name in names if _white_box(name)]
+    maps = {}
+    if white:
+        check_white_box(params, k, white, opts.eps, opts.int_steps)
+        if trace is None:
+            trace = forward(params, ids)
+        if "decomp" in white:
+            maps["decomp"] = decomp_explain(params, ids, k, trace=trace)
+        raw = white_box_pass(params, trace, k, white, opts.eps,
+                             opts.int_steps)
+        for name in white:
+            if name in GRADIENT_METHODS:
+                variant, output, reduction = name.split("_")
+                scores = reduce_gradients(raw[f"{variant}_{output}"],
+                                          trace.embeddings, reduction)
+                maps[name] = RelevanceMap(scores=scores, k=k, method=name)
+            elif name != "decomp":
+                maps[name] = RelevanceMap(scores=raw[name], k=k, method=name)
+    return [maps[name] if name in maps else _black_box(name, params, ids, k,
+                                                       opts)
+            for name in names]
+
+
+def _black_box(name: str, params: NetworkParams, ids, k: int,
+               opts: ExplainOptions) -> RelevanceMap:
     if name in PERTURB_METHODS:
         mode, n = name.rsplit("_", 1)
         cfg = PerturbConfig(mode="omit" if mode == "omit" else "occlude",
                             n=int(n))
         return perturb_explain(params, ids, k, cfg)
-    if name in LIMSSE_METHODS:
-        variant = name[len("limsse_"):]
-        return limsse_explain(params, ids, k, variant=variant,
-                              n=opts.limsse_n, l_max=opts.limsse_maxlen,
-                              seed=opts.seed)
-    raise ValueError(f"unknown explanation method {name!r}")
+    variant = name[len("limsse_"):]
+    return limsse_explain(params, ids, k, variant=variant, n=opts.limsse_n,
+                          l_max=opts.limsse_maxlen, seed=opts.seed)
+
+
+def explain(name: str, params: NetworkParams, ids, k: int,
+            opts: ExplainOptions | None = None,
+            trace: ForwardTrace | None = None) -> RelevanceMap:
+    """Run one explanation method by catalog name for target class ``k``:
+    ``explain_all`` of that one name."""
+    return explain_all([name], params, ids, k, opts, trace)[0]

@@ -12,45 +12,29 @@ and replaces activations by their differences from the baseline forward pass
 (gates stay at their actual-input values).
 
 Both are rules of the one reverse sweep (``models.sweep`` with a
-``RelevanceRule``) over the input's forward trace, which the caller may pass
-in to share one forward pass between the prediction and several methods;
-the baseline forward pass of the difference variant is always run here.
+``RelevanceRule``), run by the white-box pass of ``explain.gradient``: one
+rule sweep serves both methods, over the document's trace, whose all-zero
+row is the baseline. A caller may pass in the trace to share one forward
+pass between the prediction and several methods; a trace without the
+baseline row gets it from one more forward run.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..models import ForwardTrace, NetworkParams, RelevanceRule, forward, \
-    forward_embedded, sweep
-from ..numerics import esign
+from ..models import ForwardTrace, NetworkParams, forward
+from ..numerics import esign  # noqa: F401 -- importable from here too
 from ..relevance import RelevanceMap
+from .gradient import DEFAULT_EPS, check_white_box, white_box_pass
 
-DEFAULT_EPS = 1e-3
 
-
-def _explain(params: NetworkParams, ids, k: int, eps: float,
-             use_baseline: bool, method: str,
+def _explain(params: NetworkParams, ids, k: int, eps: float, method: str,
              trace: ForwardTrace | None) -> RelevanceMap:
-    n_classes = params.n_classes
-    if not 0 <= k < n_classes:
-        raise ValueError(f"class {k} out of range [0, {n_classes})")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_white_box(params, k, [method], eps=eps)
     if trace is None:
         trace = forward(params, ids)
-    root = trace.scores[k]
-    rule = RelevanceRule(eps)
-    if use_baseline:
-        base = forward_embedded(params, np.zeros_like(trace.embeddings))
-        root = root - base.scores[k]
-        rule = RelevanceRule(eps, base.batch_dirs)
-    dscores = np.zeros((1, n_classes))
-    dscores[0, k] = root / (root + esign(root, eps))
-    demb, _ = sweep(params, trace.doc_repr[None], trace.batch_dirs, dscores,
-                    rule=rule)
-    return RelevanceMap(scores=(trace.embeddings * demb[0]).sum(axis=1), k=k,
-                        method=method)
+    return RelevanceMap(
+        scores=white_box_pass(params, trace, k, [method], eps=eps)[method],
+        k=k, method=method)
 
 
 def lrp_explain(params: NetworkParams, ids, k: int, eps: float = DEFAULT_EPS,
@@ -58,8 +42,7 @@ def lrp_explain(params: NetworkParams, ids, k: int, eps: float = DEFAULT_EPS,
     """Stabilized proportional relevance backpropagation of s(k, X).
 
     ``trace`` is ``forward(params, ids)`` if the caller has it."""
-    return _explain(params, ids, k, eps, use_baseline=False, method="lrp",
-                    trace=trace)
+    return _explain(params, ids, k, eps, "lrp", trace)
 
 
 def deeplift_explain(params: NetworkParams, ids, k: int,
@@ -68,7 +51,6 @@ def deeplift_explain(params: NetworkParams, ids, k: int,
     """Difference-from-baseline relevance backpropagation of
     s(k, X) - s(k, X0), baseline X0 = all-zero embeddings.
 
-    ``trace`` is ``forward(params, ids)`` if the caller has it; the
-    baseline's forward pass is run here."""
-    return _explain(params, ids, k, eps, use_baseline=True, method="deeplift",
-                    trace=trace)
+    ``trace`` is ``forward(params, ids)`` if the caller has it, and may hold
+    the baseline as a row of scale 0 (``catalog.document_trace``)."""
+    return _explain(params, ids, k, eps, "deeplift", trace)

@@ -6,12 +6,13 @@ one runner per architecture steps a (B, T, d_e) stack of inputs with (B, d)
 matmuls, and the convolutions are one matmul per kernel slice over the whole
 batch. The stack may be ragged: right-padded rows with their own ``lengths``,
 each read out at its own last step (training minibatches and corpus scoring
-use this). ``forward_embedded`` is its B = 1 case and records
-every intermediate quantity (gates, pre-activations, cell/hidden states,
-pooling winners) in a ForwardTrace, which is what the white-box explainers
-consume. One document's trace is meant to be computed once and shared: it
-keeps the runner's B = 1 arrays (``batch_dirs``) beside their row views
-(``dirs``), so ``embedding_gradients(..., trace=...)`` runs only the sweep,
+use this). ``forward_embedded`` runs one document, optionally beside
+scaled copies of it (the baselines and interpolation points of the
+white-box explainers), and records every intermediate quantity (gates,
+pre-activations, cell/hidden states, pooling winners) of every row in a
+ForwardTrace, which is what the white-box explainers consume. One
+document's trace is meant to be computed once and shared: it keeps the
+runner's batched arrays (``batch_dirs``) beside row 0's views (``dirs``),
 and ``check_trace`` tells whether a trace belongs to given parameters and
 token ids. ``score_batch`` keeps only the running state and returns the class
 scores of every row; the black-box explainers score their inputs with it in
@@ -247,6 +248,20 @@ class DirectionTrace:
     pool_argmax: np.ndarray | None = None   # (d,), CNN: winning t in 1..T
     lengths: np.ndarray | None = None   # (B,) of a ragged batch, else None
 
+    def take(self, rows) -> "DirectionTrace":
+        """The batch rows ``rows`` of a batched trace, gathered in that
+        order (repeats allowed) into a batch of their own."""
+        rows = np.asarray(rows, dtype=np.intp)
+
+        def pick(a):
+            return None if a is None else a.take(rows, axis=0)
+        return DirectionTrace(
+            emb=pick(self.emb),
+            gates={n: pick(a) for n, a in self.gates.items()},
+            preact=pick(self.preact), cand=pick(self.cand),
+            hidden=pick(self.hidden), cell=pick(self.cell),
+            pool_argmax=pick(self.pool_argmax), lengths=pick(self.lengths))
+
     def row(self, b: int) -> "DirectionTrace":
         """Batch row ``b`` of a batched trace, cut to its own length."""
         t_len = (self.emb.shape[1] if self.lengths is None
@@ -263,12 +278,13 @@ class DirectionTrace:
 
 @dataclass
 class ForwardTrace:
-    """Everything one forward pass of one input computed.
+    """Everything one batched forward pass of one input computed.
 
-    ``batch_dirs`` are the runner's direction traces with their batch axis
-    of one, as ``sweep`` takes them. ``dirs`` holds their row 0, and
-    ``doc_repr`` and ``scores`` are row 0 of the runner's outputs: views of
-    the same arrays, not copies.
+    Row b of the batch ran on ``scales[b]`` times the input's embeddings;
+    row 0 is the input itself (scale 1). ``batch_dirs``, ``batch_doc`` and
+    ``batch_scores`` hold every row, as ``sweep`` takes them. ``dirs``,
+    ``doc_repr`` and ``scores`` are row 0: views of the same arrays, not
+    copies.
     """
 
     arch: str
@@ -278,7 +294,10 @@ class ForwardTrace:
     doc_repr: np.ndarray                # (d_h_total,)
     scores: np.ndarray                  # (K,)
     probs: np.ndarray                   # (K,)
-    batch_dirs: dict[str, DirectionTrace]   # (1, ...) arrays per direction
+    batch_dirs: dict[str, DirectionTrace]   # (B, ...) arrays per direction
+    batch_doc: np.ndarray               # (B, d_h_total)
+    batch_scores: np.ndarray            # (B, K)
+    scales: tuple[float, ...] = (1.0,)
 
     @property
     def length(self) -> int:
@@ -530,15 +549,25 @@ def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
     return doc, scores, dirs
 
 
-def forward_embedded(params: NetworkParams, emb: np.ndarray) -> ForwardTrace:
-    """Forward pass on an explicit embedding matrix (T, d_e): the batch of
-    one of the batched runner, with every per-step quantity recorded."""
-    doc, scores, dirs = _run(params, emb[None], keep=True)
+def scaled_rows(emb: np.ndarray, scales) -> np.ndarray:
+    """The (B, T, d_e) stack of the inputs scales[b] * emb; a scale of 1
+    gives emb bitwise."""
+    return emb[None] * np.asarray(scales, dtype=float)[:, None, None]
+
+
+def forward_embedded(params: NetworkParams, emb: np.ndarray,
+                     scales=()) -> ForwardTrace:
+    """Forward pass on an explicit embedding matrix (T, d_e), with every
+    per-step quantity recorded. The batch holds emb as row 0 and, after it,
+    one row scales[j] * emb per extra scale."""
+    scales = (1.0, *scales)
+    doc, scores, dirs = _run(params, scaled_rows(emb, scales), keep=True)
     return ForwardTrace(arch=params.arch, direction=params.direction,
                         embeddings=emb,
                         dirs={n: tr.row(0) for n, tr in dirs.items()},
                         doc_repr=doc[0], scores=scores[0],
-                        probs=softmax(scores[0]), batch_dirs=dirs)
+                        probs=softmax(scores[0]), batch_dirs=dirs,
+                        batch_doc=doc, batch_scores=scores, scales=scales)
 
 
 def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
@@ -896,36 +925,42 @@ def sweep(params: NetworkParams, doc: np.ndarray,
     return demb, grads
 
 
+def output_gradients(params: NetworkParams, doc: np.ndarray,
+                     scores: np.ndarray, dirs: dict[str, DirectionTrace],
+                     k: int, outputs) -> np.ndarray:
+    """Gradients (B, T, d_e) of one batched forward's inputs, row b of
+    s_k or p_k as ``outputs[b]`` ("s" or "p") names: one exact sweep, seeded
+    per row with e_k or p_k (e_k - p)."""
+    dscores = np.zeros_like(scores)
+    dscores[:, k] = 1.0
+    prob = np.array([o == "p" for o in outputs])
+    if prob.any():
+        probs = softmax(scores)
+        dscores = np.where(prob[:, None],
+                           probs[:, k:k + 1] * (dscores - probs), dscores)
+    return sweep(params, doc, dirs, dscores)[0]
+
+
 def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
-                        k: int = 0, emb: np.ndarray | None = None,
-                        trace: ForwardTrace | None = None) -> np.ndarray:
+                        k: int = 0,
+                        emb: np.ndarray | None = None) -> np.ndarray:
     """Gradient of s_k or p_k with respect to every embedding entry.
 
     ``emb`` may be one (T, d_e) input or a (B, T, d_e) stack of equal-length
     inputs; the result has the same shape. All rows take one batched forward
-    and one reverse sweep. Given the ``trace`` of one input, only the sweep
-    runs, over ``trace.batch_dirs``; ``ids`` and ``emb`` are then unused.
+    and one reverse sweep.
     """
     if output not in ("s", "p"):
         raise ValueError(f"unknown output {output!r}")
     n_classes = params.n_classes
     if not 0 <= k < n_classes:
         raise ValueError(f"class {k} out of range [0, {n_classes})")
-    if trace is not None:
-        emb = trace.embeddings
-        doc, scores = trace.doc_repr[None], trace.scores[None]
-        dirs = trace.batch_dirs
-    else:
-        if emb is None:
-            emb = embed(params, ids)
-        doc, scores, dirs = _run(params, emb if emb.ndim == 3 else emb[None],
-                                 keep=True)
-    dscores = np.zeros_like(scores)
-    dscores[:, k] = 1.0
-    if output == "p":
-        probs = softmax(scores)
-        dscores = probs[:, k:k + 1] * (dscores - probs)
-    demb, _ = sweep(params, doc, dirs, dscores)
+    if emb is None:
+        emb = embed(params, ids)
+    stack = emb if emb.ndim == 3 else emb[None]
+    doc, scores, dirs = _run(params, stack, keep=True)
+    demb = output_gradients(params, doc, scores, dirs, k,
+                            [output] * len(stack))
     return demb if emb.ndim == 3 else demb[0]
 
 

@@ -34,7 +34,12 @@ def colorize(rel, tokens: list[str], mark_rmax: bool = True,
         raise ValueError("relevance/token length mismatch")
     peak = np.max(np.abs(scores)) if scores.size else 0.0
     if peak > 0:
-        normed = scores / (NORM_HEADROOM * peak)
+        with np.errstate(over="ignore"):
+            denom = NORM_HEADROOM * peak
+        # a peak near the largest float overflows the product; divide by
+        # the peak first there (elsewhere it would change the rounding)
+        normed = (scores / denom if np.isfinite(denom)
+                  else scores / peak / NORM_HEADROOM)
         top = rmax(scores)
     else:
         normed = np.zeros_like(scores)

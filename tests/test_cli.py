@@ -297,7 +297,10 @@ class TestOptionValidation:
                                       ["--vocab-cutoff", "0"],
                                       ["--kernel-width", "4"],
                                       ["--kernel-width", "0"],
-                                      ["--kernel-width", "-3"]])
+                                      ["--kernel-width", "-3"],
+                                      ["--direction", "bi", "--arch", "CNN"],
+                                      ["--direction", "bi",
+                                       "--d-hidden", "3"]])
     def test_train_options(self, tmp_path, capsys, flag):
         out = tmp_path / "m.npz"
         rc = main(["train", str(tmp_path / "c.jsonl"), "--out", str(out),
@@ -421,3 +424,59 @@ class TestDataErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and "3 classes" in err
+
+    @pytest.mark.parametrize("command", [
+        "explain --out", "explain --html", "train --out", "train --log",
+        "render --out", "eval-hybrid --out", "eval-agreement --out"])
+    def test_unwritable_output(self, trained_checkpoint, tmp_path, capsys,
+                               command):
+        """An output path in a missing directory is a data error naming
+        the path, not a traceback; train fails before it trains."""
+        _, corpus, ckpt = trained_checkpoint
+        name, flag = command.split()
+        bad = str(tmp_path / "missing" / "out")
+        rel = tmp_path / "rel.jsonl"
+        rel.write_text(json.dumps({"scores": [1.0], "tokens": ["a"]}) + "\n")
+        tsv = tmp_path / "agree.tsv"
+        tsv.write_text("w1 w2 yes\tNN DT VBZ\t1\tSg\n")
+        argv = {
+            "explain": ["explain", str(ckpt), str(corpus), "--methods",
+                        "lrp"],
+            "train": ["train", str(corpus), "--out", str(tmp_path / "m.npz"),
+                      "--epochs", "1"],
+            "render": ["render", str(rel)],
+            "eval-hybrid": ["eval-hybrid", str(ckpt), str(corpus),
+                            "--methods", "lrp"],
+            "eval-agreement": ["eval-agreement", str(ckpt), str(tsv),
+                               "--methods", "lrp"],
+        }[name]
+        assert main(argv + [flag, bad]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and bad in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("labels, missing", [
+        ([0, 10 ** 15], 1), ([0, 2, 2], 1), ([3, 2, 1], 0)])
+    def test_corpus_labels_skip_a_class(self, tmp_path, capsys, labels,
+                                        missing):
+        """Every class up to the largest label needs a document; a label
+        of 10**15 is rejected before any array is made."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"label": lab, "sentences": [["a", "b"]]}) + "\n"
+            for lab in labels))
+        out = tmp_path / "m.npz"
+        assert main(["train", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"label {missing}," in err
+        assert not out.exists()
+
+    def test_one_label_binary_corpus_trains(self, tmp_path):
+        """A sample of a two-class corpus may hold label 1 alone."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"label": 1, "sentences": [["a"]]})
+                          + "\n")
+        out = tmp_path / "m.npz"
+        assert main(["train", str(corpus), "--out", str(out),
+                     "--epochs", "1"]) == 0
+        assert load_checkpoint(out).n_classes == 2

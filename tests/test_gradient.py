@@ -65,20 +65,26 @@ class TestIntegratedGradients:
         assert gap(200) < 0.02 * max(abs(delta), 1e-9)
 
     def test_split_batches_equal_one_batch(self, monkeypatch):
-        """Inputs too long for one batch are scored in chunks of steps, with
-        the same result as one batch."""
+        """Inputs too long for one batch are scored in batches of rows, with
+        the same result as one batch: the document and the first scaled
+        inputs in one forward, the other scaled inputs in further ones."""
+        from textexplain import models
         from textexplain.explain import gradient
         p = rand_params("QLSTM", direction="bi", scale=3.0)
         ids = [1, 2, 3, 4, 5]
         whole = integrated_gradients(p, ids, "p", 1, steps=11)
-        # a budget of 4 scaled inputs gives chunks of 4, 4 and 3 steps
+        # a budget of 4 rows gives the document with steps 1..3, then steps
+        # 4..7 and 8..10; step 11 is the document itself
         monkeypatch.setattr(gradient, "IG_BATCH_CELLS",
                             4 * len(ids) * max(p.d_embed, p.d_hidden))
         calls = []
-        real = gradient.embedding_gradients
-        monkeypatch.setattr(gradient, "embedding_gradients",
-                            lambda *a, **kw: calls.append(kw["emb"].shape[0])
-                            or real(*a, **kw))
+
+        def counting(real):
+            return lambda params, embs, *a, **kw: (
+                calls.append(embs.shape[0]) or real(params, embs, *a, **kw))
+
+        monkeypatch.setattr(models, "_run", counting(models._run))
+        monkeypatch.setattr(gradient, "_run", counting(gradient._run))
         split = integrated_gradients(p, ids, "p", 1, steps=11)
         assert calls == [4, 4, 3]
         np.testing.assert_allclose(split, whole, rtol=0, atol=1e-12)

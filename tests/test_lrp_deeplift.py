@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textexplain as tx
-from textexplain.explain import lrp as lrp_module
+from textexplain.explain import gradient as gradient_module, \
+    lrp as lrp_module
 from textexplain.explain.gradient import GradConfig, explain_gradient
 from textexplain.explain.lrp import deeplift_explain, esign, lrp_explain
 from textexplain.models import DirectionTrace, _conv_transpose, embed, \
@@ -151,6 +152,16 @@ class TestGatesAsWeights:
         np.testing.assert_allclose(got.scores, [expected.sum()], rtol=1e-10)
 
 
+def _forbid_forward(monkeypatch, check):
+    """Make the document's forward pass and the white-box pass's runs of
+    further rows (the all-zero baseline) fail."""
+    def no_forward(*args, **kwargs):
+        raise AssertionError(f"forward pass before the {check} check")
+
+    monkeypatch.setattr(lrp_module, "forward", no_forward)
+    monkeypatch.setattr(gradient_module, "_run", no_forward)
+
+
 class TestGeneralProperties:
     @pytest.mark.parametrize("arch", tx.ARCHS)
     @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
@@ -173,11 +184,7 @@ class TestGeneralProperties:
     @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
     def test_invalid_class_rejected_before_any_forward_pass(
             self, fn, k, monkeypatch):
-        def no_forward(*args):
-            raise AssertionError("forward pass before the class check")
-
-        monkeypatch.setattr(lrp_module, "forward", no_forward)
-        monkeypatch.setattr(lrp_module, "forward_embedded", no_forward)
+        _forbid_forward(monkeypatch, "class")
         with pytest.raises(ValueError, match="out of range"):
             fn(rand_params("GRU", n_classes=2), [1, 2], k)
 
@@ -185,11 +192,7 @@ class TestGeneralProperties:
     @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
     def test_nonpositive_eps_rejected_before_any_forward_pass(
             self, fn, eps, monkeypatch):
-        def no_forward(*args):
-            raise AssertionError("forward pass before the eps check")
-
-        monkeypatch.setattr(lrp_module, "forward", no_forward)
-        monkeypatch.setattr(lrp_module, "forward_embedded", no_forward)
+        _forbid_forward(monkeypatch, "eps")
         with pytest.raises(ValueError, match="eps must be positive"):
             fn(rand_params("GRU"), [1, 2], 0, eps=eps)
 

@@ -92,3 +92,15 @@ def test_html_golden():
 def test_empty_input():
     assert emit_ansi([]) == ""
     assert colorize(np.array([]), []) == []
+
+
+def test_peak_near_the_largest_float_renders():
+    """A peak whose product with the headroom overflows is normalised by
+    the peak first: the peak token still gets channel 232 and bold."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = colorize(np.array([1.0, 1.7e308]), ["a", "b"])
+        text = emit_ansi(out)
+    assert out[1].bold and not out[0].bold
+    assert "\x1b[38;2;0;232;0;1mb" in text

@@ -241,26 +241,3 @@ def test_eval_rows_equal_the_traceless_per_method_oracle(arch_dir):
     assert (baseline_rows(rows, methods)
             == baseline_rows(run_hybrid_eval(p, docs, [], OPTS), []))
 
-
-def test_evaluations_hand_the_prediction_trace_to_every_method(monkeypatch):
-    """Each document is run forward once; every method gets that trace."""
-    p = with_vocab(model(("QLSTM", "bi"), 6))
-    forwards, handed = [], []
-    real_forward, real_explain = evaluate.forward, evaluate.explain
-
-    def counting_forward(params, ids):
-        forwards.append(real_forward(params, ids))
-        return forwards[-1]
-
-    def recording_explain(name, params, ids, k, opts=None, trace=None):
-        handed.append(trace)
-        return real_explain(name, params, ids, k, opts, trace=trace)
-
-    monkeypatch.setattr(evaluate, "forward", counting_forward)
-    monkeypatch.setattr(evaluate, "explain", recording_explain)
-    samples = agreement_samples(6, 5)
-    run_agreement_eval(p, samples, ["lrp", "decomp"], OPTS)
-    assert len(forwards) == len(samples)
-    assert [id(t) for t in handed] == [id(t) for t in forwards
-                                       for _ in range(2)]
-

@@ -1,0 +1,202 @@
+"""One white-box pass per (document, model): one forward over the document's
+rows and two sweeps (``catalog.document_trace``, ``catalog.explain_all``).
+
+Every map is checked against an oracle that shares none of the pass's
+batching: standalone gradients, serial integrated-gradient steps, the
+per-document relevance pass kept in ``test_lrp_deeplift`` and the net-load
+series of a plain forward trace.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import textexplain as tx
+from textexplain import models
+from textexplain.evaluate import AgreementSample, run_agreement_eval
+from textexplain.explain import ExplainOptions, document_trace, explain, \
+    explain_all
+from textexplain.explain import gradient
+from textexplain.explain.decomp import net_load_series
+from textexplain.explain.gradient import reduce_gradients
+from textexplain.models import embed, embedding_gradients, forward, \
+    forward_embedded
+from textexplain.numerics import SeededRng
+
+from conftest import rand_params
+from test_lrp_deeplift import _oracle_map
+
+ARCH_DIRS = [(arch, direction) for arch in tx.ARCHS
+             for direction in (("uni",) if arch == "CNN" else ("uni", "bi"))]
+ARCH_IDS = [f"{a}-{d}" for a, d in ARCH_DIRS]
+
+WHITE_BOX = tuple(f"{v}_{o}_{r}" for v in ("grad1", "gradint")
+                  for o in ("s", "p") for r in ("l2", "dot")) + (
+    "lrp", "deeplift", "decomp")
+
+
+def _decomp_oracle(p, ids, k):
+    trace = forward(p, ids)
+    total = np.zeros(len(ids))
+    for dname in p.directions:
+        phi = np.diff(net_load_series(trace, p, k, dname))
+        total += phi[::-1] if dname == "bwd" else phi
+    return total
+
+
+def _oracle(name, p, ids, k, opts):
+    if name in ("lrp", "deeplift"):
+        return _oracle_map(p, ids, k, opts.eps, name == "deeplift")
+    if name == "decomp":
+        return _decomp_oracle(p, ids, k)
+    variant, output, reduction = name.split("_")
+    emb = embed(p, ids)
+    if variant == "grad1":
+        grads = embedding_gradients(p, ids, output=output, k=k)
+    else:
+        steps = opts.int_steps
+        grads = sum(embedding_gradients(p, output=output, k=k,
+                                        emb=emb * (m / steps))
+                    for m in range(1, steps + 1)) / steps
+    return reduce_gradients(grads, emb, reduction)
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(t_len=st.integers(1, 15), k=st.sampled_from([0, 1]),
+       steps=st.sampled_from([1, 3, 7]),
+       trace_steps=st.sampled_from([1, 3, 7]),
+       chosen=st.lists(st.sampled_from(WHITE_BOX), min_size=1, unique=True),
+       seed=st.integers(0, 2 ** 16))
+@example(t_len=1, k=0, steps=3, trace_steps=3, chosen=list(WHITE_BOX),
+         seed=0)
+def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps,
+                                         trace_steps, chosen, seed):
+    """``explain_all`` over a ``document_trace`` equals every method's
+    oracle within 1e-12 of the map's peak, also when the trace was built
+    for another ``int_steps`` (its missing rows run in one more forward)."""
+    arch, direction = arch_dir
+    names = [n for n in chosen if not (n == "decomp" and arch == "CNN")]
+    if not names:
+        return
+    p = rand_params(arch, seed=seed, scale=3.0, direction=direction)
+    ids = np.random.default_rng(seed).integers(0, 20, size=t_len).tolist()
+    opts = ExplainOptions(int_steps=steps)
+    trace = document_trace(names, p, ids, ExplainOptions(
+        int_steps=trace_steps))
+    got = explain_all(names, p, ids, k, opts, trace=trace)
+    for name, rel in zip(names, got):
+        want = _oracle(name, p, ids, k, opts)
+        assert rel.method == name and rel.k == k
+        assert np.abs(rel.scores - want).max() <= 1e-12 * np.abs(want).max(), \
+            name
+
+
+def test_document_trace_rows():
+    """Row 0 is the document, then the all-zero input, then the scaled
+    inputs m/M; the row-0 fields read as ``forward``'s."""
+    p = rand_params("GRU", seed=1, scale=3.0, direction="bi")
+    ids = [1, 2, 3, 4]
+    trace = document_trace(["gradint_s_dot", "deeplift"], p, ids,
+                           ExplainOptions(int_steps=4))
+    assert trace.scales == (1.0, 0.0, 0.25, 0.5, 0.75)
+    emb = embed(p, ids)
+    for b, scale in enumerate(trace.scales):
+        np.testing.assert_array_equal(trace.batch_dirs["fwd"].emb[b],
+                                      emb * scale)
+    plain = forward(p, ids)
+    assert trace.predicted == plain.predicted
+    np.testing.assert_allclose(trace.scores, plain.scores, rtol=0,
+                               atol=1e-13)
+    np.testing.assert_array_equal(trace.embeddings, emb)
+    assert np.shares_memory(trace.dirs["bwd"].hidden,
+                            trace.batch_dirs["bwd"].hidden)
+    # methods that read row 0 alone add no rows
+    assert document_trace(["grad1_p_l2", "lrp", "decomp", "omit_1"], p,
+                          ids).scales == (1.0,)
+
+
+def test_a_plain_trace_is_completed_by_one_more_forward(monkeypatch):
+    p = rand_params("LSTM", seed=2, scale=3.0)
+    ids = [3, 1, 4, 1, 5]
+    names = ["gradint_p_dot", "deeplift", "grad1_s_dot"]
+    trace = forward(p, ids)
+    runs = []
+    real = gradient._run
+    monkeypatch.setattr(gradient, "_run", lambda params, embs, **kw: (
+        runs.append(embs.shape[0]) or real(params, embs, **kw)))
+    explain_all(names, p, ids, 1, ExplainOptions(int_steps=6), trace=trace)
+    # the all-zero input and the scaled inputs 1/6 .. 5/6
+    assert runs == [6]
+
+
+# ---------------------------------------------------------------------------
+# One forward and two sweeps per (sample, model)
+# ---------------------------------------------------------------------------
+
+AGREEMENT_MODELS = (("GRU", "bi"), ("LSTM", "bi"), ("QGRU", "uni"),
+                    ("CNN", "uni"))
+AGREEMENT_METHODS = ("grad1_s_dot", "grad1_p_l2", "gradint_s_dot", "lrp",
+                     "deeplift", "decomp")
+
+
+def _agreement_samples(n):
+    rng = SeededRng(5)
+    tags = ("NN", "NNS", "VBZ", "VBP", "DT", "JJ")
+    out = []
+    for _ in range(n):
+        t_len = rng.uniform_int(5, 15)
+        tokens = [f"t{rng.uniform_int(1, 19)}" for _ in range(t_len)]
+        pos = [tags[rng.uniform_int(0, len(tags) - 1)] for _ in range(t_len)]
+        out.append(AgreementSample(tokens, pos, rng.uniform_int(0, t_len - 1),
+                                   ("Sg", "Pl")[rng.uniform_int(0, 1)]))
+    return out
+
+
+def test_agreement_makes_one_forward_and_two_sweeps_per_sample(monkeypatch):
+    """Each (sample, model) of the agreement game with the benchmark's
+    white-box methods runs one forward and at most two sweeps."""
+    calls = {"_run": 0, "sweep": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    real = {name: getattr(models, name) for name in calls}
+    for module in (models, gradient):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, real[name]))
+    for arch, direction in AGREEMENT_MODELS:
+        p = rand_params(arch, seed=4, scale=3.0, direction=direction)
+        p.vocab = tx.Vocabulary.build([[f"t{i}" for i in range(1, 20)]],
+                                      cutoff=19)
+        methods = [m for m in AGREEMENT_METHODS
+                   if not (m == "decomp" and arch == "CNN")]
+        for sample in _agreement_samples(6):
+            calls.update({"_run": 0, "sweep": 0})
+            run_agreement_eval(p, [sample], methods, ExplainOptions())
+            assert calls["_run"] == 1, arch
+            assert calls["sweep"] <= 2, arch
+
+
+# ---------------------------------------------------------------------------
+# Integrated-gradient completeness on every architecture
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+@settings(max_examples=48, deadline=None, derandomize=True)
+@given(t_len=st.integers(1, 9), k=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2 ** 16))
+def test_integrated_gradients_are_complete(arch_dir, t_len, k, seed):
+    """The ``gradint_s_dot`` map of 500 steps sums to s_k(X) - s_k(0)
+    within 1% of max(|delta|, 1e-3)."""
+    arch, direction = arch_dir
+    p = rand_params(arch, seed=seed, scale=3.0, direction=direction)
+    ids = np.random.default_rng(seed).integers(0, 20, size=t_len).tolist()
+    emb = embed(p, ids)
+    delta = (forward_embedded(p, emb).scores[k]
+             - forward_embedded(p, np.zeros_like(emb)).scores[k])
+    rel = explain("gradint_s_dot", p, ids, k, ExplainOptions(int_steps=500))
+    assert abs(rel.scores.sum() - delta) <= 0.01 * max(abs(delta), 1e-3)
