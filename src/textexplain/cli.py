@@ -78,18 +78,19 @@ def _doc_tokens(doc: dict) -> list[str]:
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
+    defaults = ExplainOptions()
     # a tuple: the parser and its defaults live as long as the process
     p.add_argument("--methods", nargs="+", default=("grad1_s_dot", "lrp"),
                    metavar="NAME",
                    help=f"explanation methods; known: {', '.join(METHOD_NAMES)}")
-    p.add_argument("--eps", type=float, default=1e-3,
-                   help="relevance-propagation stabilizer (default 0.001)")
-    p.add_argument("--int-steps", type=int, default=50,
-                   help="integration points for gradint methods (default 50)")
-    p.add_argument("--limsse-n", type=int, default=3000,
-                   help="substring samples per document (default 3000)")
-    p.add_argument("--limsse-maxlen", type=int, default=6,
-                   help="maximum substring length (default 6)")
+    p.add_argument("--eps", type=float, default=defaults.eps,
+                   help="relevance stabilizer (default %(default)s)")
+    p.add_argument("--int-steps", type=int, default=defaults.int_steps,
+                   help="gradint integration points (default %(default)s)")
+    p.add_argument("--limsse-n", type=int, default=defaults.limsse_n,
+                   help="substring samples per document (default %(default)s)")
+    p.add_argument("--limsse-maxlen", type=int, default=defaults.limsse_maxlen,
+                   help="maximum substring length (default %(default)s)")
 
 
 # smallest value each numeric flag accepts; main() checks them before any
@@ -156,10 +157,7 @@ def _load_model(path: str):
 def cmd_train(args) -> int:
     if args.arch not in ARCHS:
         raise DataError(f"unknown architecture {args.arch!r}")
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise DataError(f"cannot write checkpoint {args.out}: "
-                        f"no directory {out_dir}")
+    _check_writable(args.out, "checkpoint ")
     docs = _read_corpus(args.corpus)
     labels = [int(d["label"]) for d in docs]
     n_classes = _class_count(labels, args.corpus)
@@ -225,6 +223,8 @@ def _class_count(labels: list[int], path: str) -> int:
 
 def cmd_explain(args) -> int:
     _check_methods(args.methods)
+    _check_writable(args.out)
+    _check_writable(args.html)
     params = _load_model(args.checkpoint)
     if args.k is not None and not 0 <= args.k < params.n_classes:
         raise UsageError(f"--k {args.k} out of range: the model has "
@@ -350,6 +350,19 @@ def _check_rendered(r: dict, where: str) -> None:
                         f"per score")
 
 
+def _check_writable(path: str | None, what: str = "") -> None:
+    """Fail before any work when ``path`` cannot be written: its directory
+    is missing or it is a directory. No path means standard output."""
+    if not path:
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise DataError(f"cannot write {what}{path}: "
+                        f"no directory {target.parent}")
+    if target.is_dir():
+        raise DataError(f"cannot write {what}{path}: is a directory")
+
+
 def _write_output(path: str | None, text: str) -> None:
     if not path:
         sys.stdout.write(text)
@@ -381,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "pointing games.")
     sub = p.add_subparsers(dest="command", required=True)
 
+    config = TrainConfig()
     t = sub.add_parser("train", help="train a classifier on a JSONL corpus")
     t.add_argument("corpus")
     t.add_argument("--out", required=True, help="checkpoint path (.npz)")
@@ -390,9 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--d-hidden", type=int, default=16)
     t.add_argument("--kernel-width", type=int, default=5)
     t.add_argument("--vocab-cutoff", type=int, default=50000)
-    t.add_argument("--epochs", type=int, default=10)
-    t.add_argument("--batch-size", type=int, default=8)
-    t.add_argument("--lr", type=float, default=0.001)
+    t.add_argument("--epochs", type=int, default=config.epochs)
+    t.add_argument("--batch-size", type=int, default=config.batch_size)
+    t.add_argument("--lr", type=float, default=config.lr)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--log", help="JSONL per-epoch metrics log")
     t.set_defaults(func=cmd_train)

@@ -221,14 +221,13 @@ def reduce_gradients(grads: np.ndarray, emb: np.ndarray,
     raise ValueError(f"unknown reduction {reduction!r}")
 
 
-def explain_gradient(params: NetworkParams, ids, k: int, cfg: GradConfig,
-                     trace: ForwardTrace | None = None) -> RelevanceMap:
-    """``trace`` is ``forward(params, ids)`` if the caller has it; it is
-    computed otherwise."""
+def explain_gradient(params: NetworkParams, ids, k: int,
+                     cfg: GradConfig) -> RelevanceMap:
+    """One gradient map of ``ids``, from ``forward(params, ids)`` and the
+    white-box pass."""
     cfg.validate()
     check_white_box(params, k, [cfg.name], steps=cfg.steps)
-    if trace is None:
-        trace = forward(params, ids)
+    trace = forward(params, ids)
     grads = white_box_pass(params, trace, k, [cfg.name], steps=cfg.steps)
     return RelevanceMap(
         scores=reduce_gradients(grads[f"{cfg.variant}_{cfg.output}"],

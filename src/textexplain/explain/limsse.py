@@ -34,6 +34,9 @@ from ..relevance import RelevanceMap
 DEFAULT_N_SAMPLES = 3000
 DEFAULT_MAX_LEN = 6
 DEFAULT_RIDGE_BB = 1e-4
+# the ``bb`` fit's L-BFGS-B stop: projected gradient norm, iteration cap
+BB_GTOL = 1e-6
+BB_MAX_ITER = 2000
 DEFAULT_RIDGE_MS_PER_SAMPLE = 1e-6
 
 VARIANTS = ("bb", "ms_s", "ms_p")
@@ -151,18 +154,17 @@ def fit_magnitude(z: np.ndarray, y: np.ndarray, ridge: float | None = None,
 
 
 def fit_blackbox(z: np.ndarray, labels: np.ndarray,
-                 ridge: float = DEFAULT_RIDGE_BB, tol: float = 1e-6,
-                 max_iter: int = 2000,
+                 ridge: float = DEFAULT_RIDGE_BB,
                  inv: np.ndarray | None = None) -> np.ndarray:
     """Logistic surrogate weights for binary labels (prediction == k).
 
     Minimizes the negative log-likelihood of sigmoid(z . v) plus a ridge on
     the weights (the intercept is unpenalized), by deterministic L-BFGS-B
-    from v = 0. It stops at projected gradient norm ``tol``, at the
-    iteration cap, or when an iteration lowers the objective by less than
-    scipy's default relative ``ftol`` (about 2.2e-9). So the weights are
-    where L-BFGS stopped, which can be a few percent of their peak away
-    from the optimum.
+    from v = 0. It stops at projected gradient norm ``BB_GTOL``, after
+    ``BB_MAX_ITER`` iterations, or when an iteration lowers the objective
+    by less than scipy's default relative ``ftol`` (about 2.2e-9). So the
+    weights are where L-BFGS stopped, which can be a few percent of their
+    peak away from the optimum.
 
     ``z`` holds the (U, T) distinct coverage rows and ``labels`` their
     labels; sample i is row ``inv[i]`` (default: each row once). The
@@ -197,7 +199,7 @@ def fit_blackbox(z: np.ndarray, labels: np.ndarray,
         return nll, grad
 
     res = minimize(loss_grad, np.zeros(t_len + 1), jac=True, method="L-BFGS-B",
-                   options={"gtol": tol, "maxiter": max_iter})
+                   options={"gtol": BB_GTOL, "maxiter": BB_MAX_ITER})
     v = res.x[:t_len]
     # uncovered positions feel only the ridge; their optimum is exactly 0
     v[z.sum(axis=0) == 0] = 0.0
@@ -205,17 +207,15 @@ def fit_blackbox(z: np.ndarray, labels: np.ndarray,
 
 
 def surrogate_fit(samples: DistinctSubstrings, responses: np.ndarray,
-                  variant: str, t_len: int,
-                  ridge: float | None = None) -> np.ndarray:
+                  variant: str, t_len: int) -> np.ndarray:
     """Surrogate weights from one response per distinct substring."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown surrogate variant {variant!r}")
     z = _design(samples.starts, samples.lengths, t_len)
     if variant == "bb":
-        return fit_blackbox(z, responses, inv=samples.inv,
-                            **({} if ridge is None else {"ridge": ridge}))
+        return fit_blackbox(z, responses, inv=samples.inv)
     counts = np.bincount(samples.inv, minlength=z.shape[0])
-    return fit_magnitude(z, responses, ridge=ridge, counts=counts)
+    return fit_magnitude(z, responses, counts=counts)
 
 
 def _substring_responses(params: NetworkParams, ids: list[int], k: int,

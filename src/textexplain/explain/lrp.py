@@ -14,43 +14,36 @@ and replaces activations by their differences from the baseline forward pass
 Both are rules of the one reverse sweep (``models.sweep`` with a
 ``RelevanceRule``), run by the white-box pass of ``explain.gradient``: one
 rule sweep serves both methods, over the document's trace, whose all-zero
-row is the baseline. A caller may pass in the trace to share one forward
-pass between the prediction and several methods; a trace without the
-baseline row gets it from one more forward run.
+row is the baseline. These one-method entry points start from
+``forward(params, ids)``, whose trace lacks the baseline row, so DeepLIFT
+gets it from one more forward run.
 """
 
 from __future__ import annotations
 
-from ..models import ForwardTrace, NetworkParams, forward
+from ..models import NetworkParams, forward
 from ..numerics import esign  # noqa: F401 -- importable from here too
 from ..relevance import RelevanceMap
 from .gradient import DEFAULT_EPS, check_white_box, white_box_pass
 
 
-def _explain(params: NetworkParams, ids, k: int, eps: float, method: str,
-             trace: ForwardTrace | None) -> RelevanceMap:
+def _explain(params: NetworkParams, ids, k: int, eps: float,
+             method: str) -> RelevanceMap:
     check_white_box(params, k, [method], eps=eps)
-    if trace is None:
-        trace = forward(params, ids)
+    trace = forward(params, ids)
     return RelevanceMap(
         scores=white_box_pass(params, trace, k, [method], eps=eps)[method],
         k=k, method=method)
 
 
-def lrp_explain(params: NetworkParams, ids, k: int, eps: float = DEFAULT_EPS,
-                trace: ForwardTrace | None = None) -> RelevanceMap:
-    """Stabilized proportional relevance backpropagation of s(k, X).
-
-    ``trace`` is ``forward(params, ids)`` if the caller has it."""
-    return _explain(params, ids, k, eps, "lrp", trace)
+def lrp_explain(params: NetworkParams, ids, k: int,
+                eps: float = DEFAULT_EPS) -> RelevanceMap:
+    """Stabilized proportional relevance backpropagation of s(k, X)."""
+    return _explain(params, ids, k, eps, "lrp")
 
 
 def deeplift_explain(params: NetworkParams, ids, k: int,
-                     eps: float = DEFAULT_EPS,
-                     trace: ForwardTrace | None = None) -> RelevanceMap:
+                     eps: float = DEFAULT_EPS) -> RelevanceMap:
     """Difference-from-baseline relevance backpropagation of
-    s(k, X) - s(k, X0), baseline X0 = all-zero embeddings.
-
-    ``trace`` is ``forward(params, ids)`` if the caller has it, and may hold
-    the baseline as a row of scale 0 (``catalog.document_trace``)."""
-    return _explain(params, ids, k, eps, "deeplift", trace)
+    s(k, X) - s(k, X0), baseline X0 = all-zero embeddings."""
+    return _explain(params, ids, k, eps, "deeplift")

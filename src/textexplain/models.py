@@ -1,37 +1,42 @@
 """Task classifiers: five architectures, forward traces, gradients, checkpoints.
 
 Each network is an embedding matrix, a core layer (GRU, QGRU, LSTM, QLSTM or
-CNN), and a dense classifier head with softmax. The forward pass is batch-first:
-one runner per architecture steps a (B, T, d_e) stack of inputs with (B, d)
-matmuls, and the convolutions are one matmul per kernel slice over the whole
-batch. The stack may be ragged: right-padded rows with their own ``lengths``,
-each read out at its own last step (training minibatches and corpus scoring
-use this). ``forward_embedded`` runs one document, optionally beside
-scaled copies of it (the baselines and interpolation points of the
-white-box explainers), and records every intermediate quantity (gates,
-pre-activations, cell/hidden states, pooling winners) of every row in a
-ForwardTrace, which is what the white-box explainers consume. One
-document's trace is meant to be computed once and shared: it keeps the
-runner's batched arrays (``batch_dirs``) beside row 0's views (``dirs``),
-and ``check_trace`` tells whether a trace belongs to given parameters and
-token ids. ``score_batch`` keeps only the running state and returns the class
-scores of every row; the black-box explainers score their inputs with it in
-equal-length buckets.
+CNN), and a dense classifier head with softmax. A QRNN (Bradbury et al., ICLR
+2017) runs the gated pooling of its recurrent twin with other gate inputs, so
+a GRU or LSTM is taken as a QRNN whose input kernel (its V) has width 1, plus
+recurrent weights U; ``_GATES`` names every model's gates once. The four gated
+models share one batch-first runner and the CNN has a branch of its own: a
+(B, T, d_e) stack of inputs steps with (B, d) matmuls, and a convolution is
+one matmul per kernel slice and gate over the whole batch. The stack may be
+ragged: right-padded rows with their own ``lengths``, each read out at its
+own last step (training minibatches and corpus scoring use this).
+``forward_embedded`` runs one document, optionally beside scaled copies of it
+(the baselines and interpolation points of the white-box explainers), and
+records every intermediate quantity (gates, pre-activations, cell/hidden
+states, pooling winners) of every row in a ForwardTrace, which is what the
+white-box explainers consume. One document's trace is meant to be computed
+once and shared: it keeps the runner's batched arrays (``batch_dirs``) beside
+row 0's views (``dirs``), and ``check_trace`` tells whether a trace belongs to
+given parameters and token ids. ``score_batch`` keeps only the running state
+and returns the class scores of every row; the black-box explainers score
+their inputs with it in equal-length buckets.
 
-Exact gradients come from one reverse sweep per architecture over a batched
-trace (``sweep``): given d(scores) (B, K) it returns d(embeddings)
+Exact gradients come from one reverse sweep over a batched trace (``sweep``),
+with the same two branches: given d(scores) (B, K) it returns d(embeddings)
 (B, T, d_e) and, for training, every parameter gradient summed over the
-batch. Recurrences step back over t with (B, d) matmuls; the convolutions
-are transposed as F shifted matmuls, mirroring the forward. The same sweep
-is the relevance pass of ε-LRP and DeepLIFT: a ``RelevanceRule`` swaps its
-local factors, so this module alone knows how gradients and relevance flow
-through each architecture.
+batch. A GRU or LSTM steps back over t with (B, d) matmuls through U; a QRNN
+carries its pooled state's gradient back alone and then forms every
+pre-activation gradient at once; convolutions are transposed as F shifted
+matmuls. The same sweep is the relevance pass of ε-LRP and DeepLIFT: a
+``RelevanceRule`` swaps its local factors, so this module alone knows how
+gradients and relevance flow through each architecture.
 
 Recurrences:
     GRU     h_t = z_t * h_{t-1} + (1 - z_t) * g_t,  g_t = tanh(V e_t + U (r_t * h_{t-1}) + b)
     LSTM    c_t = f_t * c_{t-1} + i_t * g_t,        h_t = o_t * tanh(c_t)
     QGRU /  same pooling recurrences, but gates and candidates come from a
-    QLSTM   causal convolution over the (left-zero-padded) embeddings
+    QLSTM   causal convolution over the (left-zero-padded) embeddings, not
+            from V e_t + U h_{t-1}
     CNN     g_t = relu(conv(E)_t) with symmetric zero padding, h = max_t g_t
 
 Convolution convention: kernel slice k multiplies e_{t-k}, i.e. for QRNNs
@@ -112,14 +117,22 @@ class Vocabulary:
 # Parameters
 # ---------------------------------------------------------------------------
 
+# Gate names per architecture, the candidate ("") last. Gate n has an input
+# kernel Kn, of width 1 for GRU and LSTM (stored as Vn, (d, d_e)), a bias bn
+# and, for GRU and LSTM, recurrent weights Un; the CNN is one candidate.
+_GATES = {
+    "GRU": ("z", "r", ""),
+    "LSTM": ("i", "f", "o", ""),
+    "QGRU": ("z", ""),
+    "QLSTM": ("i", "f", "o", ""),
+    "CNN": ("",),
+}
+
 # weight names per architecture, per direction
 _LAYER_WEIGHTS = {
-    "GRU": ("Vz", "Uz", "bz", "Vr", "Ur", "br", "V", "U", "b"),
-    "LSTM": ("Vi", "Ui", "bi", "Vf", "Uf", "bf", "Vo", "Uo", "bo", "V", "U", "b"),
-    "QGRU": ("Kz", "bz", "K", "b"),
-    "QLSTM": ("Ki", "bi", "Kf", "bf", "Ko", "bo", "K", "b"),
-    "CNN": ("K", "b"),
-}
+    arch: tuple(w + n for n in gates for w in (
+        ("V", "U", "b") if arch in ("GRU", "LSTM") else ("K", "b")))
+    for arch, gates in _GATES.items()}
 
 
 @dataclass
@@ -192,24 +205,13 @@ def init_params(arch: str, vocab_size: int, d_embed: int, d_hidden: int,
     def mat(*shape):
         return rng.uniform(-0.1, 0.1, size=shape)
 
+    shapes = {"V": (d_dir, d_embed), "U": (d_dir, d_dir),
+              "K": (kernel_width, d_dir, d_embed)}
+
     def make_layer():
-        f, d, de = kernel_width, d_dir, d_embed
-        shapes = {
-            "GRU": {"Vz": (d, de), "Uz": (d, d), "bz": None,
-                    "Vr": (d, de), "Ur": (d, d), "br": None,
-                    "V": (d, de), "U": (d, d), "b": None},
-            "LSTM": {"Vi": (d, de), "Ui": (d, d), "bi": None,
-                     "Vf": (d, de), "Uf": (d, d), "bf": None,
-                     "Vo": (d, de), "Uo": (d, d), "bo": None,
-                     "V": (d, de), "U": (d, d), "b": None},
-            "QGRU": {"Kz": (f, d, de), "bz": None, "K": (f, d, de), "b": None},
-            "QLSTM": {"Ki": (f, d, de), "bi": None, "Kf": (f, d, de),
-                      "bf": None, "Ko": (f, d, de), "bo": None,
-                      "K": (f, d, de), "b": None},
-            "CNN": {"K": (f, d, de), "b": None},
-        }[arch]
-        return {name: (np.zeros(d_dir) if shape is None else mat(*shape))
-                for name, shape in shapes.items()}
+        return {name: (np.zeros(d_dir) if name[0] == "b"
+                       else mat(*shapes[name[0]]))
+                for name in _LAYER_WEIGHTS[arch]}
 
     layers = {dname: make_layer()
               for dname in (("fwd", "bwd") if direction == "bi" else ("fwd",))}
@@ -320,45 +322,57 @@ def embed(params: NetworkParams, ids) -> np.ndarray:
     return params.embedding[np.asarray(ids, dtype=int)].copy()
 
 
+def _stacked(w: dict[str, np.ndarray], names) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray | None]:
+    """The weights of the gates ``names`` stacked in that order: the input
+    kernel (F, n·d, d_e), the bias (n·d,) and, for GRU and LSTM, the
+    recurrent weights U (n·d, d), else None. A recurrent model's V is a
+    kernel of width 1."""
+    bias = np.concatenate([w["b" + n] for n in names])
+    if "V" + names[0] not in w:
+        return np.concatenate([w["K" + n] for n in names], axis=1), bias, None
+    return (np.concatenate([w["V" + n] for n in names])[None], bias,
+            np.concatenate([w["U" + n] for n in names]))
+
+
+def _pad_left(arch: str, f: int) -> int:
+    """Zero rows before the input of a width-F convolution: causal, or
+    centered for the CNN."""
+    return (f - 1) // 2 if arch == "CNN" else f - 1
+
+
 def _conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray,
-          left: int) -> np.ndarray:
-    """Zero-padded convolution over a (B, T, d_e) batch; returns (B, T+1, d)
-    with row 0 zero.
+          left: int, d: int) -> np.ndarray:
+    """Zero-padded convolution over a (B, T, d_e) batch of a (F, n·d, d_e)
+    kernel; returns (n, B, T+1, d) with row 0 zero, one block per gate.
 
     ``left`` zero rows pad the front and F-1-left the back, so slice k of
     the kernel multiplies e_{t-k} (causal, left = F-1) or e_{t-k+F'}
-    (centered, left = F'). Each slice is one matmul over every padded row of
-    the batch; the slices are added to the bias in order.
+    (centered, left = F'). The gates are convolved one at a time: per gate,
+    each slice is one matmul over every padded row of the batch, added to
+    the bias in order.
     """
-    f, d, d_e = kernel.shape
+    f, _, d_e = kernel.shape
     b, t_len, _ = emb.shape
     padded = np.zeros((b, t_len + f - 1, d_e))
     padded[:, left:left + t_len] = emb
     flat = padded.reshape(-1, d_e)
-    out = np.zeros((b, t_len + 1, d))
-    acc = out[:, 1:]
-    acc += bias
-    for k in range(f):
-        proj = (flat @ kernel[k].T).reshape(b, t_len + f - 1, d)
-        acc += proj[:, f - 1 - k:f - 1 - k + t_len]
+    out = np.zeros((kernel.shape[1] // d, b, t_len + 1, d))
+    for j, acc in enumerate(out[:, :, 1:]):
+        acc += bias[j * d:(j + 1) * d]
+        for k in range(f):
+            proj = (flat @ kernel[k, j * d:(j + 1) * d].T).reshape(
+                b, t_len + f - 1, d)
+            acc += proj[:, f - 1 - k:f - 1 - k + t_len]
     return out
 
 
-def _causal_conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Left-zero-padded convolution; (B, T, d_e) -> (B, T+1, d)."""
-    return _conv(kernel, bias, emb, kernel.shape[0] - 1)
-
-
-def _centered_conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Symmetric-zero-padded convolution; (B, T, d_e) -> (B, T+1, d)."""
-    return _conv(kernel, bias, emb, (kernel.shape[0] - 1) // 2)
-
-
 def _with_initial(steps: list[np.ndarray]) -> np.ndarray:
-    """Stack per-step (B, d) arrays into (B, T+1, d) behind a zero row 0."""
+    """Stack per-step (..., B, d) arrays into (..., B, T+1, d) behind a zero
+    row 0."""
     first = steps[0]
-    out = np.zeros((first.shape[0], len(steps) + 1, first.shape[1]))
-    out[:, 1:] = np.stack(steps, axis=1)
+    out = np.zeros(first.shape[:-1] + (len(steps) + 1, first.shape[-1]))
+    out[..., 1:, :] = np.stack(steps, axis=-2)
     return out
 
 
@@ -404,86 +418,14 @@ def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
     """
     b, t_len, _ = emb.shape
     d = w["b"].shape[0]
-    ends = _row_ends(lengths, t_len)
-    held: dict[int, np.ndarray] = {}
-
-    if arch in ("GRU", "LSTM"):
-        # input and recurrent weights of every gate stacked side by side, so
-        # one step is one matmul each (the GRU candidate's U @ (r * h) aside)
-        lstm = arch == "LSTM"
-        gate_names = ("i", "f", "o") if lstm else ("z", "r")
-        n_gate = len(gate_names) * d
-        v_in = np.concatenate([w[f"V{g}"] for g in gate_names] + [w["V"]]).T
-        u_in = np.concatenate([w[f"U{g}"] for g in gate_names]
-                              + ([w["U"]] if lstm else [])).T
-        b_gate = np.concatenate([w[f"b{g}"] for g in gate_names])
-        h = np.zeros((b, d))
-        c = np.zeros((b, d))
-        recorded = []
-        for t in range(t_len):
-            x = emb[:, t] @ v_in
-            hu = h @ u_in
-            gates = sigmoid(x[:, :n_gate] + hu[:, :n_gate] + b_gate)
-            if lstm:
-                gp = x[:, n_gate:] + hu[:, n_gate:] + w["b"]
-                g = np.tanh(gp)
-                c = gates[:, d:2 * d] * c + gates[:, :d] * g
-                h = gates[:, 2 * d:] * np.tanh(c)
-            else:
-                z, r = gates[:, :d], gates[:, d:]
-                gp = x[:, n_gate:] + (r * h) @ w["U"].T + w["b"]
-                g = np.tanh(gp)
-                h = z * h + (1.0 - z) * g
-            if t + 1 in ends:
-                held[t + 1] = h[ends[t + 1]]
-            if keep:
-                recorded.append((gates, gp, g, h) + ((c,) if lstm else ()))
-        h = _at_ends(h, ends, held)
-        if not keep:
-            return h, None
-        gates_all, gp_all, g_all, h_all, *c_all = map(_with_initial,
-                                                      zip(*recorded))
-        return h, DirectionTrace(
-            emb=emb,
-            gates={n: gates_all[:, :, j * d:(j + 1) * d]
-                   for j, n in enumerate(gate_names)},
-            preact=gp_all, cand=g_all, hidden=h_all,
-            cell=c_all[0] if lstm else None, lengths=lengths)
-
-    if arch in ("QGRU", "QLSTM"):
-        gate_names = ("z",) if arch == "QGRU" else ("i", "f", "o")
-        gates = {}
-        for n in gate_names:
-            gates[n] = _causal_conv(w[f"K{n}"], w[f"b{n}"], emb)
-            gates[n][:, 1:] = sigmoid(gates[n][:, 1:])
-        gp = _causal_conv(w["K"], w["b"], emb)
-        g = np.zeros_like(gp)
-        g[:, 1:] = np.tanh(gp[:, 1:])
-        h = np.zeros((b, d))
-        c = np.zeros((b, d))
-        hs, cs = [], []
-        for t in range(1, t_len + 1):
-            if arch == "QGRU":
-                z = gates["z"][:, t]
-                h = z * h + (1.0 - z) * g[:, t]
-            else:
-                c = gates["f"][:, t] * c + gates["i"][:, t] * g[:, t]
-                h = gates["o"][:, t] * np.tanh(c)
-            if t in ends:
-                held[t] = h[ends[t]]
-            if keep:
-                hs.append(h)
-                cs.append(c)
-        h = _at_ends(h, ends, held)
-        if not keep:
-            return h, None
-        return h, DirectionTrace(
-            emb=emb, gates=gates, preact=gp, cand=g, hidden=_with_initial(hs),
-            cell=_with_initial(cs) if arch == "QLSTM" else None,
-            lengths=lengths)
+    names = _GATES[arch]
+    kernel, bias, u = _stacked(w, names)
+    if u is None:
+        # the convolutions give every step's pre-activations at once
+        pre = _conv(kernel, bias, emb, _pad_left(arch, kernel.shape[0]), d)
 
     if arch == "CNN":
-        gp = _centered_conv(w["K"], w["b"], emb)
+        gp = pre[0]
         g = np.zeros_like(gp)
         g[:, 1:] = np.maximum(gp[:, 1:], 0.0)
         # argmax over the real steps t = 1..T, ties to the lowest t
@@ -501,7 +443,62 @@ def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
                                       hidden=h, pool_argmax=arg,
                                       lengths=lengths)
 
-    raise ValueError(f"unknown architecture {arch!r}")
+    # gated pooling, with sig[j] gate j at the step. A QRNN reads its gates
+    # and candidate from the convolution; a GRU or LSTM forms them from
+    # e_t V and h_{t-1} U, with the gates' V and U stacked side by side so
+    # that a step is one matmul each (the GRU candidate's (r * h) U aside).
+    lstm = arch in ("LSTM", "QLSTM")
+    n_gate = (len(names) - 1) * d
+    if u is None:
+        for a in pre[:-1]:
+            a[:, 1:] = sigmoid(a[:, 1:])
+        cand = np.zeros((b, t_len + 1, d))
+        cand[:, 1:] = np.tanh(pre[-1, :, 1:])
+        sig_at, g_at = pre[:-1].transpose(2, 0, 1, 3), cand.swapaxes(0, 1)
+    else:
+        v_in, b_gate, b_cand = kernel[0].T, bias[:n_gate], bias[n_gate:]
+        u_h, u_cand = (u if lstm else u[:n_gate]).T, u[n_gate:].T
+    ends = _row_ends(lengths, t_len)
+    held: dict[int, np.ndarray] = {}
+    h = np.zeros((b, d))
+    c = np.zeros((b, d))
+    hs, cs, steps = [], [], []
+    for t in range(1, t_len + 1):
+        if u is None:
+            sig, g = sig_at[t], g_at[t]
+        else:
+            x = emb[:, t - 1] @ v_in
+            hu = h @ u_h
+            sig = sigmoid(x[:, :n_gate] + hu[:, :n_gate] + b_gate)
+            sig = sig.reshape(b, -1, d).swapaxes(0, 1)
+            gp = x[:, n_gate:] + (hu[:, n_gate:] if lstm else
+                                  (sig[1] * h) @ u_cand)
+            gp = gp + b_cand
+            g = np.tanh(gp)
+            if keep:
+                steps.append((sig, gp, g))
+        if lstm:
+            c = sig[1] * c + sig[0] * g
+            h = sig[2] * np.tanh(c)
+        else:
+            z = sig[0]
+            h = z * h + (1.0 - z) * g
+        if t in ends:
+            held[t] = h[ends[t]]
+        if keep:
+            hs.append(h)
+            cs.append(c)
+    h = _at_ends(h, ends, held)
+    if not keep:
+        return h, None
+    if u is None:
+        sig, gp = pre[:-1], pre[-1]
+    else:
+        sig, gp, cand = map(_with_initial, zip(*steps))
+    return h, DirectionTrace(
+        emb=emb, gates=dict(zip(names, sig)), preact=gp, cand=cand,
+        hidden=_with_initial(hs), cell=_with_initial(cs) if lstm else None,
+        lengths=lengths)
 
 
 def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
@@ -639,8 +636,11 @@ def get_param(params: NetworkParams, name: str) -> np.ndarray:
 def _conv_transpose(kernel: np.ndarray, dout: np.ndarray,
                     left: int) -> np.ndarray:
     """Transpose of ``_conv``: (B, T, d) output gradients of steps 1..T ->
-    (B, T, d_e) input gradients, as F shifted matmuls."""
+    (B, T, d_e) input gradients, as F shifted matmuls (one, unpadded, for
+    the width-1 kernel of a GRU or LSTM)."""
     f, _, d_e = kernel.shape
+    if f == 1:
+        return dout @ kernel[0]
     b, t_len, _ = dout.shape
     dpad = np.zeros((b, t_len + f - 1, d_e))
     for k in range(f):
@@ -660,18 +660,13 @@ def _conv_kernel_grad(dout: np.ndarray, emb: np.ndarray, f: int,
                      for k in range(f)])
 
 
-def _named(prefix: str, names, stacked: np.ndarray,
-           axis: int = 0) -> dict[str, np.ndarray]:
-    """Split the gradient of weights stacked along ``axis`` into named
-    equal blocks."""
-    return {prefix + n: block for n, block in
-            zip(names, np.split(stacked, len(names), axis=axis))}
-
-
-def _matmul_grad(d_pre: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """sum over batch and steps of d_pre (x) inputs: (n, m) weight gradient."""
-    return d_pre.reshape(-1, d_pre.shape[2]).T @ inputs.reshape(
-        -1, inputs.shape[2])
+def _unstacked(names, kernel: np.ndarray, bias: np.ndarray,
+               u: np.ndarray | None) -> dict[str, np.ndarray]:
+    """The gradients of ``_stacked``'s kernel, bias and U, by weight name."""
+    parts = ([("K", kernel, 1)] if u is None
+             else [("V", kernel[0], 0), ("U", u, 0)]) + [("b", bias, 0)]
+    return {prefix + n: block for prefix, stacked, axis in parts
+            for n, block in zip(names, np.split(stacked, len(names), axis))}
 
 
 @dataclass(frozen=True)
@@ -751,138 +746,128 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
     emb = tr.emb
     b, t_len, _ = emb.shape
     d = dh.shape[1]
+    names = _GATES[arch]
+    kernel, _, u = _stacked(w, names)
     h_prev = tr.hidden[:, :-1]
-    g = tr.cand[:, 1:]
-    # a ragged row's state gradient enters at its own last step; until then
-    # (over its padding) it is exactly zero
-    ends = _row_ends(tr.lengths, t_len)
-    d_end = dh
-    if ends:
-        dh = np.where((tr.lengths == t_len)[:, None], dh, 0.0)
-
-    if arch in ("GRU", "LSTM"):
-        # d_pre[:, t-1] holds the gradients of every pre-activation at step t,
-        # in the stacked order of the forward's input weights
-        lstm = arch == "LSTM"
-        gate_names = ("i", "f", "o") if lstm else ("z", "r")
-        names = gate_names + ("",)
-        n_gate = len(gate_names) * d
-        gates = np.concatenate([tr.gates[n][:, 1:] for n in gate_names], axis=2)
-        dsig = gates * (1.0 - gates) * fac.gate
-        v_in = np.concatenate([w[f"V{n}"] for n in names])
-        u_in = np.concatenate([w[f"U{n}"] for n in gate_names]
-                              + ([w["U"]] if lstm else []))
-        d_pre = np.zeros((b, t_len, n_gate + d))
-        if lstm:
-            i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
-            c_prev = tr.cell[:, :-1]
-            tc = np.tanh(tr.cell[:, 1:])
-            dc_from_h = o * fac.cell_act * fac.h
-            carry = f * fac.c
-            dc = np.zeros((b, d))
-            for t in range(t_len - 1, -1, -1):
-                if t + 1 in ends:
-                    dh[ends[t + 1]] = d_end[ends[t + 1]]
-                dc = dc + dh * dc_from_h[:, t]
-                d_pre[:, t, :d] = dc * g[:, t]
-                d_pre[:, t, d:2 * d] = dc * c_prev[:, t]
-                d_pre[:, t, 2 * d:n_gate] = dh * tc[:, t]
-                d_pre[:, t, :n_gate] *= dsig[:, t]
-                d_pre[:, t, n_gate:] = dc * i[:, t] * fac.act[:, t]
-                dc = dc * carry[:, t]
-                dh = d_pre[:, t] @ u_in
-        else:
-            z, r = gates[..., :d], gates[..., d:]
-            keep = (1.0 - z) * fac.h
-            carry = z * fac.h
-            for t in range(t_len - 1, -1, -1):
-                if t + 1 in ends:
-                    dh[ends[t + 1]] = d_end[ends[t + 1]]
-                dgp = dh * keep[:, t] * fac.act[:, t]
-                drh = dgp @ w["U"]
-                d_pre[:, t, :d] = dh * (h_prev[:, t] - g[:, t]) * dsig[:, t, :d]
-                d_pre[:, t, d:n_gate] = drh * h_prev[:, t] * dsig[:, t, d:]
-                d_pre[:, t, n_gate:] = dgp
-                dh = dh * carry[:, t] + drh * r[:, t] + d_pre[:, t, :n_gate] @ u_in
-        demb = d_pre @ v_in
-        if not want_params:
-            return demb, None
-        grads = {**_named("V", names, _matmul_grad(d_pre, emb)),
-                 **_named("b", names, d_pre.sum(axis=(0, 1)))}
-        if lstm:
-            grads.update(_named("U", names, _matmul_grad(d_pre, h_prev)))
-        else:
-            grads.update(_named("U", gate_names, _matmul_grad(
-                d_pre[..., :n_gate], h_prev)))
-            grads["U"] = _matmul_grad(d_pre[..., n_gate:], r * h_prev)
-        return demb, grads
-
-    if arch in ("QGRU", "QLSTM"):
-        # the pooling recurrence is elementwise: carry the state gradient
-        # back over t, then form every pre-activation gradient at once
-        if arch == "QGRU":
-            z = tr.gates["z"][:, 1:]
-            carry = z * fac.h
-            dhs = np.zeros((b, t_len, d))
-            for t in range(t_len - 1, -1, -1):
-                if t + 1 in ends:
-                    dh[ends[t + 1]] = d_end[ends[t + 1]]
-                dhs[:, t] = dh
-                dh = dh * carry[:, t]
-            names = ("z", "")
-            d_pre = np.concatenate(
-                [dhs * (h_prev - g) * z * (1.0 - z) * fac.gate,
-                 dhs * ((1.0 - z) * fac.h) * fac.act], axis=2)
-        else:
-            i, f, o = (tr.gates[n][:, 1:] for n in ("i", "f", "o"))
-            rows = np.arange(b)
-            last = t_len if tr.lengths is None else tr.lengths
-            at_last = (rows, last - 1)
-            tc = np.tanh(tr.cell[rows, last])
-            o_last = o[at_last]
-            carry = f * fac.c
-            dcs = np.zeros((b, t_len, d))
-            dc_end = (d_end * o_last * fac.cell_act[at_last]
-                      * np.broadcast_to(fac.h, o.shape)[at_last])
-            dc = np.where((last == t_len)[:, None], dc_end, 0.0) if ends \
-                else dc_end
-            for t in range(t_len - 1, -1, -1):
-                if t + 1 in ends:
-                    dc[ends[t + 1]] = dc_end[ends[t + 1]]
-                dcs[:, t] = dc
-                dc = dc * carry[:, t]
-            do = np.zeros((b, t_len, d))
-            do[at_last] = d_end * tc * o_last * (1.0 - o_last) * fac.gate
-            names = ("i", "f", "o", "")
-            d_pre = np.concatenate(
-                [dcs * g * i * (1.0 - i) * fac.gate,
-                 dcs * tr.cell[:, :-1] * f * (1.0 - f) * fac.gate,
-                 do, dcs * i * fac.act], axis=2)
-        kernel = np.concatenate([w[f"K{n}"] for n in names], axis=1)
-        f_width = kernel.shape[0]
-        demb = _conv_transpose(kernel, d_pre, f_width - 1)
-        if not want_params:
-            return demb, None
-        k_grad = _conv_kernel_grad(d_pre, emb, f_width, f_width - 1)
-        return demb, {**_named("b", names, d_pre.sum(axis=(0, 1))),
-                      **_named("K", names, k_grad, axis=1)}
 
     if arch == "CNN":
         # the pooled value of each channel came from its argmax step (ties
         # went to the lowest t), where the relu passed it if it was active
         d_pre = np.zeros((b, t_len, d))
         np.put_along_axis(d_pre, tr.pool_argmax[:, None, :] - 1,
-                          d_end[:, None, :], axis=1)
+                          dh[:, None, :], axis=1)
         d_pre *= fac.act
-        f_width = w["K"].shape[0]
-        half = (f_width - 1) // 2
-        demb = _conv_transpose(w["K"], d_pre, half)
-        if not want_params:
-            return demb, None
-        return demb, {"K": _conv_kernel_grad(d_pre, emb, f_width, half),
-                      "b": d_pre.sum(axis=(0, 1))}
+    else:
+        # d_pre[j, :, t-1] holds the gradient of gate j's pre-activation at
+        # step t (the candidate last). Gates lead (n, B, T, d) views that are
+        # interleaved in memory for a GRU or LSTM, whose steps run one at a
+        # time, and gate by gate for a QRNN, whose steps are filled at once.
+        lstm = arch in ("LSTM", "QLSTM")
+        n, n_gate = len(names), (len(names) - 1) * d
+        rec = u is not None
+        g = tr.cand[:, 1:]
+        gates = [tr.gates[m][:, 1:] for m in names[:-1]]
+        if rec:
+            gates = np.concatenate(gates, axis=2).reshape(
+                b, t_len, n - 1, d).transpose(2, 0, 1, 3)
+            d_pre = np.zeros((b, t_len, n, d)).transpose(2, 0, 1, 3)
+            u_gate, u_cand = u[:n_gate], u[n_gate:]
+        else:
+            gates = np.concatenate(gates).reshape(n - 1, b, t_len, d)
+            d_pre = np.zeros((n, b, t_len, d))
+        # the sigmoids' derivative, precomputed for the steps of a GRU or
+        # LSTM. A QRNN, filled at once, multiplies by σ in ``fill`` and by
+        # 1 - σ after it (and d h_T by o, tanh' and the rule in turn, below),
+        # so that its gradients and trained weights keep their rounding.
+        dsig = gates * (1.0 - gates) * fac.gate if rec else gates
+        if lstm:
+            i, o = gates[0], gates[2]
+            c_prev = tr.cell[:, :-1]
+            tc = np.tanh(tr.cell[:, 1:])
+            carry = gates[1] * fac.c
+        else:
+            z = gates[0]
+            keep = (1.0 - z) * fac.h
+            carry = z * fac.h
 
-    raise ValueError(f"unknown architecture {arch!r}")
+        def fill(t, dh, dc):
+            """Fill d_pre at step index t, or at every step for t = :, from
+            the state gradients there; return a GRU's d(r * h_{t-1})."""
+            p = d_pre[:, :, t]
+            drh = None
+            if lstm:
+                p[0] = dc * g[:, t]
+                p[1] = dc * c_prev[:, t]
+                p[2] = dh * tc[:, t]
+                p[3] = dc * i[:, t] * fac.act[:, t]
+            else:
+                dgp = dh * keep[:, t] * fac.act[:, t]
+                p[0] = dh * (h_prev[:, t] - g[:, t])
+                p[-1] = dgp
+                if rec:
+                    drh = dgp @ u_cand
+                    p[1] = drh * h_prev[:, t]
+            p[:-1] *= dsig[:, :, t]
+            return drh
+
+        # the classifier's gradient enters h_t at each row's own last step;
+        # over a ragged row's padding the state gradients are exactly zero
+        last = t_len if tr.lengths is None else tr.lengths
+        dhs = np.zeros((b, t_len, d))
+        dhs[np.arange(b), last - 1] = dh
+        ends = _row_ends(tr.lengths, t_len)
+        if rec:
+            if lstm:
+                into_c = o * fac.cell_act * fac.h
+            else:
+                r = gates[1]
+            flat = d_pre.transpose(1, 2, 0, 3).reshape(b, t_len, -1)
+            dh, dc = dhs[:, -1], np.zeros((b, d))
+            for t in range(t_len - 1, -1, -1):
+                if t + 1 in ends:
+                    dh[ends[t + 1]] = dhs[ends[t + 1], t]
+                if lstm:
+                    dc = dc + dh * into_c[:, t]
+                drh = fill(t, dh, dc)
+                if lstm:
+                    dc = dc * carry[:, t]
+                    dh = flat[:, t] @ u
+                else:
+                    dh = (dh * carry[:, t] + drh * r[:, t]
+                          + flat[:, t, :n_gate] @ u_gate)
+        else:
+            # a QRNN's h_t feeds no later step and its pooling is
+            # elementwise: carry back the gradient of the pooled state alone
+            # (h for QGRU, c for QLSTM), then fill every step at once.
+            # dstate holds what enters that gradient at each step, replaced
+            # in place by the gradient (step t reads its entry first).
+            dstate = dhs * o * fac.cell_act * fac.h if lstm else dhs
+            state = dstate[:, -1]
+            for t in range(t_len - 1, -1, -1):
+                if t + 1 in ends:
+                    state[ends[t + 1]] = dstate[ends[t + 1], t]
+                dstate[:, t] = state
+                state = state * carry[:, t]
+            fill(slice(None), dhs, dstate)
+            d_pre[:-1] *= (1.0 - gates) * fac.gate
+        # a view for a GRU or LSTM, a copy for a QRNN
+        d_pre = d_pre.transpose(1, 2, 0, 3).reshape(b, t_len, -1)
+
+    left = _pad_left(arch, kernel.shape[0])
+    demb = _conv_transpose(kernel, d_pre, left)
+    if not want_params:
+        return demb, None
+    u_grad = None
+    if u is not None:
+        # U is a width-1 kernel over h_{t-1}; a GRU's candidate sees r * h
+        u_grad = _conv_kernel_grad(d_pre[..., :len(u) if lstm else n_gate],
+                                   h_prev, 1, 0)[0]
+        if not lstm:
+            u_grad = np.concatenate([u_grad, _conv_kernel_grad(
+                d_pre[..., n_gate:], r * h_prev, 1, 0)[0]])
+    return demb, _unstacked(
+        names, _conv_kernel_grad(d_pre, emb, kernel.shape[0], left),
+        d_pre.sum(axis=(0, 1)), u_grad)
 
 
 def sweep(params: NetworkParams, doc: np.ndarray,

@@ -21,7 +21,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e^x / (1 + e^x) below, so exp never overflows."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    # both branches in place: three temporaries of x's size, not five
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    return np.where(x >= 0, d, e)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ class ColoredToken:
     italic: bool = False        # oov marker
 
 
-def colorize(rel, tokens: list[str], mark_rmax: bool = True,
+def colorize(rel, tokens: list[str],
              underline: set[int] = frozenset(),
              italic: set[int] = frozenset()) -> list[ColoredToken]:
     scores = np.asarray(getattr(rel, "scores", rel), dtype=np.float64)
@@ -50,7 +50,7 @@ def colorize(rel, tokens: list[str], mark_rmax: bool = True,
         rgb = (abs(v), 0.0, 0.0) if v < 0 else (0.0, v, 0.0)
         out.append(ColoredToken(
             text=tok, rgb=rgb,
-            bold=mark_rmax and top == t,
+            bold=top == t,
             underline=t in underline,
             italic=t in italic,
         ))

@@ -21,14 +21,16 @@ from .numerics import SeededRng, softmax
 # so that the padding stays small and one chunk's state a few MB.
 SCORE_BATCH_CELLS = 1 << 18
 
+# Adam's moment decay rates and denominator stabilizer
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 10
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 8
     seed: int = 0
 
@@ -95,11 +97,11 @@ def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
             grads = minibatch_grads(params, [corpus[idx] for idx in batch])
             step += 1
             g = np.concatenate([grads[n].ravel() for n in names]) / len(batch)
-            m = config.beta1 * m + (1 - config.beta1) * g
-            v = config.beta2 * v + (1 - config.beta2) * g * g
-            m_hat = m / (1 - config.beta1 ** step)
-            v_hat = v / (1 - config.beta2 ** step)
-            update = config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1 ** step)
+            v_hat = v / (1 - ADAM_BETA2 ** step)
+            update = config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             for a, u in zip(arrays, np.split(update, splits)):
                 a -= u.reshape(a.shape)
     return params

@@ -18,7 +18,8 @@ from textexplain.models import RelevanceRule, _run, embed, \
     embedding_gradients, forward, forward_embedded, get_param, param_names, \
     score_batch, sweep
 from textexplain.numerics import SeededRng, softmax
-from textexplain.train import TrainConfig, train
+from textexplain.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, \
+    train
 
 from conftest import keyword_corpus, rand_params
 from test_perturb import naive_perturb
@@ -211,12 +212,12 @@ def oracle_train(p, corpus, config):
             step += 1
             for name in names:
                 g = acc[name] / len(batch)
-                m[name] = config.beta1 * m[name] + (1 - config.beta1) * g
-                v[name] = config.beta2 * v[name] + (1 - config.beta2) * g * g
-                m_hat = m[name] / (1 - config.beta1 ** step)
-                v_hat = v[name] / (1 - config.beta2 ** step)
+                m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
+                v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g * g
+                m_hat = m[name] / (1 - ADAM_BETA1 ** step)
+                v_hat = v[name] / (1 - ADAM_BETA2 ** step)
                 get_param(p, name)[...] -= (
-                    config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps))
+                    config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return p
 
 

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from textexplain.cli import build_parser, main
+from textexplain.cli import _options_from, build_parser, main
 from textexplain.explain import METHOD_NAMES, ExplainOptions, explain
 from textexplain.models import forward, load_checkpoint, save_checkpoint
 from textexplain.numerics import SeededRng
+from textexplain.train import TrainConfig
 
 
 def write_corpus(path, n_docs, seed=0, n_sentences=2, sent_len=4):
@@ -145,6 +146,22 @@ class TestExplain:
         assert err.count("\n") == 1 and "out of range" in err
         assert not out.exists()
 
+    def test_bad_html_path_writes_no_map(self, trained_checkpoint, tmp_path,
+                                         capsys):
+        """Both output paths are checked before the first document is
+        explained: a bad --html leaves no map in --out or on stdout."""
+        _, corpus, ckpt = trained_checkpoint
+        maps = tmp_path / "maps.jsonl"
+        bad = str(tmp_path / "missing" / "page.html")
+        argv = ["explain", str(ckpt), str(corpus), "--methods", "lrp",
+                "--html", bad]
+        assert main(argv + ["--out", str(maps)]) == 2
+        assert not maps.exists()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 2 and bad in err
+
     def test_unknown_method_is_data_error(self, trained_checkpoint, tmp_path):
         _, corpus, ckpt = trained_checkpoint
         rc = main(["explain", str(ckpt), str(corpus),
@@ -266,6 +283,20 @@ class TestParserReuse:
         args = build_parser().parse_args(["explain", "a", "b"])
         assert (list(args.methods), args.eps, args.k) == (
             ["grad1_s_dot", "lrp"], 1e-3, None)
+
+
+class TestParserDefaults:
+    @pytest.mark.parametrize("command", ["explain", "eval-hybrid",
+                                         "eval-agreement"])
+    def test_method_flags_default_to_the_library_options(self, command):
+        args = build_parser().parse_args([command, "model.npz", "input"])
+        assert _options_from(args) == ExplainOptions()
+
+    def test_train_flags_default_to_the_library_config(self):
+        args = build_parser().parse_args(["train", "c.jsonl", "--out", "m"])
+        config = TrainConfig()
+        assert ((args.epochs, args.batch_size, args.lr)
+                == (config.epochs, config.batch_size, config.lr))
 
 
 class TestOptionValidation:

@@ -2,8 +2,11 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import textexplain as tx
+from textexplain.explain import explain_all
+from textexplain.explain.catalog import GRADIENT_METHODS, ExplainOptions
 from textexplain.models import _run, embed, embedding_gradients, \
     empty_sequence_scores, forward, forward_embedded, get_param, \
     init_params, load_checkpoint, param_names, save_checkpoint, sweep
@@ -355,3 +358,77 @@ class TestVocabulary:
         assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
         assert vocab.oov_id < len(vocab)
         assert {"x", "y", "z"} <= set(vocab.token_to_id)
+
+
+# ---------------------------------------------------------------------------
+# A GRU or LSTM without recurrent weights is a QRNN of kernel width 1
+# ---------------------------------------------------------------------------
+
+TWINS = [(rec, qrnn, direction)
+         for rec, qrnn in (("GRU", "QGRU"), ("LSTM", "QLSTM"))
+         for direction in ("uni", "bi")]
+TWIN_METHODS = GRADIENT_METHODS + ("lrp", "deeplift", "decomp")
+
+
+def width_one_twins(arch, qrnn, direction, seed):
+    """A random ``arch`` model with every U zeroed, and the ``qrnn`` model
+    of kernel width 1 with K = V[None] and the same biases, embedding and
+    classifier."""
+    rng = np.random.default_rng(seed)
+    p = rand_params(arch, seed=seed, d_hidden=6, direction=direction,
+                    scale=8.0)
+    q = init_params(qrnn, p.embedding.shape[0], p.d_embed,
+                    p.w_cls.shape[1], p.n_classes, SeededRng(0),
+                    direction=direction, kernel_width=1)
+    q.embedding, q.w_cls = p.embedding, p.w_cls
+    p.b_cls[:] = q.b_cls[:] = rng.uniform(-1, 1, p.n_classes)
+    for dname, w in p.layers.items():
+        for name in w:
+            if name[0] == "U":
+                w[name][:] = 0.0
+            elif name[0] == "b":
+                w[name][:] = rng.uniform(-1, 1, w[name].shape)
+        q.layers[dname] = {name: w["V" + name[1:]][None] if name[0] == "K"
+                           else w[name] for name in q.layers[dname]}
+    return p, q
+
+
+def assert_near(got, want, what):
+    """Equal within 1e-12 of ``want``'s peak."""
+    err = np.max(np.abs(got - want), initial=0.0)
+    assert err <= 1e-12 * np.max(np.abs(want), initial=0.0), (what, err)
+
+
+@pytest.mark.parametrize("arch, qrnn, direction", TWINS)
+@pytest.mark.parametrize("ragged", [False, True])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16))
+def test_recurrent_model_without_u_is_a_width_one_qrnn(arch, qrnn, direction,
+                                                       ragged, seed):
+    """Scores, sweep gradients (embeddings and the weights both models
+    have, V = K[0] and b) and every white-box map agree."""
+    p, q = width_one_twins(arch, qrnn, direction, seed)
+    rng = np.random.default_rng(seed)
+    embs = rng.normal(size=(4, 7, p.d_embed))
+    lengths = [7, 3, 1, 6] if ragged else None
+    dscores = rng.normal(size=(4, p.n_classes))
+    got = {}
+    for model in (p, q):
+        doc, scores, dirs = _run(model, embs, keep=True, lengths=lengths)
+        demb, grads = sweep(model, doc, dirs, dscores, param_grads=True)
+        got[model.arch] = scores, demb, grads
+    (s_p, e_p, g_p), (s_q, e_q, g_q) = got[arch], got[qrnn]
+    assert_near(s_q, s_p, "scores")
+    assert_near(e_q, e_p, "embedding gradients")
+    for name, g in g_q.items():
+        dname, wname = (name.split(".") if "." in name else ("", name))
+        shared = (g_p[f"{dname}.V{wname[1:]}"][None] if wname[0] == "K"
+                  else g_p[name])
+        assert_near(g, shared, name)
+
+    ids = list(rng.integers(0, p.embedding.shape[0], size=5))
+    k = int(rng.integers(0, p.n_classes))
+    opts = ExplainOptions(int_steps=6)
+    for m_p, m_q in zip(explain_all(TWIN_METHODS, p, ids, k, opts),
+                        explain_all(TWIN_METHODS, q, ids, k, opts)):
+        assert_near(m_q.scores, m_p.scores, m_p.method)
