@@ -277,6 +277,7 @@ def _explain_one(name, params, ids, k, opts, trace):
 
 def cmd_eval_hybrid(args) -> int:
     _check_methods(args.methods)
+    _check_writable(args.out)
     params = _load_model(args.checkpoint)
     docs = _read_corpus(args.corpus)
     sentences = []
@@ -298,6 +299,7 @@ def cmd_eval_hybrid(args) -> int:
 
 def cmd_eval_agreement(args) -> int:
     _check_methods(args.methods)
+    _check_writable(args.out)
     params = _load_model(args.checkpoint)
     try:
         with open(args.tsv, encoding="utf-8") as fh:

@@ -31,6 +31,14 @@ matmuls. The same sweep is the relevance pass of ε-LRP and DeepLIFT: a
 ``RelevanceRule`` swaps its local factors, so this module alone knows how
 gradients and relevance flow through each architecture.
 
+Every weight of a model is a view into one flat float64 vector
+(``NetworkParams.flat``): the embedding, the classifier and, per direction,
+a ``GateStack`` of the gates' input kernels, biases and U, each stacked in
+``_GATES`` order as the runner and the sweep read them. The per-gate arrays
+that checkpoints store by name (Vz, Uz, bz, ...) are views of the same
+memory; a parameter gradient is one vector in the same layout, and the
+trainer updates ``flat`` in place.
+
 Recurrences:
     GRU     h_t = z_t * h_{t-1} + (1 - z_t) * g_t,  g_t = tanh(V e_t + U (r_t * h_{t-1}) + b)
     LSTM    c_t = f_t * c_{t-1} + i_t * g_t,        h_t = o_t * tanh(c_t)
@@ -47,7 +55,9 @@ e_{t-k}.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -117,9 +127,7 @@ class Vocabulary:
 # Parameters
 # ---------------------------------------------------------------------------
 
-# Gate names per architecture, the candidate ("") last. Gate n has an input
-# kernel Kn, of width 1 for GRU and LSTM (stored as Vn, (d, d_e)), a bias bn
-# and, for GRU and LSTM, recurrent weights Un; the CNN is one candidate.
+# Gate names per architecture, the candidate ("") last
 _GATES = {
     "GRU": ("z", "r", ""),
     "LSTM": ("i", "f", "o", ""),
@@ -128,25 +136,84 @@ _GATES = {
     "CNN": ("",),
 }
 
-# weight names per architecture, per direction
-_LAYER_WEIGHTS = {
-    arch: tuple(w + n for n in gates for w in (
-        ("V", "U", "b") if arch in ("GRU", "LSTM") else ("K", "b")))
-    for arch, gates in _GATES.items()}
+
+class GateStack(NamedTuple):
+    """One direction's weights, gates stacked in ``_GATES`` order: the input
+    kernel (F, n·d, d_e), of width 1 for GRU and LSTM (their V), the bias
+    (n·d,) and, for GRU and LSTM, the recurrent weights U (n·d, d), else
+    None."""
+
+    kernel: np.ndarray
+    bias: np.ndarray
+    u: np.ndarray | None
 
 
-@dataclass
 class NetworkParams:
-    """Architecture tag plus every weight array of one classifier."""
+    """Architecture tag plus every weight of one classifier, as views into
+    one float64 vector ``flat`` laid out by the shapes alone: ``embedding``
+    (|V|, d_e), ``w_cls`` (K, d·n_dir), ``b_cls`` (K,), then per direction
+    its GateStack (``stacks``). ``layers[dname]`` views the same memory gate
+    by gate, by checkpoint name: Vn, Un and bn for a GRU or LSTM, Kn and bn
+    otherwise. A given ``flat`` (a gradient, say) gets the arrays laid over
+    it; by default they start at zero.
+    """
 
-    arch: str
-    direction: str                      # "uni" or "bi" (CNN is always uni)
-    embedding: np.ndarray               # (|V|, d_e)
-    layers: dict[str, dict[str, np.ndarray]]   # direction name -> weights
-    w_cls: np.ndarray                   # (K, d_h_total)
-    b_cls: np.ndarray                   # (K,)
-    kernel_width: int = 5
-    vocab: Vocabulary | None = None
+    def __init__(self, arch: str, direction: str, vocab_size: int,
+                 d_embed: int, d_hidden: int, n_classes: int,
+                 kernel_width: int = 5, vocab: Vocabulary | None = None,
+                 flat: np.ndarray | None = None):
+        if arch not in ARCHS:
+            raise ValueError(f"unknown architecture {arch!r}")
+        if arch == "CNN" and direction == "bi":
+            raise ValueError("CNN is unidirectional")
+        if kernel_width < 1 or kernel_width % 2 == 0:
+            raise ValueError("kernel width must be odd and positive")
+        self.arch, self.direction = arch, direction
+        self.kernel_width, self.vocab = kernel_width, vocab
+        names = _GATES[arch]
+        n, d = len(names), d_hidden
+        rec = arch in ("GRU", "LSTM")
+        shapes = [(vocab_size, d_embed), (n_classes, d * len(self.directions)),
+                  (n_classes,)]
+        for _ in self.directions:
+            shapes += [(1 if rec else kernel_width, n * d, d_embed), (n * d,)]
+            shapes += [(n * d, d)] if rec else []
+        ends = list(itertools.accumulate(map(math.prod, shapes)))
+        self.flat = np.zeros(ends[-1]) if flat is None else flat
+        blocks = iter([self.flat[end - math.prod(shape):end].reshape(shape)
+                       for shape, end in zip(shapes, ends)])
+        self.embedding, self.w_cls, self.b_cls = (
+            next(blocks), next(blocks), next(blocks))
+        self.stacks: dict[str, GateStack] = {}
+        self.layers: dict[str, dict[str, np.ndarray]] = {}
+        for dname in self.directions:
+            st = GateStack(next(blocks), next(blocks),
+                           next(blocks) if rec else None)
+            self.stacks[dname] = st
+            self.layers[dname] = w = {}
+            for j, gate in enumerate(names):
+                rows = slice(j * d, (j + 1) * d)
+                if rec:
+                    w["V" + gate] = st.kernel[0, rows]
+                    w["U" + gate] = st.u[rows]
+                else:
+                    w["K" + gate] = st.kernel[:, rows]
+                w["b" + gate] = st.bias[rows]
+
+    def like(self, flat: np.ndarray) -> "NetworkParams":
+        """The same layout over another flat vector (a gradient, say)."""
+        return NetworkParams(self.arch, self.direction, *self.embedding.shape,
+                             self.d_hidden, self.n_classes, self.kernel_width,
+                             self.vocab, flat)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every weight array by checkpoint name, per gate."""
+        out = {"embedding": self.embedding, "w_cls": self.w_cls,
+               "b_cls": self.b_cls}
+        for dname in self.directions:
+            for wname, arr in self.layers[dname].items():
+                out[f"layers/{dname}/{wname}"] = arr
+        return out
 
     @property
     def directions(self) -> tuple[str, ...]:
@@ -165,22 +232,6 @@ class NetworkParams:
     def n_classes(self) -> int:
         return self.b_cls.shape[0]
 
-    def validate(self) -> None:
-        if self.arch not in ARCHS:
-            raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.arch == "CNN" and self.direction == "bi":
-            raise ValueError("CNN is unidirectional")
-        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
-            raise ValueError("kernel width must be odd and positive")
-        d_h = self.d_hidden
-        if self.w_cls.shape != (self.n_classes, d_h * len(self.directions)):
-            raise ValueError("classifier shape inconsistent with hidden size")
-        for dname in self.directions:
-            got = set(self.layers[dname])
-            want = set(_LAYER_WEIGHTS[self.arch])
-            if got != want:
-                raise ValueError(f"layer weights {got} != expected {want}")
-
 
 def init_params(arch: str, vocab_size: int, d_embed: int, d_hidden: int,
                 n_classes: int, rng: SeededRng, direction: str = "uni",
@@ -189,42 +240,19 @@ def init_params(arch: str, vocab_size: int, d_embed: int, d_hidden: int,
     """Random uniform(-0.1, 0.1) weights, zero biases.
 
     ``d_hidden`` is the total document-representation width; bidirectional
-    models get half per direction.
+    models get half per direction. The weights are drawn per direction gate
+    by gate (kernel, then U), then the embedding, then ``w_cls``.
     """
-    if arch not in ARCHS:
-        raise ValueError(f"unknown architecture {arch!r}")
-    if direction == "bi":
-        if arch == "CNN":
-            raise ValueError("CNN is unidirectional")
-        if d_hidden % 2:
-            raise ValueError("bidirectional hidden size must be even")
-        d_dir = d_hidden // 2
-    else:
-        d_dir = d_hidden
-
-    def mat(*shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    shapes = {"V": (d_dir, d_embed), "U": (d_dir, d_dir),
-              "K": (kernel_width, d_dir, d_embed)}
-
-    def make_layer():
-        return {name: (np.zeros(d_dir) if name[0] == "b"
-                       else mat(*shapes[name[0]]))
-                for name in _LAYER_WEIGHTS[arch]}
-
-    layers = {dname: make_layer()
-              for dname in (("fwd", "bwd") if direction == "bi" else ("fwd",))}
     params = NetworkParams(
-        arch=arch, direction=direction,
-        embedding=mat(vocab_size, d_embed),
-        layers=layers,
-        w_cls=mat(n_classes, d_hidden),
-        b_cls=np.zeros(n_classes),
-        kernel_width=kernel_width,
-        vocab=vocab,
-    )
-    params.validate()
+        arch, direction, vocab_size, d_embed,
+        d_hidden // 2 if direction == "bi" else d_hidden, n_classes,
+        kernel_width, vocab)
+    if direction == "bi" and d_hidden % 2:
+        raise ValueError("bidirectional hidden size must be even")
+    drawn = [w for layer in params.layers.values()
+             for name, w in layer.items() if name[0] != "b"]
+    for w in drawn + [params.embedding, params.w_cls]:
+        w[...] = rng.uniform(-0.1, 0.1, size=w.shape)
     return params
 
 
@@ -322,19 +350,6 @@ def embed(params: NetworkParams, ids) -> np.ndarray:
     return params.embedding[np.asarray(ids, dtype=int)].copy()
 
 
-def _stacked(w: dict[str, np.ndarray], names) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None]:
-    """The weights of the gates ``names`` stacked in that order: the input
-    kernel (F, n·d, d_e), the bias (n·d,) and, for GRU and LSTM, the
-    recurrent weights U (n·d, d), else None. A recurrent model's V is a
-    kernel of width 1."""
-    bias = np.concatenate([w["b" + n] for n in names])
-    if "V" + names[0] not in w:
-        return np.concatenate([w["K" + n] for n in names], axis=1), bias, None
-    return (np.concatenate([w["V" + n] for n in names])[None], bias,
-            np.concatenate([w["U" + n] for n in names]))
-
-
 def _pad_left(arch: str, f: int) -> int:
     """Zero rows before the input of a width-F convolution: causal, or
     centered for the CNN."""
@@ -406,7 +421,7 @@ def _at_ends(state: np.ndarray, ends: dict[int, np.ndarray],
     return out
 
 
-def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
+def _run_direction(arch: str, w: GateStack, emb: np.ndarray,
                    keep: bool, lengths: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, DirectionTrace | None]:
     """Run one direction over a (B, T, d_e) batch.
@@ -417,9 +432,9 @@ def _run_direction(arch: str, w: dict[str, np.ndarray], emb: np.ndarray,
     DirectionTrace; otherwise only the running state is held.
     """
     b, t_len, _ = emb.shape
-    d = w["b"].shape[0]
     names = _GATES[arch]
-    kernel, bias, u = _stacked(w, names)
+    kernel, bias, u = w
+    d = len(bias) // len(names)
     if u is None:
         # the convolutions give every step's pre-activations at once
         pre = _conv(kernel, bias, emb, _pad_left(arch, kernel.shape[0]), d)
@@ -536,7 +551,7 @@ def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
             e_dir = embs[:, ::-1].copy()
         else:
             e_dir = embs[np.arange(b)[:, None], _reverse_index(lengths, t_len)]
-        last, tr = _run_direction(params.arch, params.layers[dname], e_dir,
+        last, tr = _run_direction(params.arch, params.stacks[dname], e_dir,
                                   keep, lengths)
         parts.append(last)
         if keep:
@@ -615,24 +630,6 @@ def empty_sequence_scores(params: NetworkParams) -> np.ndarray:
 # Exact gradients (one batched reverse sweep over the recorded trace)
 # ---------------------------------------------------------------------------
 
-def param_names(params: NetworkParams) -> list[str]:
-    names = ["w_cls", "b_cls"]
-    for dname in params.directions:
-        names += [f"{dname}.{w}" for w in _LAYER_WEIGHTS[params.arch]]
-    return names
-
-
-def get_param(params: NetworkParams, name: str) -> np.ndarray:
-    if name == "w_cls":
-        return params.w_cls
-    if name == "b_cls":
-        return params.b_cls
-    if name == "embedding":
-        return params.embedding
-    dname, wname = name.split(".")
-    return params.layers[dname][wname]
-
-
 def _conv_transpose(kernel: np.ndarray, dout: np.ndarray,
                     left: int) -> np.ndarray:
     """Transpose of ``_conv``: (B, T, d) output gradients of steps 1..T ->
@@ -658,15 +655,6 @@ def _conv_kernel_grad(dout: np.ndarray, emb: np.ndarray, f: int,
     g = dout.reshape(-1, d).T
     return np.stack([g @ padded[:, f - 1 - k:f - 1 - k + t_len].reshape(-1, d_e)
                      for k in range(f)])
-
-
-def _unstacked(names, kernel: np.ndarray, bias: np.ndarray,
-               u: np.ndarray | None) -> dict[str, np.ndarray]:
-    """The gradients of ``_stacked``'s kernel, bias and U, by weight name."""
-    parts = ([("K", kernel, 1)] if u is None
-             else [("V", kernel[0], 0), ("U", u, 0)]) + [("b", bias, 0)]
-    return {prefix + n: block for prefix, stacked, axis in parts
-            for n, block in zip(names, np.split(stacked, len(names), axis))}
 
 
 @dataclass(frozen=True)
@@ -732,22 +720,22 @@ def _local_factors(tr: DirectionTrace, rule: RelevanceRule | None,
         ratio(dc, dc)[:, :-1] if lstm else None)
 
 
-def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
-                     dh: np.ndarray, want_params: bool, fac: _Factors,
-                     ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+def _sweep_direction(arch: str, w: GateStack, tr: DirectionTrace,
+                     dh: np.ndarray, fac: _Factors,
+                     grad: GateStack | None = None) -> np.ndarray:
     """Reverse sweep of one direction of a batched trace.
 
     ``dh`` (B, d) is the gradient of the final hidden state (the pooled
     vector for the CNN), ``fac`` the local factors from ``_local_factors``.
     Returns the embedding gradients (B, T, d_e) in the direction's own order
-    and, when ``want_params``, the gradients of every weight in ``w`` summed
-    over the batch.
+    and writes the gradients of ``w``, summed over the batch, into ``grad``
+    when it is given.
     """
     emb = tr.emb
     b, t_len, _ = emb.shape
     d = dh.shape[1]
     names = _GATES[arch]
-    kernel, _, u = _stacked(w, names)
+    kernel, _, u = w
     h_prev = tr.hidden[:, :-1]
 
     if arch == "CNN":
@@ -855,59 +843,60 @@ def _sweep_direction(arch: str, w: dict[str, np.ndarray], tr: DirectionTrace,
 
     left = _pad_left(arch, kernel.shape[0])
     demb = _conv_transpose(kernel, d_pre, left)
-    if not want_params:
-        return demb, None
-    u_grad = None
+    if grad is None:
+        return demb
+    grad.kernel[...] = _conv_kernel_grad(d_pre, emb, kernel.shape[0], left)
+    grad.bias[...] = d_pre.sum(axis=(0, 1))
     if u is not None:
         # U is a width-1 kernel over h_{t-1}; a GRU's candidate sees r * h
-        u_grad = _conv_kernel_grad(d_pre[..., :len(u) if lstm else n_gate],
-                                   h_prev, 1, 0)[0]
+        into = len(u) if lstm else n_gate
+        grad.u[:into] = _conv_kernel_grad(d_pre[..., :into], h_prev, 1, 0)[0]
         if not lstm:
-            u_grad = np.concatenate([u_grad, _conv_kernel_grad(
-                d_pre[..., n_gate:], r * h_prev, 1, 0)[0]])
-    return demb, _unstacked(
-        names, _conv_kernel_grad(d_pre, emb, kernel.shape[0], left),
-        d_pre.sum(axis=(0, 1)), u_grad)
+            grad.u[n_gate:] = _conv_kernel_grad(d_pre[..., n_gate:],
+                                                r * h_prev, 1, 0)[0]
+    return demb
 
 
 def sweep(params: NetworkParams, doc: np.ndarray,
           dirs: dict[str, DirectionTrace], dscores: np.ndarray,
           param_grads: bool = False, rule: RelevanceRule | None = None,
-          ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+          ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one reverse sweep over a batched forward of ``_run(...,
     keep=True)``: exact gradients, or relevance under ``rule``.
 
     ``doc`` and ``dirs`` are that run's document representations and traces,
     ``dscores`` (B, K) the gradient of some function of each row's class
     scores. Returns the gradients of the input embeddings (B, T, d_e) and,
-    when ``param_grads``, a dict of every parameter's gradient (names as in
-    ``param_names``) summed over the batch; embedding rows are the caller's
-    to scatter. The padded positions of a ragged run get exactly zero. A
-    ``rule`` swaps the local factors of every step (see ``RelevanceRule``).
+    when ``param_grads``, every parameter's gradient summed over the batch,
+    as one vector in the layout of ``params.flat``; its embedding rows are
+    zero, the caller's to scatter. The padded positions of a ragged run get
+    exactly zero. A ``rule`` swaps the local factors of every step (see
+    ``RelevanceRule``).
     """
     ddoc = dscores @ params.w_cls
     d = params.d_hidden
-    grads = ({"w_cls": dscores.T @ doc, "b_cls": dscores.sum(axis=0)}
-             if param_grads else None)
+    grads = None
+    if param_grads:
+        grads = params.like(np.zeros_like(params.flat))
+        grads.w_cls[...] = dscores.T @ doc
+        grads.b_cls[...] = dscores.sum(axis=0)
     lengths = dirs["fwd"].lengths
     demb = 0.0
     for pos, dname in enumerate(params.directions):
         base = None if rule is None or rule.base is None else rule.base[dname]
         fac = _local_factors(dirs[dname], rule, base)
-        de, wg = _sweep_direction(params.arch, params.layers[dname],
-                                  dirs[dname], ddoc[:, pos * d:(pos + 1) * d],
-                                  param_grads, fac)
+        de = _sweep_direction(params.arch, params.stacks[dname], dirs[dname],
+                              ddoc[:, pos * d:(pos + 1) * d], fac,
+                              grads.stacks[dname] if grads else None)
         if dname == "bwd":
             de = (de[:, ::-1] if lengths is None else
                   de[np.arange(len(de))[:, None],
                      _reverse_index(lengths, de.shape[1])])
         demb = demb + de
-        if param_grads:
-            grads.update({f"{dname}.{n}": v for n, v in wg.items()})
     if lengths is not None:
         real = np.arange(demb.shape[1]) < lengths[:, None]
         demb = np.where(real[:, :, None], demb, 0.0)
-    return demb, grads
+    return demb, grads.flat if grads else None
 
 
 def output_gradients(params: NetworkParams, doc: np.ndarray,
@@ -964,17 +953,12 @@ def save_checkpoint(path, params: NetworkParams) -> None:
         "directions": list(params.directions),
         "vocab": params.vocab.to_dict() if params.vocab else None,
     }
-    arrays = {"embedding": params.embedding, "w_cls": params.w_cls,
-              "b_cls": params.b_cls}
-    for dname in params.directions:
-        for wname, arr in params.layers[dname].items():
-            arrays[f"layers/{dname}/{wname}"] = arr
-    np.savez(path, meta=np.asarray(json.dumps(meta)), **arrays)
+    np.savez(path, meta=np.asarray(json.dumps(meta)), **params.arrays())
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Read a checkpoint. A file that is not one, and a non-finite weight
-    array (by name), raise ValueError."""
+    """Read a checkpoint. A file that is not one, and a missing, mis-shaped,
+    unexpected or non-finite weight array (by name), raise ValueError."""
     try:
         data = np.load(path, allow_pickle=False)
     except (zipfile.BadZipFile, EOFError) as exc:
@@ -988,21 +972,33 @@ def load_checkpoint(path) -> NetworkParams:
             raise ValueError(f"{path}: not a checkpoint file")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version")
-        layers: dict[str, dict[str, np.ndarray]] = {}
-        for key in data.files:
-            if key.startswith("layers/"):
-                _, dname, wname = key.split("/")
-                layers.setdefault(dname, {})[wname] = data[key]
-        vocab = (Vocabulary.from_dict(meta["vocab"])
-                 if meta.get("vocab") else None)
-        params = NetworkParams(
-            arch=meta["arch"], direction=meta["direction"],
-            embedding=data["embedding"], layers=layers,
-            w_cls=data["w_cls"], b_cls=data["b_cls"],
-            kernel_width=int(meta["kernel_width"]), vocab=vocab,
-        )
-    params.validate()
-    for name in ["embedding"] + param_names(params):
-        if not np.all(np.isfinite(get_param(params, name))):
-            raise ValueError(f"{path}: non-finite values in {name}")
+        arrays = {key: data[key] for key in data.files if key != "meta"}
+    # the sizes come from the embedding, the classifier bias and the first
+    # direction's candidate bias; every array is then checked against them
+    sized = ("embedding", 2), ("b_cls", 1), ("layers/fwd/b", 1)
+    for key, ndim in sized:
+        if key not in arrays:
+            raise ValueError(f"{path}: missing array {key}")
+        if arrays[key].ndim != ndim:
+            raise ValueError(f"{path}: {key} must have {ndim} dimension(s), "
+                             f"got shape {arrays[key].shape}")
+    (n_vocab, d_embed), (n_classes,), (d_hidden,) = (
+        arrays[key].shape for key, _ in sized)
+    vocab = Vocabulary.from_dict(meta["vocab"]) if meta.get("vocab") else None
+    params = NetworkParams(meta["arch"], meta["direction"], n_vocab, d_embed,
+                           d_hidden, n_classes, int(meta["kernel_width"]),
+                           vocab)
+    want = params.arrays()
+    extra = sorted(arrays.keys() - want.keys())
+    if extra:
+        raise ValueError(f"{path}: unexpected array {extra[0]}")
+    for key, w in want.items():
+        if key not in arrays:
+            raise ValueError(f"{path}: missing array {key}")
+        if arrays[key].shape != w.shape:
+            raise ValueError(f"{path}: {key} has shape {arrays[key].shape}, "
+                             f"expected {w.shape}")
+        w[...] = arrays[key]
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"{path}: non-finite values in {key}")
     return params

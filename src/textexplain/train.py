@@ -2,9 +2,10 @@
 
 Each minibatch is one ragged batch: one forward trace and one exact reverse
 sweep (``models.sweep``) of d(loss)/d(scores) = softmax - one-hot per row
-give every parameter gradient summed over the batch, which is averaged. No
-dropout or learning-rate schedule; determinism comes from the seeded
-shuffle and fixed iteration order.
+give every parameter gradient summed over the batch, which is averaged.
+Adam is elementwise, so it updates ``params.flat``, the one vector every
+weight array views, in place. No dropout or learning-rate schedule;
+determinism comes from the seeded shuffle and fixed iteration order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NetworkParams, _run, get_param, param_names, sweep
+from .models import NetworkParams, _run, sweep
 from .numerics import SeededRng, softmax
 
 # Most cells (documents x padded length x width) one scoring chunk of
@@ -50,20 +51,17 @@ def _padded(params: NetworkParams, examples) -> tuple[np.ndarray,
 
 
 def minibatch_grads(params: NetworkParams,
-                    examples: list[tuple[list[int], int]],
-                    ) -> dict[str, np.ndarray]:
-    """Crossentropy gradients of every parameter (names as in
-    ``param_names`` plus a dense ``"embedding"``), summed over the examples
-    of one minibatch: one ragged forward and one reverse sweep."""
+                    examples: list[tuple[list[int], int]]) -> np.ndarray:
+    """Crossentropy gradient of every weight, in the layout of
+    ``params.flat`` and summed over the examples of one minibatch: one
+    ragged forward and one reverse sweep."""
     ids, embs, lengths = _padded(params, examples)
     doc, scores, dirs = _run(params, embs, keep=True, lengths=lengths)
     dscores = softmax(scores)
     dscores[np.arange(len(examples)), [label for _, label in examples]] -= 1.0
     demb, grads = sweep(params, doc, dirs, dscores, param_grads=True)
     real = np.arange(ids.shape[1]) < lengths[:, None]
-    emb_grad = np.zeros_like(params.embedding)
-    np.add.at(emb_grad, ids[real], demb[real])
-    grads["embedding"] = emb_grad
+    np.add.at(params.like(grads).embedding, ids[real], demb[real])
     return grads
 
 
@@ -80,11 +78,7 @@ def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
         if not 0 <= label < n_classes:
             raise ValueError(f"label {label} out of range [0, {n_classes})")
 
-    # Adam runs elementwise, so every parameter is updated as one flat vector
-    names = param_names(params) + ["embedding"]
-    arrays = [get_param(params, n) for n in names]
-    splits = np.cumsum([a.size for a in arrays])[:-1]
-    m = np.zeros(splits[-1] + arrays[-1].size)
+    m = np.zeros_like(params.flat)
     v = np.zeros_like(m)
     step = 0
     rng = SeededRng(config.seed)
@@ -94,16 +88,14 @@ def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads = minibatch_grads(params, [corpus[idx] for idx in batch])
+            examples = [corpus[idx] for idx in batch]
             step += 1
-            g = np.concatenate([grads[n].ravel() for n in names]) / len(batch)
+            g = minibatch_grads(params, examples) / len(batch)
             m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
             m_hat = m / (1 - ADAM_BETA1 ** step)
             v_hat = v / (1 - ADAM_BETA2 ** step)
-            update = config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            for a, u in zip(arrays, np.split(update, splits)):
-                a -= u.reshape(a.shape)
+            params.flat -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
 
 

@@ -15,8 +15,7 @@ from textexplain.explain.gradient import integrated_gradients
 from textexplain.explain.limsse import _substring_responses
 from textexplain.explain.perturb import PerturbConfig, perturb_explain
 from textexplain.models import RelevanceRule, _run, embed, \
-    embedding_gradients, forward, forward_embedded, get_param, param_names, \
-    score_batch, sweep
+    embedding_gradients, forward, forward_embedded, score_batch, sweep
 from textexplain.numerics import SeededRng, softmax
 from textexplain.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig, \
     train
@@ -83,17 +82,14 @@ def test_sweep_row_is_its_single_input_sweep(arch_dir, seed, t_len, batch):
     dscores = np.random.default_rng(seed).normal(size=(batch, p.n_classes))
     doc, _, dirs = _run(p, embs, keep=True)
     demb, grads = sweep(p, doc, dirs, dscores, param_grads=True)
-    total = {}
+    total = np.zeros_like(grads)
     for b in range(batch):
         doc, _, dirs = _run(p, embs[b:b + 1], keep=True)
         one, one_grads = sweep(p, doc, dirs, dscores[b:b + 1],
                                param_grads=True)
         np.testing.assert_allclose(demb[b], one[0], rtol=0, atol=1e-12)
-        for name, g in one_grads.items():
-            total[name] = total.get(name, 0.0) + g
-    assert set(total) == set(grads)
-    for name, g in grads.items():
-        np.testing.assert_allclose(g, total[name], rtol=0, atol=1e-12)
+        total += one_grads
+    np.testing.assert_allclose(grads, total, rtol=0, atol=1e-12)
 
 
 def ragged_stack(p, lengths, seed, fill):
@@ -124,7 +120,7 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
     np.testing.assert_allclose(
         _run(p, embs, keep=False, lengths=lengths)[1], scores, rtol=0,
         atol=1e-12)
-    total = {}
+    total = np.zeros_like(grads)
     for b, t_len in enumerate(lengths):
         one_doc, one_scores, one_dirs = _run(p, embs[b:b + 1, :t_len],
                                              keep=True)
@@ -141,11 +137,8 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
                 np.testing.assert_allclose(getattr(row, field),
                                            getattr(want, field), rtol=0,
                                            atol=1e-12)
-        for name, g in one_grads.items():
-            total[name] = total.get(name, 0.0) + g
-    assert set(total) == set(grads)
-    for name, g in grads.items():
-        np.testing.assert_allclose(g, total[name], rtol=0, atol=1e-12)
+        total += one_grads
+    np.testing.assert_allclose(grads, total, rtol=0, atol=1e-12)
 
     noise = np.random.default_rng(seed + 1).normal(scale=50.0,
                                                    size=embs.shape)
@@ -154,8 +147,7 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
     demb2, grads2 = sweep(p, doc2, dirs2, dscores, param_grads=True)
     np.testing.assert_array_equal(scores2, scores)
     np.testing.assert_array_equal(demb2, demb)
-    for name, g in grads.items():
-        np.testing.assert_array_equal(grads2[name], g)
+    np.testing.assert_array_equal(grads2, grads)
 
 
 @pytest.mark.parametrize("arch_dir", MODELS, ids=MODEL_IDS)
@@ -187,11 +179,20 @@ def test_ragged_rule_sweep_rows_are_their_single_input_sweeps(
         assert np.all(demb[b, t_len:] == 0.0)
 
 
+def by_name(p):
+    """Every weight array of ``p``, keyed by name, gate by gate."""
+    named = {"embedding": p.embedding, "w_cls": p.w_cls, "b_cls": p.b_cls}
+    for dname, layer in p.layers.items():
+        named.update({f"{dname}.{wname}": w for wname, w in layer.items()})
+    return named
+
+
 def oracle_train(p, corpus, config):
-    """Adam over per-example B = 1 sweeps, summed in example order."""
-    names = param_names(p) + ["embedding"]
-    m = {n: np.zeros_like(get_param(p, n)) for n in names}
-    v = {n: np.zeros_like(get_param(p, n)) for n in names}
+    """Adam over per-example B = 1 sweeps, summed in example order, name by
+    name on the per-gate arrays."""
+    params = by_name(p)
+    m = {n: np.zeros_like(w) for n, w in params.items()}
+    v = {n: np.zeros_like(w) for n, w in params.items()}
     rng = SeededRng(config.seed)
     order = list(range(len(corpus)))
     step = 0
@@ -199,7 +200,7 @@ def oracle_train(p, corpus, config):
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            acc = {n: np.zeros_like(get_param(p, n)) for n in names}
+            acc = {n: np.zeros_like(w) for n, w in params.items()}
             for idx in batch:
                 ids, label = corpus[idx]
                 doc, scores, dirs = _run(p, embed(p, ids)[None], keep=True)
@@ -207,17 +208,17 @@ def oracle_train(p, corpus, config):
                 dscores[0, label] -= 1.0
                 demb, grads = sweep(p, doc, dirs, dscores, param_grads=True)
                 np.add.at(acc["embedding"], ids, demb[0])
-                for name, g in grads.items():
-                    acc[name] += g
+                for name, g in by_name(p.like(grads)).items():
+                    if name != "embedding":
+                        acc[name] += g
             step += 1
-            for name in names:
+            for name, w in params.items():
                 g = acc[name] / len(batch)
                 m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
                 v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g * g
                 m_hat = m[name] / (1 - ADAM_BETA1 ** step)
                 v_hat = v[name] / (1 - ADAM_BETA2 ** step)
-                get_param(p, name)[...] -= (
-                    config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+                w -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return p
 
 
@@ -232,9 +233,9 @@ def test_train_matches_per_example_oracle(arch_dir, seed):
     config = TrainConfig(epochs=2, lr=0.01, batch_size=4, seed=seed)
     got = train(model(arch_dir, seed), corpus, config)
     want = oracle_train(model(arch_dir, seed), corpus, config)
-    for name in param_names(want) + ["embedding"]:
-        w = get_param(want, name)
-        np.testing.assert_allclose(get_param(got, name), w, rtol=0,
+    got = by_name(got)
+    for name, w in by_name(want).items():
+        np.testing.assert_allclose(got[name], w, rtol=0,
                                    atol=1e-12 * np.abs(w).max(),
                                    err_msg=name)
 

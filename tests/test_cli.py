@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from textexplain import cli
 from textexplain.cli import _options_from, build_parser, main
 from textexplain.explain import METHOD_NAMES, ExplainOptions, explain
-from textexplain.models import forward, load_checkpoint, save_checkpoint
+from textexplain.models import Vocabulary, forward, init_params, \
+    load_checkpoint, save_checkpoint
 from textexplain.numerics import SeededRng
 from textexplain.train import TrainConfig
 
@@ -484,6 +486,61 @@ class TestDataErrors:
         assert main(argv + [flag, bad]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and bad in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, runner", [
+        ("eval-hybrid", "run_hybrid_eval"),
+        ("eval-agreement", "run_agreement_eval")])
+    def test_unwritable_report_scores_nothing(self, trained_checkpoint,
+                                              tmp_path, capsys, monkeypatch,
+                                              command, runner):
+        """The evaluations check --out before the first document."""
+        _, corpus, ckpt = trained_checkpoint
+        scored = []
+        monkeypatch.setattr(cli, runner, lambda *a, **k: scored.append(a))
+        tsv = tmp_path / "agree.tsv"
+        tsv.write_text("w1 w2 yes\tNN DT VBZ\t1\tSg\n")
+        data = corpus if command == "eval-hybrid" else tsv
+        bad = str(tmp_path / "missing" / "x.tsv")
+        assert main([command, str(ckpt), str(data), "--methods", "lrp",
+                     "--out", bad]) == 2
+        assert scored == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and bad in err
+
+    @pytest.mark.parametrize("arch, direction, key, edit", [
+        ("QLSTM", "uni", "layers/fwd/Ki", lambda w: w[:, :2]),
+        ("CNN", "uni", "layers/fwd/K", lambda w: w[:3]),
+        ("GRU", "uni", "layers/fwd/Uz", lambda w: w[:3, :3]),
+        ("LSTM", "bi", "layers/bwd/Vi", None),
+    ], ids=["qlstm-gate-rows", "cnn-kernel-width", "gru-u-shape",
+            "lstm-bi-no-bwd"])
+    def test_mis_shaped_or_missing_weight(self, trained_checkpoint, tmp_path,
+                                          capsys, arch, direction, key, edit):
+        """A weight whose shape disagrees with the model the other arrays
+        and the metadata describe (a CNN kernel of width 3 under
+        kernel_width 5, say), or a missing one (every layers/bwd/* of a
+        bidirectional LSTM), is a data error naming the array."""
+        _, corpus, _ = trained_checkpoint
+        vocab = Vocabulary.build([["yes", "no"]])
+        good = tmp_path / "good.npz"
+        save_checkpoint(good, init_params(arch, len(vocab), 4, 8, 2,
+                                          SeededRng(0), direction=direction,
+                                          vocab=vocab))
+        with np.load(good) as data:
+            arrays = dict(data)
+        if edit is None:
+            arrays = {k: a for k, a in arrays.items()
+                      if not k.startswith("layers/bwd/")}
+        else:
+            arrays[key] = edit(arrays[key])
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        rc = main(["explain", str(bad), str(corpus), "--methods",
+                   "grad1_s_dot"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err and "bad.npz" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("labels, missing", [

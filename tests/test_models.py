@@ -8,8 +8,8 @@ import textexplain as tx
 from textexplain.explain import explain_all
 from textexplain.explain.catalog import GRADIENT_METHODS, ExplainOptions
 from textexplain.models import _run, embed, embedding_gradients, \
-    empty_sequence_scores, forward, forward_embedded, get_param, \
-    init_params, load_checkpoint, param_names, save_checkpoint, sweep
+    empty_sequence_scores, forward, forward_embedded, init_params, \
+    load_checkpoint, save_checkpoint, sweep
 from textexplain.numerics import SeededRng
 from textexplain.train import TrainConfig, minibatch_grads, train
 
@@ -145,8 +145,9 @@ class TestBidirectional:
 
         def uni_from(layer):
             q = tx.init_params(arch, 20, p.d_embed, d, 2, SeededRng(0))
-            q.layers["fwd"] = layer
-            q.embedding = p.embedding
+            for name, w in q.layers["fwd"].items():
+                w[...] = layer[name]
+            q.embedding[...] = p.embedding
             return q
 
         fwd_tr = forward(uni_from(p.layers["fwd"]), ids)
@@ -165,7 +166,7 @@ class TestGradients:
         doc, _, dirs = _run(p, embed(p, [1, 2, 3])[None], keep=True)
         _, grads = sweep(p, doc, dirs, np.array([[0.0, 0.0, 1.0]]),
                          param_grads=True)
-        np.testing.assert_array_equal(grads["b_cls"], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(p.like(grads).b_cls, [0.0, 0.0, 1.0])
 
     def test_constant_model_zero_gradients(self):
         p = rand_params("LSTM", scale=3.0)
@@ -186,35 +187,34 @@ class TestGradients:
         assert rel.max() < 1e-4
 
     def test_parameter_gradients_finite_difference(self):
-        """Crossentropy gradients of a one-example minibatch, for every
-        entry of every parameter array, the embedding included, match
-        central differences on all five architectures, uni and bi. Token 1
-        occurs twice, so its embedding row must accumulate both
-        occurrences."""
+        """The crossentropy gradient of a one-example minibatch, one flat
+        vector in the layout of ``params.flat``, matches central differences
+        in every entry, the embedding included, on all five architectures,
+        uni and bi. Token 1 occurs twice, so its embedding row must
+        accumulate both occurrences."""
         ids = [1, 2, 1, 3]
         step = 1e-6
         for seed, (arch, direction) in enumerate(MODELS):
             p = rand_params(arch, seed=seed, d_embed=3, d_hidden=4,
                             scale=3.0, direction=direction, kernel_width=3)
             grads = minibatch_grads(p, [(ids, 1)])
-            assert set(grads) == set(param_names(p)) | {"embedding"}
+            assert grads.shape == p.flat.shape
 
             def loss():
                 return -np.log(forward(p, ids).probs[1])
 
-            for name, g in grads.items():
-                w = get_param(p, name)
-                fd = np.zeros_like(w)
-                for idx in np.ndindex(w.shape):
-                    orig = w[idx]
-                    w[idx] = orig + step
-                    up = loss()
-                    w[idx] = orig - step
-                    down = loss()
-                    w[idx] = orig
-                    fd[idx] = (up - down) / (2 * step)
+            fd = np.zeros_like(p.flat)
+            for idx, orig in enumerate(p.flat.tolist()):
+                p.flat[idx] = orig + step
+                up = loss()
+                p.flat[idx] = orig - step
+                down = loss()
+                p.flat[idx] = orig
+                fd[idx] = (up - down) / (2 * step)
+            fd_named = p.like(fd).arrays()
+            for name, g in p.like(grads).arrays().items():
                 np.testing.assert_allclose(
-                    g, fd, rtol=1e-5, atol=1e-8,
+                    g, fd_named[name], rtol=1e-5, atol=1e-8,
                     err_msg=f"{arch}-{direction} {name}")
 
     def test_cnn_tied_pooling_routes_to_lowest_step(self):
@@ -380,7 +380,7 @@ def width_one_twins(arch, qrnn, direction, seed):
     q = init_params(qrnn, p.embedding.shape[0], p.d_embed,
                     p.w_cls.shape[1], p.n_classes, SeededRng(0),
                     direction=direction, kernel_width=1)
-    q.embedding, q.w_cls = p.embedding, p.w_cls
+    q.embedding[...], q.w_cls[...] = p.embedding, p.w_cls
     p.b_cls[:] = q.b_cls[:] = rng.uniform(-1, 1, p.n_classes)
     for dname, w in p.layers.items():
         for name in w:
@@ -388,8 +388,8 @@ def width_one_twins(arch, qrnn, direction, seed):
                 w[name][:] = 0.0
             elif name[0] == "b":
                 w[name][:] = rng.uniform(-1, 1, w[name].shape)
-        q.layers[dname] = {name: w["V" + name[1:]][None] if name[0] == "K"
-                           else w[name] for name in q.layers[dname]}
+        for name, k in q.layers[dname].items():
+            k[...] = w["V" + name[1:]][None] if name[0] == "K" else w[name]
     return p, q
 
 
@@ -416,13 +416,13 @@ def test_recurrent_model_without_u_is_a_width_one_qrnn(arch, qrnn, direction,
     for model in (p, q):
         doc, scores, dirs = _run(model, embs, keep=True, lengths=lengths)
         demb, grads = sweep(model, doc, dirs, dscores, param_grads=True)
-        got[model.arch] = scores, demb, grads
+        got[model.arch] = scores, demb, model.like(grads).arrays()
     (s_p, e_p, g_p), (s_q, e_q, g_q) = got[arch], got[qrnn]
     assert_near(s_q, s_p, "scores")
     assert_near(e_q, e_p, "embedding gradients")
     for name, g in g_q.items():
-        dname, wname = (name.split(".") if "." in name else ("", name))
-        shared = (g_p[f"{dname}.V{wname[1:]}"][None] if wname[0] == "K"
+        head, _, wname = name.rpartition("/")
+        shared = (g_p[f"{head}/V{wname[1:]}"][None] if wname[0] == "K"
                   else g_p[name])
         assert_near(g, shared, name)
 
