@@ -15,7 +15,8 @@ Two paradigms:
 Both run one white-box pass per document: ``document_trace`` runs the
 document beside every baseline and interpolation row the asked methods
 read, its row 0 gives the prediction, and ``explain_all`` computes every
-method's map from it with one exact-gradient sweep and one rule sweep.
+method's map from it with one sweep, whose trailing rows carry the
+relevance rules.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Name-keyed dispatch over the full catalog of explanation methods.
 
 The white-box methods of one (document, model) share one pass: one forward
-and two sweeps. ``document_trace`` runs the forward over every row the
+and one sweep. ``document_trace`` runs the forward over every row the
 asked methods read: the document (row 0, whose scores give the
 prediction), DeepLIFT's all-zero input, and the integrated-gradient inputs.
-``explain_all`` then runs one exact-gradient sweep for the gradient methods
-and one rule sweep for LRP and DeepLIFT (``gradient.white_box_pass``), and
-decomposition reads row 0 alone. Perturbation and LIMSSE score inputs of
-their own.
+``explain_all`` then runs one sweep (``gradient.white_box_pass``) whose
+rows give exact gradients for the gradient methods and, under a relevance
+rule in the trailing rows, LRP and DeepLIFT; decomposition reads row 0
+alone. Perturbation and LIMSSE score inputs of their own.
 
 ``explain_all`` takes the trace as an optional argument; with none it starts
 from ``forward(params, ids)``, and any row its trace lacks (a plain forward

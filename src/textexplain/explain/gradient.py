@@ -8,15 +8,19 @@ The gradient methods are {plain, integrated} x {score, prob} x {L2, dot}.
 * one forward over a stack of rows: row 0 is the document, then the
   all-zero input if DeepLIFT is asked, then the integrated-gradient inputs
   (m/M) E, m = 1..M-1 (row 0 is the m = M input, since 1.0 * E == E);
-* one exact sweep over the rows, gathered with repeats, that some method
-  needs: one per (row, output s_k or p_k);
-* one rule sweep (``models.RelevanceRule``) with one row per relevance
-  method: DeepLIFT's reference is the all-zero input's row, LRP's an
-  all-zero activation trace (ε-LRP is DeepLIFT-Rescale against it).
+* one sweep over the rows, gathered with repeats, that some method needs:
+  exact gradients for one row per (row, output s_k or p_k), then one row
+  of the document per relevance method under a ``models.RelevanceRule``
+  that governs those trailing rows alone. DeepLIFT's reference is the
+  all-zero input's row, LRP's an all-zero activation trace (ε-LRP is
+  DeepLIFT-Rescale against it).
 
-``forward_rows`` runs the forward and ``white_box_pass`` the sweeps; rows
-its trace lacks run in further batches. Integrated-gradient rows past
-``IG_BATCH_CELLS`` always do, so that no batch's trace exceeds a few MB.
+``forward_rows`` runs the forward and ``white_box_pass`` the sweep; rows
+its trace lacks run in further batches, each with one sweep of its own.
+Integrated-gradient rows past ``IG_BATCH_CELLS`` always do, so that no
+batch's trace exceeds a few MB. The relevance rows ride in the first
+batch's sweep: if the trace lacks DeepLIFT's all-zero row, the further
+batch that holds it runs its forward first.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import ForwardTrace, NetworkParams, RelevanceRule, _run, \
-    embed, forward, forward_embedded, output_gradients, scaled_rows, sweep
+from ..models import DirectionStack, ForwardTrace, NetworkParams, \
+    RelevanceRule, _run, embed, forward, forward_embedded, output_seeds, \
+    scaled_rows, sweep
 from ..numerics import esign
 from ..relevance import RelevanceMap
 
@@ -103,7 +108,8 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
     * ``"lrp"`` and ``"deeplift"``: the (T,) relevance e_t · demb_t.
 
     Needed rows the trace lacks run in batches of their own, each followed
-    by its own exact sweep. The arguments must pass ``check_white_box``.
+    by its own sweep; the relevance rows ride in the trace's. The arguments
+    must pass ``check_white_box``.
     """
     emb = trace.embeddings
     averaged = {n.split("_")[1] for n in names if n.startswith("gradint_")}
@@ -118,25 +124,31 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
         ([0.0] if "deeplift" in rules else [])
         + [a for scales in need.values() for a in scales]) if a not in have]
     size = _batch_rows(params, len(emb))
+    chunks = [missing[lo:lo + size] for lo in range(0, len(missing), size)]
+
+    def run(scales):
+        return _run(params, scaled_rows(emb, scales), keep=True) + (scales,)
+
+    own = (trace.batch_doc, trace.batch_scores, trace.batch_dirs,
+           trace.scales)
+    # a missing all-zero row leads the first further batch, run ahead
+    ahead = run(chunks[0]) if "deeplift" in rules and 0.0 not in have \
+        else None
+    if rules:
+        base, seeds = _rule_rows(params, trace, k, rules, eps, ahead or own)
 
     def batches():
-        yield (trace.batch_doc, trace.batch_scores, trace.batch_dirs,
-               trace.scales)
-        for lo in range(0, len(missing), size):
-            scales = missing[lo:lo + size]
-            yield _run(params, scaled_rows(emb, scales), keep=True) + (scales,)
+        yield own
+        for i, scales in enumerate(chunks):
+            yield ahead if i == 0 and ahead else run(scales)
 
     at_one = {}                         # output -> gradient of the document
     sums = {}                           # output -> sum over m < M
-    zero = None
-    for doc, scores, dirs, scales in batches():
+    out = {}
+    for i, (_, scores, dirs, scales) in enumerate(batches()):
         row = {}
         for b, a in enumerate(scales):
             row.setdefault(a, b)
-        if "deeplift" in rules and zero is None and 0.0 in row:
-            # DeepLIFT's reference traces, one row per rule
-            zero = scores[row[0.0], k], {
-                n: tr.take([row[0.0]] * len(rules)) for n, tr in dirs.items()}
         rows, outs, spans = [], [], []
         for output, scales in need.items():
             here = [a for a in scales if a in row]
@@ -144,12 +156,20 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
                           1.0 in here))
             rows += [row[a] for a in here]
             outs += [output] * len(here)
-        if not rows:
+        ride = bool(rules) and i == 0
+        if not rows and not ride:
             continue
-        rows = np.array(rows)
-        demb = output_gradients(params, doc[rows], scores[rows],
-                                {n: tr.take(rows) for n, tr in dirs.items()},
-                                k, outs)
+        dscores = output_seeds(scores[rows], k, outs)
+        rule = None
+        if ride:
+            # the document (row 0) once per relevance method, last
+            rule = RelevanceRule(eps, base, first=len(rows))
+            dscores = np.concatenate([dscores, seeds])
+            rows += [0] * len(rules)
+        demb = sweep(params, None, dirs.take(rows), dscores, rule=rule)[0]
+        if rule:
+            out.update((r, (emb * d).sum(axis=1))
+                       for r, d in zip(rules, demb[rule.first:]))
         for output, lo, hi, last_is_one in spans:
             if last_is_one:
                 hi -= 1
@@ -159,38 +179,35 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
                 sums[output] = part if output not in sums \
                     else sums[output] + part
 
-    out = {f"grad1_{o}": at_one[o] for o in need}
+    out.update((f"grad1_{o}", at_one[o]) for o in need)
     for o in averaged:
         total = at_one[o] if o not in sums else sums[o] + at_one[o]
         out[f"gradint_{o}"] = total / steps
-    if rules:
-        out.update(zip(rules, _rule_relevance(params, trace, k, rules, eps,
-                                              zero)))
     return out
 
 
-def _rule_relevance(params: NetworkParams, trace: ForwardTrace, k: int,
-                    rules: list[str], eps: float, zero) -> list[np.ndarray]:
-    """One rule sweep with a row of the document per rule; ``zero`` is the
-    all-zero input's (s_k, direction traces of a row per rule) when DeepLIFT
-    is asked."""
+def _rule_rows(params: NetworkParams, trace: ForwardTrace, k: int,
+               rules: list[str], eps: float,
+               batch) -> tuple[DirectionStack, np.ndarray]:
+    """The reference traces of the relevance rows, one row per rule in
+    ``rules``, and their seeds d(root)/d(scores). ``batch`` (doc, scores,
+    traces, scales) holds the all-zero input's row when DeepLIFT is
+    asked."""
+    _, scores, dirs, scales = batch
     n = len(rules)
-    roots = np.array([trace.scores[k] - (zero[0] if r == "deeplift" else 0.0)
-                      for r in rules])
-    dscores = np.zeros((n, params.n_classes))
-    dscores[:, k] = roots / (roots + esign(roots, eps))
-    lrp_rows = [r == "lrp" for r in rules]
-    base = {}
-    for dname, tr in trace.batch_dirs.items():
-        ref = tr.take([0] * n) if zero is None else zero[1][dname]
-        for a in (ref.hidden, ref.cand, ref.preact, ref.cell):
+    zero = scales.index(0.0) if "deeplift" in rules else None
+    roots = np.array([trace.scores[k] - (scores[zero, k] if r == "deeplift"
+                                         else 0.0) for r in rules])
+    seeds = np.zeros((n, params.n_classes))
+    seeds[:, k] = roots / (roots + esign(roots, eps))
+    base = (dirs.take([zero] * n) if zero is not None
+            else trace.batch_dirs.take([0] * n))
+    if "lrp" in rules:
+        lrp, st = rules.index("lrp"), base.stack
+        for a in (st.hidden, st.cand, st.preact, st.cell):
             if a is not None:
-                a[lrp_rows] = 0.0
-        base[dname] = ref
-    dirs = {dname: tr.take([0] * n) for dname, tr in trace.batch_dirs.items()}
-    demb, _ = sweep(params, trace.batch_doc[[0] * n], dirs, dscores,
-                    rule=RelevanceRule(eps, base))
-    return [(trace.embeddings * d).sum(axis=1) for d in demb]
+                a[:, lrp] = 0.0
+    return base, seeds
 
 
 def integrated_gradients(params: NetworkParams, ids, output: str, k: int,

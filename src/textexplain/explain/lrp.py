@@ -12,9 +12,10 @@ and replaces activations by their differences from the baseline forward pass
 (gates stay at their actual-input values).
 
 Both are rules of the one reverse sweep (``models.sweep`` with a
-``RelevanceRule``), run by the white-box pass of ``explain.gradient``: one
-rule sweep serves both methods, over the document's trace, whose all-zero
-row is the baseline. These one-method entry points start from
+``RelevanceRule``), run by the white-box pass of ``explain.gradient``: each
+method is one row of the document in the pass's one sweep, beside the
+exact-gradient rows of the gradient methods, and the document's all-zero
+row is DeepLIFT's baseline. These one-method entry points start from
 ``forward(params, ids)``, whose trace lacks the baseline row, so DeepLIFT
 gets it from one more forward run.
 """

@@ -7,9 +7,12 @@ a GRU or LSTM is taken as a QRNN whose input kernel (its V) has width 1, plus
 recurrent weights U; ``_GATES`` names every model's gates once. The four gated
 models share one batch-first runner and the CNN has a branch of its own: a
 (B, T, d_e) stack of inputs steps with (B, d) matmuls, and a convolution is
-one matmul per kernel slice and gate over the whole batch. The stack may be
-ragged: right-padded rows with their own ``lengths``, each read out at its
-own last step (training minibatches and corpus scoring use this).
+one matmul per kernel slice and gate over the whole batch. A bidirectional
+model's two directions step together: the runner carries a leading
+direction axis (D = 1 or 2), so each step makes one stacked matmul per
+product, a gemm per direction. The stack may be ragged: right-padded rows
+with their own ``lengths``, each read out at its own last step (training
+minibatches and corpus scoring use this).
 ``forward_embedded`` runs one document, optionally beside scaled copies of it
 (the baselines and interpolation points of the white-box explainers), and
 records every intermediate quantity (gates, pre-activations, cell/hidden
@@ -22,22 +25,25 @@ and returns the class scores of every row; the black-box explainers score
 their inputs with it in equal-length buckets.
 
 Exact gradients come from one reverse sweep over a batched trace (``sweep``),
-with the same two branches: given d(scores) (B, K) it returns d(embeddings)
-(B, T, d_e) and, for training, every parameter gradient summed over the
-batch. A GRU or LSTM steps back over t with (B, d) matmuls through U; a QRNN
-carries its pooled state's gradient back alone and then forms every
-pre-activation gradient at once; convolutions are transposed as F shifted
-matmuls. The same sweep is the relevance pass of ε-LRP and DeepLIFT: a
-``RelevanceRule`` swaps its local factors, so this module alone knows how
+with the same two branches and the same direction axis: given d(scores)
+(B, K) it returns d(embeddings) (B, T, d_e) and, for training, every
+parameter gradient summed over the batch. A GRU or LSTM steps back over t
+with (B, d) matmuls through U; a QRNN carries its pooled state's gradient
+back alone and then forms every pre-activation gradient at once;
+convolutions are transposed as F shifted matmuls. The same sweep is the
+relevance pass of ε-LRP and DeepLIFT: a ``RelevanceRule`` swaps its local
+factors in the trailing rows it governs, so one sweep can give exact
+gradients and relevance side by side, and this module alone knows how
 gradients and relevance flow through each architecture.
 
 Every weight of a model is a view into one flat float64 vector
 (``NetworkParams.flat``): the embedding, the classifier and, per direction,
 a ``GateStack`` of the gates' input kernels, biases and U, each stacked in
-``_GATES`` order as the runner and the sweep read them. The per-gate arrays
-that checkpoints store by name (Vz, Uz, bz, ...) are views of the same
-memory; a parameter gradient is one vector in the same layout, and the
-trainer updates ``flat`` in place.
+``_GATES`` order; ``dir_stack`` views the directions' blocks at once, as
+the runner and the sweep read them. The per-gate arrays that checkpoints
+store by name (Vz, Uz, bz, ...) are views of the same memory; a parameter
+gradient is one vector in the same layout, and the trainer updates ``flat``
+in place.
 
 Recurrences:
     GRU     h_t = z_t * h_{t-1} + (1 - z_t) * g_t,  g_t = tanh(V e_t + U (r_t * h_{t-1}) + b)
@@ -59,6 +65,7 @@ import itertools
 import json
 import math
 import zipfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -152,10 +159,15 @@ class NetworkParams:
     """Architecture tag plus every weight of one classifier, as views into
     one float64 vector ``flat`` laid out by the shapes alone: ``embedding``
     (|V|, d_e), ``w_cls`` (K, d·n_dir), ``b_cls`` (K,), then per direction
-    its GateStack (``stacks``). ``layers[dname]`` views the same memory gate
-    by gate, by checkpoint name: Vn, Un and bn for a GRU or LSTM, Kn and bn
-    otherwise. A given ``flat`` (a gradient, say) gets the arrays laid over
-    it; by default they start at zero.
+    its GateStack (``stacks``). The direction blocks are consecutive and
+    equal in size, so ``dir_stack`` views them all at once: a GateStack
+    whose arrays carry a leading direction axis (D = 1 or 2), as the runner
+    and the sweep step them. ``layers[dname]`` views the same memory gate by
+    gate, by checkpoint name: Vn, Un and bn for a GRU or LSTM, Kn and bn
+    otherwise. ``stacks`` and ``layers`` are built on first use, so that
+    ``like`` (a gradient's layout, per training step) makes only the views
+    the sweep writes. A given ``flat`` (a gradient, say) gets the arrays
+    laid over it; by default they start at zero.
     """
 
     def __init__(self, arch: str, direction: str, vocab_size: int,
@@ -170,35 +182,54 @@ class NetworkParams:
             raise ValueError("kernel width must be odd and positive")
         self.arch, self.direction = arch, direction
         self.kernel_width, self.vocab = kernel_width, vocab
-        names = _GATES[arch]
-        n, d = len(names), d_hidden
+        self.d_hidden = d_hidden        # per direction
+        n, d = len(_GATES[arch]), d_hidden
         rec = arch in ("GRU", "LSTM")
-        shapes = [(vocab_size, d_embed), (n_classes, d * len(self.directions)),
-                  (n_classes,)]
-        for _ in self.directions:
-            shapes += [(1 if rec else kernel_width, n * d, d_embed), (n * d,)]
-            shapes += [(n * d, d)] if rec else []
-        ends = list(itertools.accumulate(map(math.prod, shapes)))
-        self.flat = np.zeros(ends[-1]) if flat is None else flat
-        blocks = iter([self.flat[end - math.prod(shape):end].reshape(shape)
-                       for shape, end in zip(shapes, ends)])
-        self.embedding, self.w_cls, self.b_cls = (
-            next(blocks), next(blocks), next(blocks))
-        self.stacks: dict[str, GateStack] = {}
-        self.layers: dict[str, dict[str, np.ndarray]] = {}
-        for dname in self.directions:
-            st = GateStack(next(blocks), next(blocks),
-                           next(blocks) if rec else None)
-            self.stacks[dname] = st
-            self.layers[dname] = w = {}
-            for j, gate in enumerate(names):
-                rows = slice(j * d, (j + 1) * d)
-                if rec:
-                    w["V" + gate] = st.kernel[0, rows]
-                    w["U" + gate] = st.u[rows]
-                else:
-                    w["K" + gate] = st.kernel[:, rows]
-                w["b" + gate] = st.bias[rows]
+        n_dir = len(self.directions)
+        head = [(vocab_size, d_embed), (n_classes, d * n_dir), (n_classes,)]
+        block = [(1 if rec else kernel_width, n * d, d_embed), (n * d,)]
+        block += [(n * d, d)] if rec else []
+        ends = list(itertools.accumulate(map(math.prod, head + block)))
+        size = ends[2] + n_dir * (ends[-1] - ends[2])
+        self.flat = np.zeros(size) if flat is None else flat
+        self.embedding, self.w_cls, self.b_cls = [
+            self.flat[end - math.prod(shape):end].reshape(shape)
+            for shape, end in zip(head, ends)]
+        dirs = self.flat[ends[2]:].reshape(n_dir, -1)
+        self.dir_stack = GateStack(*[
+            dirs[:, end - ends[2] - math.prod(shape):end - ends[2]].reshape(
+                (n_dir,) + shape) for shape, end in zip(block, ends[3:])]
+            + ([] if rec else [None]))
+        self._stacks: dict[str, GateStack] | None = None
+        self._layers: dict[str, dict[str, np.ndarray]] | None = None
+
+    @property
+    def stacks(self) -> dict[str, GateStack]:
+        """Each direction's GateStack, views of ``dir_stack``."""
+        if self._stacks is None:
+            self._stacks = {
+                dname: GateStack(*(None if a is None else a[i]
+                                   for a in self.dir_stack))
+                for i, dname in enumerate(self.directions)}
+        return self._stacks
+
+    @property
+    def layers(self) -> dict[str, dict[str, np.ndarray]]:
+        """Per-direction dicts of per-gate views, by checkpoint name."""
+        if self._layers is None:
+            names, d = _GATES[self.arch], self.d_hidden
+            self._layers = {}
+            for dname, st in self.stacks.items():
+                self._layers[dname] = w = {}
+                for j, gate in enumerate(names):
+                    rows = slice(j * d, (j + 1) * d)
+                    if st.u is not None:
+                        w["V" + gate] = st.kernel[0, rows]
+                        w["U" + gate] = st.u[rows]
+                    else:
+                        w["K" + gate] = st.kernel[:, rows]
+                    w["b" + gate] = st.bias[rows]
+        return self._layers
 
     def like(self, flat: np.ndarray) -> "NetworkParams":
         """The same layout over another flat vector (a gradient, say)."""
@@ -222,11 +253,6 @@ class NetworkParams:
     @property
     def d_embed(self) -> int:
         return self.embedding.shape[1]
-
-    @property
-    def d_hidden(self) -> int:
-        """Hidden size per direction."""
-        return self.layers["fwd"]["b"].shape[0]
 
     @property
     def n_classes(self) -> int:
@@ -266,7 +292,9 @@ class DirectionTrace:
 
     State arrays are indexed 0..T (row 0 is the initial state); gate,
     pre-activation and candidate arrays use rows 1..T with row 0 unused.
-    Inside the batched runner every array carries a leading batch axis.
+    A batched trace carries a leading batch axis on every array, and the
+    runner's stack of directions (``DirectionStack``) a direction axis
+    before it.
     """
 
     emb: np.ndarray                     # (T, d_e)
@@ -278,19 +306,15 @@ class DirectionTrace:
     pool_argmax: np.ndarray | None = None   # (d,), CNN: winning t in 1..T
     lengths: np.ndarray | None = None   # (B,) of a ragged batch, else None
 
-    def take(self, rows) -> "DirectionTrace":
-        """The batch rows ``rows`` of a batched trace, gathered in that
-        order (repeats allowed) into a batch of their own."""
-        rows = np.asarray(rows, dtype=np.intp)
-
-        def pick(a):
-            return None if a is None else a.take(rows, axis=0)
+    def _map(self, f, lengths) -> "DirectionTrace":
+        """``f`` of every array, with ``lengths`` for the new batch."""
+        def g(a):
+            return None if a is None else f(a)
         return DirectionTrace(
-            emb=pick(self.emb),
-            gates={n: pick(a) for n, a in self.gates.items()},
-            preact=pick(self.preact), cand=pick(self.cand),
-            hidden=pick(self.hidden), cell=pick(self.cell),
-            pool_argmax=pick(self.pool_argmax), lengths=pick(self.lengths))
+            emb=f(self.emb), gates={n: f(a) for n, a in self.gates.items()},
+            preact=f(self.preact), cand=f(self.cand), hidden=f(self.hidden),
+            cell=g(self.cell), pool_argmax=g(self.pool_argmax),
+            lengths=lengths)
 
     def row(self, b: int) -> "DirectionTrace":
         """Batch row ``b`` of a batched trace, cut to its own length."""
@@ -304,6 +328,37 @@ class DirectionTrace:
             cell=None if self.cell is None else self.cell[b, :t_len + 1],
             pool_argmax=(None if self.pool_argmax is None
                          else self.pool_argmax[b]))
+
+
+class DirectionStack(Mapping):
+    """The batched traces of a model's directions as the runner records
+    them: one DirectionTrace (``stack``) whose arrays carry a leading
+    direction axis (D = 1, or 2 for a bidirectional model) before the batch
+    axis. As a mapping it gives each direction's (B, ...) trace by name,
+    as views of the stack."""
+
+    def __init__(self, names, stack: DirectionTrace):
+        self.stack = stack
+        self._pos = {dname: i for i, dname in enumerate(names)}
+
+    def __getitem__(self, dname: str) -> DirectionTrace:
+        i = self._pos[dname]
+        return self.stack._map(lambda a: a[i], self.stack.lengths)
+
+    def __iter__(self):
+        return iter(self._pos)
+
+    def __len__(self) -> int:
+        return len(self._pos)
+
+    def take(self, rows) -> "DirectionStack":
+        """The batch rows ``rows`` of every direction, gathered in that
+        order (repeats allowed) into a batch of their own."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = self.stack.lengths
+        return DirectionStack(self._pos, self.stack._map(
+            lambda a: a.take(rows, axis=1),
+            None if lengths is None else lengths.take(rows)))
 
 
 @dataclass
@@ -324,7 +379,7 @@ class ForwardTrace:
     doc_repr: np.ndarray                # (d_h_total,)
     scores: np.ndarray                  # (K,)
     probs: np.ndarray                   # (K,)
-    batch_dirs: dict[str, DirectionTrace]   # (B, ...) arrays per direction
+    batch_dirs: DirectionStack          # (B, ...) arrays per direction
     batch_doc: np.ndarray               # (B, d_h_total)
     batch_scores: np.ndarray            # (B, K)
     scales: tuple[float, ...] = (1.0,)
@@ -358,36 +413,30 @@ def _pad_left(arch: str, f: int) -> int:
 
 def _conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray,
           left: int, d: int) -> np.ndarray:
-    """Zero-padded convolution over a (B, T, d_e) batch of a (F, n·d, d_e)
-    kernel; returns (n, B, T+1, d) with row 0 zero, one block per gate.
+    """Zero-padded convolution over a (D, B, T, d_e) stack, direction i by
+    (F, n·d, d_e) kernel i of the (D, F, n·d, d_e) ``kernel``; returns
+    (n, D, B, T+1, d) with row 0 zero, one block per gate.
 
     ``left`` zero rows pad the front and F-1-left the back, so slice k of
     the kernel multiplies e_{t-k} (causal, left = F-1) or e_{t-k+F'}
     (centered, left = F'). The gates are convolved one at a time: per gate,
-    each slice is one matmul over every padded row of the batch, added to
-    the bias in order.
+    each slice is one stacked matmul, a gemm per direction over every padded
+    row of its batch, added to the bias in order.
     """
-    f, _, d_e = kernel.shape
-    b, t_len, _ = emb.shape
-    padded = np.zeros((b, t_len + f - 1, d_e))
-    padded[:, left:left + t_len] = emb
-    flat = padded.reshape(-1, d_e)
-    out = np.zeros((kernel.shape[1] // d, b, t_len + 1, d))
-    for j, acc in enumerate(out[:, :, 1:]):
-        acc += bias[j * d:(j + 1) * d]
+    n_dir, f, _, d_e = kernel.shape
+    _, b, t_len, _ = emb.shape
+    padded = np.zeros((n_dir, b, t_len + f - 1, d_e))
+    padded[:, :, left:left + t_len] = emb
+    flat = padded.reshape(n_dir, -1, d_e)
+    kernel_t = kernel.swapaxes(2, 3)
+    out = np.zeros((kernel.shape[2] // d, n_dir, b, t_len + 1, d))
+    for j, acc in enumerate(out[..., 1:, :]):
+        rows = slice(j * d, (j + 1) * d)
+        acc += bias[:, None, None, rows]
         for k in range(f):
-            proj = (flat @ kernel[k, j * d:(j + 1) * d].T).reshape(
-                b, t_len + f - 1, d)
-            acc += proj[:, f - 1 - k:f - 1 - k + t_len]
-    return out
-
-
-def _with_initial(steps: list[np.ndarray]) -> np.ndarray:
-    """Stack per-step (..., B, d) arrays into (..., B, T+1, d) behind a zero
-    row 0."""
-    first = steps[0]
-    out = np.zeros(first.shape[:-1] + (len(steps) + 1, first.shape[-1]))
-    out[..., 1:, :] = np.stack(steps, axis=-2)
+            proj = (flat @ kernel_t[:, k, :, rows]).reshape(
+                n_dir, b, t_len + f - 1, d)
+            acc += proj[:, :, f - 1 - k:f - 1 - k + t_len]
     return out
 
 
@@ -411,49 +460,53 @@ def _reverse_index(lengths: np.ndarray, t_len: int) -> np.ndarray:
 
 def _at_ends(state: np.ndarray, ends: dict[int, np.ndarray],
              held: dict[int, np.ndarray]) -> np.ndarray:
-    """The running ``state`` after the last step, with the rows that ended
-    earlier replaced by their ``held`` states."""
+    """The running (D, B, d) ``state`` after the last step, with the rows
+    that ended earlier replaced by their ``held`` states."""
     if not ends:
         return state
     out = state.copy()
     for t, rows in ends.items():
-        out[rows] = held[t]
+        out[:, rows] = held[t]
     return out
 
 
-def _run_direction(arch: str, w: GateStack, emb: np.ndarray,
-                   keep: bool, lengths: np.ndarray | None = None,
-                   ) -> tuple[np.ndarray, DirectionTrace | None]:
-    """Run one direction over a (B, T, d_e) batch.
+def _run_directions(arch: str, w: GateStack, emb: np.ndarray,
+                    keep: bool, lengths: np.ndarray | None = None,
+                    ) -> tuple[np.ndarray, DirectionTrace | None]:
+    """Run every direction of a model over a (D, B, T, d_e) stack of its
+    inputs, each in that direction's order (D = 1, or 2 for a
+    bidirectional model), with the (D, ...) weights ``w``.
 
-    ``lengths`` (B,) marks a ragged batch whose padded positions the caller
-    has zeroed; each row's state is read at its own last step. Returns that
-    final hidden state (B, d) and, when ``keep`` is true, the batched
-    DirectionTrace; otherwise only the running state is held.
+    The directions step together: one step loop, in which every product is
+    one stacked matmul, a gemm per direction. ``lengths`` (B,) marks a
+    ragged batch whose padded positions the caller has zeroed; each row's
+    state is read at its own last step. Returns that final hidden state
+    (D, B, d) and, when ``keep`` is true, the stacked DirectionTrace;
+    otherwise only the running state is held.
     """
-    b, t_len, _ = emb.shape
+    n_dir, b, t_len, _ = emb.shape
     names = _GATES[arch]
     kernel, bias, u = w
-    d = len(bias) // len(names)
+    d = bias.shape[1] // len(names)
     if u is None:
         # the convolutions give every step's pre-activations at once
-        pre = _conv(kernel, bias, emb, _pad_left(arch, kernel.shape[0]), d)
+        pre = _conv(kernel, bias, emb, _pad_left(arch, kernel.shape[1]), d)
 
     if arch == "CNN":
         gp = pre[0]
         g = np.zeros_like(gp)
-        g[:, 1:] = np.maximum(gp[:, 1:], 0.0)
+        g[..., 1:, :] = np.maximum(gp[..., 1:, :], 0.0)
         # argmax over the real steps t = 1..T, ties to the lowest t
-        pool = g[:, 1:]
+        pool = g[..., 1:, :]
         if lengths is not None:
             real = np.arange(t_len) < lengths[:, None]
             pool = np.where(real[:, :, None], pool, -np.inf)
-        arg = np.argmax(pool, axis=1) + 1
-        pooled = np.take_along_axis(g, arg[:, None, :], axis=1)[:, 0]
+        arg = np.argmax(pool, axis=2) + 1
+        pooled = np.take_along_axis(g, arg[:, :, None, :], axis=2)[:, :, 0]
         if not keep:
             return pooled, None
-        h = np.zeros((b, t_len + 1, d))
-        h[np.arange(b), t_len if lengths is None else lengths] = pooled
+        h = np.zeros((n_dir, b, t_len + 1, d))
+        h[:, np.arange(b), t_len if lengths is None else lengths] = pooled
         return pooled, DirectionTrace(emb=emb, gates={}, preact=gp, cand=g,
                                       hidden=h, pool_argmax=arg,
                                       lengths=lengths)
@@ -466,32 +519,42 @@ def _run_direction(arch: str, w: GateStack, emb: np.ndarray,
     n_gate = (len(names) - 1) * d
     if u is None:
         for a in pre[:-1]:
-            a[:, 1:] = sigmoid(a[:, 1:])
-        cand = np.zeros((b, t_len + 1, d))
-        cand[:, 1:] = np.tanh(pre[-1, :, 1:])
-        sig_at, g_at = pre[:-1].transpose(2, 0, 1, 3), cand.swapaxes(0, 1)
+            a[..., 1:, :] = sigmoid(a[..., 1:, :])
+        cand = np.zeros((n_dir, b, t_len + 1, d))
+        cand[..., 1:, :] = np.tanh(pre[-1, ..., 1:, :])
+        sig_at = pre[:-1].transpose(3, 0, 1, 2, 4)
+        g_at = cand.transpose(2, 0, 1, 3)
     else:
-        v_in, b_gate, b_cand = kernel[0].T, bias[:n_gate], bias[n_gate:]
-        u_h, u_cand = (u if lstm else u[:n_gate]).T, u[n_gate:].T
+        v_in = kernel[:, 0].swapaxes(1, 2)
+        b_gate, b_cand = bias[:, None, :n_gate], bias[:, None, n_gate:]
+        u_h = (u if lstm else u[:, :n_gate]).swapaxes(1, 2)
+        u_cand = u[:, n_gate:].swapaxes(1, 2)
     ends = _row_ends(lengths, t_len)
     held: dict[int, np.ndarray] = {}
-    h = np.zeros((b, d))
-    c = np.zeros((b, d))
-    hs, cs, steps = [], [], []
+    h = np.zeros((n_dir, b, d))
+    c = np.zeros((n_dir, b, d))
+    if keep:
+        # each step's states (and a GRU's or LSTM's gates) go to row t
+        states = np.zeros((2 if lstm else 1, n_dir, b, t_len + 1, d))
+        if u is not None:
+            pre = np.zeros((len(names), n_dir, b, t_len + 1, d))
+            cand = np.zeros((n_dir, b, t_len + 1, d))
     for t in range(1, t_len + 1):
         if u is None:
             sig, g = sig_at[t], g_at[t]
         else:
-            x = emb[:, t - 1] @ v_in
+            x = emb[:, :, t - 1] @ v_in
             hu = h @ u_h
-            sig = sigmoid(x[:, :n_gate] + hu[:, :n_gate] + b_gate)
-            sig = sig.reshape(b, -1, d).swapaxes(0, 1)
-            gp = x[:, n_gate:] + (hu[:, n_gate:] if lstm else
-                                  (sig[1] * h) @ u_cand)
+            sig = sigmoid(x[..., :n_gate] + hu[..., :n_gate] + b_gate)
+            sig = sig.reshape(n_dir, b, -1, d).transpose(2, 0, 1, 3)
+            gp = x[..., n_gate:] + (hu[..., n_gate:] if lstm else
+                                    (sig[1] * h) @ u_cand)
             gp = gp + b_cand
             g = np.tanh(gp)
             if keep:
-                steps.append((sig, gp, g))
+                pre[:-1, ..., t, :] = sig
+                pre[-1, ..., t, :] = gp
+                cand[..., t, :] = g
         if lstm:
             c = sig[1] * c + sig[0] * g
             h = sig[2] * np.tanh(c)
@@ -499,29 +562,27 @@ def _run_direction(arch: str, w: GateStack, emb: np.ndarray,
             z = sig[0]
             h = z * h + (1.0 - z) * g
         if t in ends:
-            held[t] = h[ends[t]]
+            held[t] = h[:, ends[t]]
         if keep:
-            hs.append(h)
-            cs.append(c)
+            states[0, ..., t, :] = h
+            if lstm:
+                states[1, ..., t, :] = c
     h = _at_ends(h, ends, held)
     if not keep:
         return h, None
-    if u is None:
-        sig, gp = pre[:-1], pre[-1]
-    else:
-        sig, gp, cand = map(_with_initial, zip(*steps))
     return h, DirectionTrace(
-        emb=emb, gates=dict(zip(names, sig)), preact=gp, cand=cand,
-        hidden=_with_initial(hs), cell=_with_initial(cs) if lstm else None,
-        lengths=lengths)
+        emb=emb, gates=dict(zip(names, pre[:-1])), preact=pre[-1], cand=cand,
+        hidden=states[0], cell=states[1] if lstm else None, lengths=lengths)
 
 
 def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
          lengths=None,
-         ) -> tuple[np.ndarray, np.ndarray, dict[str, DirectionTrace]]:
+         ) -> tuple[np.ndarray, np.ndarray, DirectionStack | None]:
     """Batched forward over (B, T, d_e): document representations (B, d_h),
     class scores (B, K) and, when ``keep``, the batched direction traces.
 
+    A bidirectional model's two directions run as one (2, B, T, d_e) stack,
+    the backward one on each row reversed (``_run_directions``).
     ``lengths`` (B,) makes the stack ragged: row b holds ``lengths[b]`` real
     positions followed by padding, which is zeroed here so that its contents
     never reach a real row. The traces carry the lengths, so ``sweep`` gives
@@ -542,23 +603,18 @@ def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
             raise ValueError(f"row lengths must lie in [1, {t_len}]")
         real = np.arange(t_len) < lengths[:, None]
         embs = np.where(real[:, :, None], embs, 0.0)
-    dirs: dict[str, DirectionTrace] = {}
-    parts = []
-    for dname in params.directions:
-        if dname == "fwd":
-            e_dir = embs
-        elif lengths is None:
-            e_dir = embs[:, ::-1].copy()
-        else:
-            e_dir = embs[np.arange(b)[:, None], _reverse_index(lengths, t_len)]
-        last, tr = _run_direction(params.arch, params.stacks[dname], e_dir,
-                                  keep, lengths)
-        parts.append(last)
-        if keep:
-            dirs[dname] = tr
-    doc = np.concatenate(parts, axis=1)
+    if params.direction == "bi":
+        stack = np.empty((2, b, t_len, d_e))
+        stack[0] = embs
+        stack[1] = (embs[:, ::-1] if lengths is None else embs[
+            np.arange(b)[:, None], _reverse_index(lengths, t_len)])
+    else:
+        stack = embs[None]
+    last, tr = _run_directions(params.arch, params.dir_stack, stack, keep,
+                               lengths)
+    doc = np.concatenate(last, axis=1)
     scores = doc @ params.w_cls.T + params.b_cls
-    return doc, scores, dirs
+    return doc, scores, DirectionStack(params.directions, tr) if keep else None
 
 
 def scaled_rows(emb: np.ndarray, scales) -> np.ndarray:
@@ -620,7 +676,7 @@ def empty_sequence_scores(params: NetworkParams) -> np.ndarray:
     so each channel pools relu of its bias.
     """
     if params.arch == "CNN":
-        doc = np.maximum(params.layers["fwd"]["b"], 0.0)
+        doc = np.maximum(params.stacks["fwd"].bias, 0.0)
     else:
         doc = np.zeros(params.w_cls.shape[1])
     return params.w_cls @ doc + params.b_cls
@@ -632,17 +688,21 @@ def empty_sequence_scores(params: NetworkParams) -> np.ndarray:
 
 def _conv_transpose(kernel: np.ndarray, dout: np.ndarray,
                     left: int) -> np.ndarray:
-    """Transpose of ``_conv``: (B, T, d) output gradients of steps 1..T ->
-    (B, T, d_e) input gradients, as F shifted matmuls (one, unpadded, for
-    the width-1 kernel of a GRU or LSTM)."""
-    f, _, d_e = kernel.shape
+    """Transpose of ``_conv``: (..., B, T, d) output gradients of steps
+    1..T -> (..., B, T, d_e) input gradients, as F shifted matmuls (one,
+    unpadded, for the width-1 kernel of a GRU or LSTM). ``kernel`` is
+    (..., F, n·d, d_e), with the same leading (direction) axes as
+    ``dout``."""
+    f, d_e = kernel.shape[-3], kernel.shape[-1]
+    slices = kernel[..., None, :, :, :]     # broadcast over the batch
     if f == 1:
-        return dout @ kernel[0]
-    b, t_len, _ = dout.shape
-    dpad = np.zeros((b, t_len + f - 1, d_e))
+        return dout @ slices[..., 0, :, :]
+    t_len = dout.shape[-2]
+    dpad = np.zeros(dout.shape[:-2] + (t_len + f - 1, d_e))
     for k in range(f):
-        dpad[:, f - 1 - k:f - 1 - k + t_len] += dout @ kernel[k]
-    return dpad[:, left:left + t_len]
+        dpad[..., f - 1 - k:f - 1 - k + t_len, :] += (
+            dout @ slices[..., k, :, :])
+    return dpad[..., left:left + t_len, :]
 
 
 def _conv_kernel_grad(dout: np.ndarray, emb: np.ndarray, f: int,
@@ -660,7 +720,10 @@ def _conv_kernel_grad(dout: np.ndarray, emb: np.ndarray, f: int,
 @dataclass(frozen=True)
 class RelevanceRule:
     """Turns ``sweep`` into ε-LRP, or with ``base`` (the batched direction
-    traces of a baseline input) into DeepLIFT-Rescale; ``eps`` > 0.
+    traces of a baseline input) into DeepLIFT-Rescale; ``eps`` > 0. The
+    rule governs the batch rows from ``first`` on, and ``base`` holds one
+    row for each of them; the rows before ``first`` get exact gradients in
+    the same sweep.
 
     Both are gradient × input under a modified chain rule (Ancona et al.,
     ICLR 2018), so a rule changes only the local factors of the sweep,
@@ -679,33 +742,40 @@ class RelevanceRule:
     """
 
     eps: float
-    base: dict[str, DirectionTrace] | None = None
+    base: DirectionStack | None = None
+    first: int = 0
 
 
 class _Factors(NamedTuple):
-    """Local factors of one direction's sweep, steps 1..T on axis 1."""
+    """Local factors of the sweep, (D, B, T, d) arrays over steps 1..T, or
+    scalars that hold for every row."""
 
-    gate: float                     # multiplies every sigmoid derivative
-    act: np.ndarray                 # (B, T, d) the candidate's f'(z)
+    gate: np.ndarray | float        # multiplies every sigmoid derivative;
+                                    # per row (B, 1, 1) when rows differ
+    act: np.ndarray                 # the candidate's f'(z)
     h: np.ndarray | float | None    # scales d h_t; not the CNN's
-    cell_act: np.ndarray | None     # (B, T, d) tanh'(c_t), LSTM family
-    c: np.ndarray | float           # scales d c_{t-1}, LSTM family
+    cell_act: np.ndarray | None     # tanh'(c_t), LSTM family
+    c: np.ndarray | float | None    # scales d c_{t-1}, LSTM family
 
 
 def _local_factors(tr: DirectionTrace, rule: RelevanceRule | None,
-                   base: DirectionTrace | None) -> _Factors:
-    """The exact derivatives of ``tr`` (state factors 1.0), or their
-    replacements under ``rule``; ``base`` is the baseline's trace of the
-    same direction."""
+                   ) -> _Factors:
+    """The exact derivatives of the stacked trace ``tr`` (state factors
+    1.0), with their replacements under ``rule`` in the rows it governs."""
     cnn, lstm = tr.pool_argmax is not None, tr.cell is not None
+    exact_rows = slice(None) if rule is None else slice(rule.first)
+    g = tr.cand[:, exact_rows, 1:]
+    tc = np.tanh(tr.cell[:, exact_rows, 1:]) if lstm else None
+    exact = _Factors(1.0, tr.preact[:, exact_rows, 1:] > 0 if cnn
+                     else 1.0 - g * g, 1.0, 1.0 - tc * tc if lstm else None,
+                     1.0)
     if rule is None:
-        g = tr.cand[:, 1:]
-        tc = np.tanh(tr.cell[:, 1:]) if lstm else None
-        return _Factors(1.0, tr.preact[:, 1:] > 0 if cnn else 1.0 - g * g,
-                        1.0, 1.0 - tc * tc if lstm else None, 1.0)
+        return exact
+    first = rule.first
+    base = None if rule.base is None else rule.base.stack
 
     def delta(name, f=lambda a: a):
-        a = f(getattr(tr, name))
+        a = f(getattr(tr, name)[:, first:])
         return a if base is None else a - f(getattr(base, name))
 
     def ratio(num, den):
@@ -713,56 +783,75 @@ def _local_factors(tr: DirectionTrace, rule: RelevanceRule | None,
 
     dh = None if cnn else delta("hidden")
     dc = delta("cell") if lstm else None
-    return _Factors(
-        0.0, ratio(delta("cand"), delta("preact"))[:, 1:],
-        None if cnn else ratio(dh, dh)[:, 1:],
-        ratio(delta("cell", np.tanh), dc)[:, 1:] if lstm else None,
-        ratio(dc, dc)[:, :-1] if lstm else None)
+    ruled = _Factors(
+        0.0, ratio(delta("cand"), delta("preact"))[..., 1:, :],
+        None if cnn else ratio(dh, dh)[..., 1:, :],
+        ratio(delta("cell", np.tanh), dc)[..., 1:, :] if lstm else None,
+        ratio(dc, dc)[..., :-1, :] if lstm else None)
+    if first == 0:
+        return ruled
+
+    def rows(e, r):
+        """Factor e in the exact rows, r in the rule's."""
+        if r is None:
+            return None
+        if np.ndim(e) == 0:
+            e = np.broadcast_to(e, r.shape[:1] + (first,) + r.shape[2:])
+        return np.concatenate([e, r], axis=1)
+    gate = np.ones((tr.emb.shape[1], 1, 1))
+    gate[first:] = 0.0
+    return _Factors(gate, rows(exact.act, ruled.act),
+                    rows(1.0, ruled.h), rows(exact.cell_act, ruled.cell_act),
+                    rows(1.0, ruled.c))
 
 
-def _sweep_direction(arch: str, w: GateStack, tr: DirectionTrace,
-                     dh: np.ndarray, fac: _Factors,
-                     grad: GateStack | None = None) -> np.ndarray:
-    """Reverse sweep of one direction of a batched trace.
+def _sweep_directions(arch: str, w: GateStack, tr: DirectionTrace,
+                      dh: np.ndarray, fac: _Factors,
+                      grad: GateStack | None = None) -> np.ndarray:
+    """Reverse sweep of every direction of a stacked batched trace.
 
-    ``dh`` (B, d) is the gradient of the final hidden state (the pooled
-    vector for the CNN), ``fac`` the local factors from ``_local_factors``.
-    Returns the embedding gradients (B, T, d_e) in the direction's own order
-    and writes the gradients of ``w``, summed over the batch, into ``grad``
-    when it is given.
+    ``w`` and ``tr`` carry a leading direction axis (D = 1 or 2) as in
+    ``_run_directions``, and the directions step back together: one step
+    loop, whose products are stacked matmuls, a gemm per direction. ``dh``
+    (D, B, d) is the gradient of the final hidden states (the pooled vector
+    for the CNN), ``fac`` the local factors from ``_local_factors``.
+    Returns the embedding gradients (D, B, T, d_e), each direction in its
+    own order, and writes the gradients of ``w``, summed over the batch,
+    into the (D, ...) ``grad`` when it is given, direction by direction.
     """
     emb = tr.emb
-    b, t_len, _ = emb.shape
-    d = dh.shape[1]
+    n_dir, b, t_len, _ = emb.shape
+    d = dh.shape[2]
     names = _GATES[arch]
     kernel, _, u = w
-    h_prev = tr.hidden[:, :-1]
+    h_prev = tr.hidden[..., :-1, :]
 
     if arch == "CNN":
         # the pooled value of each channel came from its argmax step (ties
         # went to the lowest t), where the relu passed it if it was active
-        d_pre = np.zeros((b, t_len, d))
-        np.put_along_axis(d_pre, tr.pool_argmax[:, None, :] - 1,
-                          dh[:, None, :], axis=1)
+        d_pre = np.zeros((n_dir, b, t_len, d))
+        np.put_along_axis(d_pre, tr.pool_argmax[:, :, None, :] - 1,
+                          dh[:, :, None, :], axis=2)
         d_pre *= fac.act
     else:
-        # d_pre[j, :, t-1] holds the gradient of gate j's pre-activation at
-        # step t (the candidate last). Gates lead (n, B, T, d) views that are
-        # interleaved in memory for a GRU or LSTM, whose steps run one at a
-        # time, and gate by gate for a QRNN, whose steps are filled at once.
+        # d_pre[j, ..., t-1, :] holds the gradient of gate j's
+        # pre-activation at step t (the candidate last). Gates lead
+        # (n, D, B, T, d) views that are interleaved in memory for a GRU or
+        # LSTM, whose steps run one at a time, and gate by gate for a QRNN,
+        # whose steps are filled at once.
         lstm = arch in ("LSTM", "QLSTM")
         n, n_gate = len(names), (len(names) - 1) * d
         rec = u is not None
-        g = tr.cand[:, 1:]
-        gates = [tr.gates[m][:, 1:] for m in names[:-1]]
+        g = tr.cand[..., 1:, :]
+        gates = [tr.gates[m][..., 1:, :] for m in names[:-1]]
         if rec:
-            gates = np.concatenate(gates, axis=2).reshape(
-                b, t_len, n - 1, d).transpose(2, 0, 1, 3)
-            d_pre = np.zeros((b, t_len, n, d)).transpose(2, 0, 1, 3)
-            u_gate, u_cand = u[:n_gate], u[n_gate:]
+            gates = np.concatenate(gates, axis=3).reshape(
+                n_dir, b, t_len, n - 1, d).transpose(3, 0, 1, 2, 4)
+            d_pre = np.zeros((n_dir, b, t_len, n, d)).transpose(3, 0, 1, 2, 4)
+            u_gate, u_cand = u[:, :n_gate], u[:, n_gate:]
         else:
-            gates = np.concatenate(gates).reshape(n - 1, b, t_len, d)
-            d_pre = np.zeros((n, b, t_len, d))
+            gates = np.concatenate(gates).reshape(n - 1, n_dir, b, t_len, d)
+            d_pre = np.zeros((n, n_dir, b, t_len, d))
         # the sigmoids' derivative, precomputed for the steps of a GRU or
         # LSTM. A QRNN, filled at once, multiplies by σ in ``fill`` and by
         # 1 - σ after it (and d h_T by o, tanh' and the rule in turn, below),
@@ -770,8 +859,8 @@ def _sweep_direction(arch: str, w: GateStack, tr: DirectionTrace,
         dsig = gates * (1.0 - gates) * fac.gate if rec else gates
         if lstm:
             i, o = gates[0], gates[2]
-            c_prev = tr.cell[:, :-1]
-            tc = np.tanh(tr.cell[:, 1:])
+            c_prev = tr.cell[..., :-1, :]
+            tc = np.tanh(tr.cell[..., 1:, :])
             carry = gates[1] * fac.c
         else:
             z = gates[0]
@@ -781,48 +870,48 @@ def _sweep_direction(arch: str, w: GateStack, tr: DirectionTrace,
         def fill(t, dh, dc):
             """Fill d_pre at step index t, or at every step for t = :, from
             the state gradients there; return a GRU's d(r * h_{t-1})."""
-            p = d_pre[:, :, t]
+            p = d_pre[..., t, :]
             drh = None
             if lstm:
-                p[0] = dc * g[:, t]
-                p[1] = dc * c_prev[:, t]
-                p[2] = dh * tc[:, t]
-                p[3] = dc * i[:, t] * fac.act[:, t]
+                p[0] = dc * g[..., t, :]
+                p[1] = dc * c_prev[..., t, :]
+                p[2] = dh * tc[..., t, :]
+                p[3] = dc * i[..., t, :] * fac.act[..., t, :]
             else:
-                dgp = dh * keep[:, t] * fac.act[:, t]
-                p[0] = dh * (h_prev[:, t] - g[:, t])
+                dgp = dh * keep[..., t, :] * fac.act[..., t, :]
+                p[0] = dh * (h_prev[..., t, :] - g[..., t, :])
                 p[-1] = dgp
                 if rec:
                     drh = dgp @ u_cand
-                    p[1] = drh * h_prev[:, t]
-            p[:-1] *= dsig[:, :, t]
+                    p[1] = drh * h_prev[..., t, :]
+            p[:-1] *= dsig[..., t, :]
             return drh
 
         # the classifier's gradient enters h_t at each row's own last step;
         # over a ragged row's padding the state gradients are exactly zero
         last = t_len if tr.lengths is None else tr.lengths
-        dhs = np.zeros((b, t_len, d))
-        dhs[np.arange(b), last - 1] = dh
+        dhs = np.zeros((n_dir, b, t_len, d))
+        dhs[:, np.arange(b), last - 1] = dh
         ends = _row_ends(tr.lengths, t_len)
         if rec:
             if lstm:
                 into_c = o * fac.cell_act * fac.h
             else:
                 r = gates[1]
-            flat = d_pre.transpose(1, 2, 0, 3).reshape(b, t_len, -1)
-            dh, dc = dhs[:, -1], np.zeros((b, d))
+            flat = d_pre.transpose(1, 2, 3, 0, 4).reshape(n_dir, b, t_len, -1)
+            dh, dc = dhs[..., -1, :], np.zeros((n_dir, b, d))
             for t in range(t_len - 1, -1, -1):
                 if t + 1 in ends:
-                    dh[ends[t + 1]] = dhs[ends[t + 1], t]
+                    dh[:, ends[t + 1]] = dhs[:, ends[t + 1], t]
                 if lstm:
-                    dc = dc + dh * into_c[:, t]
+                    dc = dc + dh * into_c[..., t, :]
                 drh = fill(t, dh, dc)
                 if lstm:
-                    dc = dc * carry[:, t]
-                    dh = flat[:, t] @ u
+                    dc = dc * carry[..., t, :]
+                    dh = flat[..., t, :] @ u
                 else:
-                    dh = (dh * carry[:, t] + drh * r[:, t]
-                          + flat[:, t, :n_gate] @ u_gate)
+                    dh = (dh * carry[..., t, :] + drh * r[..., t, :]
+                          + flat[..., t, :n_gate] @ u_gate)
         else:
             # a QRNN's h_t feeds no later step and its pooling is
             # elementwise: carry back the gradient of the pooled state alone
@@ -830,81 +919,91 @@ def _sweep_direction(arch: str, w: GateStack, tr: DirectionTrace,
             # dstate holds what enters that gradient at each step, replaced
             # in place by the gradient (step t reads its entry first).
             dstate = dhs * o * fac.cell_act * fac.h if lstm else dhs
-            state = dstate[:, -1]
+            state = dstate[..., -1, :]
             for t in range(t_len - 1, -1, -1):
                 if t + 1 in ends:
-                    state[ends[t + 1]] = dstate[ends[t + 1], t]
-                dstate[:, t] = state
-                state = state * carry[:, t]
+                    state[:, ends[t + 1]] = dstate[:, ends[t + 1], t]
+                dstate[..., t, :] = state
+                state = state * carry[..., t, :]
             fill(slice(None), dhs, dstate)
             d_pre[:-1] *= (1.0 - gates) * fac.gate
         # a view for a GRU or LSTM, a copy for a QRNN
-        d_pre = d_pre.transpose(1, 2, 0, 3).reshape(b, t_len, -1)
+        d_pre = d_pre.transpose(1, 2, 3, 0, 4).reshape(n_dir, b, t_len, -1)
 
-    left = _pad_left(arch, kernel.shape[0])
+    f = kernel.shape[1]
+    left = _pad_left(arch, f)
     demb = _conv_transpose(kernel, d_pre, left)
     if grad is None:
         return demb
-    grad.kernel[...] = _conv_kernel_grad(d_pre, emb, kernel.shape[0], left)
-    grad.bias[...] = d_pre.sum(axis=(0, 1))
-    if u is not None:
-        # U is a width-1 kernel over h_{t-1}; a GRU's candidate sees r * h
-        into = len(u) if lstm else n_gate
-        grad.u[:into] = _conv_kernel_grad(d_pre[..., :into], h_prev, 1, 0)[0]
-        if not lstm:
-            grad.u[n_gate:] = _conv_kernel_grad(d_pre[..., n_gate:],
-                                                r * h_prev, 1, 0)[0]
+    for j in range(n_dir):
+        grad.kernel[j] = _conv_kernel_grad(d_pre[j], emb[j], f, left)
+        grad.bias[j] = d_pre[j].sum(axis=(0, 1))
+        if u is not None:
+            # U is a width-1 kernel over h_{t-1}; a GRU's candidate sees r * h
+            into = u.shape[1] if lstm else n_gate
+            grad.u[j, :into] = _conv_kernel_grad(d_pre[j][..., :into],
+                                                 h_prev[j], 1, 0)[0]
+            if not lstm:
+                grad.u[j, n_gate:] = _conv_kernel_grad(
+                    d_pre[j][..., n_gate:], r[j] * h_prev[j], 1, 0)[0]
     return demb
 
 
-def sweep(params: NetworkParams, doc: np.ndarray,
-          dirs: dict[str, DirectionTrace], dscores: np.ndarray,
+def sweep(params: NetworkParams, doc: np.ndarray | None,
+          dirs: DirectionStack, dscores: np.ndarray,
           param_grads: bool = False, rule: RelevanceRule | None = None,
           ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one reverse sweep over a batched forward of ``_run(...,
-    keep=True)``: exact gradients, or relevance under ``rule``.
+    keep=True)``: exact gradients, or relevance under ``rule`` in the rows
+    it governs.
 
-    ``doc`` and ``dirs`` are that run's document representations and traces,
-    ``dscores`` (B, K) the gradient of some function of each row's class
-    scores. Returns the gradients of the input embeddings (B, T, d_e) and,
-    when ``param_grads``, every parameter's gradient summed over the batch,
-    as one vector in the layout of ``params.flat``; its embedding rows are
-    zero, the caller's to scatter. The padded positions of a ragged run get
-    exactly zero. A ``rule`` swaps the local factors of every step (see
-    ``RelevanceRule``).
+    ``doc`` and ``dirs`` are that run's document representations (read only
+    for ``param_grads``) and traces, or rows gathered from them with
+    ``take``; ``dscores`` (B, K) is the gradient of some function of each
+    row's class scores. Every direction steps back in the one loop of
+    ``_sweep_directions``. Returns the gradients of the input embeddings
+    (B, T, d_e) and, when ``param_grads``, every parameter's gradient summed
+    over the batch, as one vector in the layout of ``params.flat``; its
+    embedding rows are zero, the caller's to scatter. The padded positions
+    of a ragged run get exactly zero. A ``rule`` swaps the local factors of
+    every step in its rows (see ``RelevanceRule``).
     """
+    lone = len(dscores) == 1 and not param_grads
+    if lone:
+        # BLAS takes gemv for a product of one row and gemm for more, and
+        # their results differ in the last bits; a lone row runs twice, so
+        # that a map made alone matches the same map made beside other rows
+        dirs, dscores = dirs.take([0, 0]), np.concatenate([dscores] * 2)
+        if rule is not None and rule.base is not None:
+            rule = RelevanceRule(rule.eps, rule.base.take([0, 0]))
     ddoc = dscores @ params.w_cls
-    d = params.d_hidden
+    b, n_dir = len(dscores), len(params.directions)
     grads = None
     if param_grads:
         grads = params.like(np.zeros_like(params.flat))
         grads.w_cls[...] = dscores.T @ doc
         grads.b_cls[...] = dscores.sum(axis=0)
-    lengths = dirs["fwd"].lengths
-    demb = 0.0
-    for pos, dname in enumerate(params.directions):
-        base = None if rule is None or rule.base is None else rule.base[dname]
-        fac = _local_factors(dirs[dname], rule, base)
-        de = _sweep_direction(params.arch, params.stacks[dname], dirs[dname],
-                              ddoc[:, pos * d:(pos + 1) * d], fac,
-                              grads.stacks[dname] if grads else None)
-        if dname == "bwd":
-            de = (de[:, ::-1] if lengths is None else
-                  de[np.arange(len(de))[:, None],
-                     _reverse_index(lengths, de.shape[1])])
-        demb = demb + de
-    if lengths is not None:
-        real = np.arange(demb.shape[1]) < lengths[:, None]
+    tr = dirs.stack
+    de = _sweep_directions(
+        params.arch, params.dir_stack, tr,
+        ddoc.reshape(b, n_dir, params.d_hidden).swapaxes(0, 1),
+        _local_factors(tr, rule), grads.dir_stack if grads else None)
+    demb = 0.0 + de[0]
+    if n_dir == 2:
+        lengths, t_len = tr.lengths, de.shape[2]
+        demb = demb + (de[1][:, ::-1] if lengths is None else
+                       de[1][np.arange(b)[:, None],
+                             _reverse_index(lengths, t_len)])
+    if tr.lengths is not None:
+        real = np.arange(demb.shape[1]) < tr.lengths[:, None]
         demb = np.where(real[:, :, None], demb, 0.0)
-    return demb, grads.flat if grads else None
+    return (demb[:1] if lone else demb), grads.flat if grads else None
 
 
-def output_gradients(params: NetworkParams, doc: np.ndarray,
-                     scores: np.ndarray, dirs: dict[str, DirectionTrace],
-                     k: int, outputs) -> np.ndarray:
-    """Gradients (B, T, d_e) of one batched forward's inputs, row b of
-    s_k or p_k as ``outputs[b]`` ("s" or "p") names: one exact sweep, seeded
-    per row with e_k or p_k (e_k - p)."""
+def output_seeds(scores: np.ndarray, k: int, outputs) -> np.ndarray:
+    """d(outputs)/d(scores) (B, K) of the rows of ``scores`` (B, K): row b
+    seeds s_k with e_k or p_k with p_k (e_k - p), as ``outputs[b]`` ("s" or
+    "p") names."""
     dscores = np.zeros_like(scores)
     dscores[:, k] = 1.0
     prob = np.array([o == "p" for o in outputs])
@@ -912,7 +1011,7 @@ def output_gradients(params: NetworkParams, doc: np.ndarray,
         probs = softmax(scores)
         dscores = np.where(prob[:, None],
                            probs[:, k:k + 1] * (dscores - probs), dscores)
-    return sweep(params, doc, dirs, dscores)[0]
+    return dscores
 
 
 def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
@@ -933,8 +1032,8 @@ def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
         emb = embed(params, ids)
     stack = emb if emb.ndim == 3 else emb[None]
     doc, scores, dirs = _run(params, stack, keep=True)
-    demb = output_gradients(params, doc, scores, dirs, k,
-                            [output] * len(stack))
+    demb = sweep(params, doc, dirs,
+                 output_seeds(scores, k, [output] * len(stack)))[0]
     return demb if emb.ndim == 3 else demb[0]
 
 

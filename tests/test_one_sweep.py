@@ -1,0 +1,156 @@
+"""One forward and one reverse sweep per (document, model).
+
+The white-box pass runs the exact-gradient rows and the relevance rows
+(``lrp``, ``deeplift``) in one sweep: a ``RelevanceRule`` governs the
+trailing rows alone. A bidirectional model's directions step together,
+through (D, ...) stacked weights that view ``params.flat``. Every map of the
+shared pass must equal the same method run alone, on every architecture and
+direction: from a ``document_trace``, from a plain ``forward`` trace (which
+lacks DeepLIFT's all-zero row) and when the integrated-gradient rows spill
+into further batches.
+"""
+
+import numpy as np
+import pytest
+
+import textexplain as tx
+from textexplain import models
+from textexplain.evaluate import run_agreement_eval
+from textexplain.explain import ExplainOptions, document_trace, explain, \
+    explain_all
+from textexplain.explain import gradient
+from textexplain.models import forward, init_params
+from textexplain.numerics import SeededRng
+
+from conftest import rand_params
+from test_white_box_pass import AGREEMENT_METHODS, AGREEMENT_MODELS, \
+    _agreement_samples
+
+ARCH_DIRS = [(arch, direction) for arch in tx.ARCHS
+             for direction in (("uni",) if arch == "CNN" else ("uni", "bi"))]
+ARCH_IDS = [f"{a}-{d}" for a, d in ARCH_DIRS]
+
+METHODS = ["grad1_s_dot", "grad1_p_l2", "gradint_s_dot", "lrp", "deeplift"]
+
+OPTS = ExplainOptions(int_steps=9)
+
+
+def _inputs(arch_dir, seed, t_len):
+    arch, direction = arch_dir
+    p = rand_params(arch, seed=seed, scale=3.0, direction=direction)
+    ids = np.random.default_rng(seed).integers(0, 20, size=t_len).tolist()
+    return p, ids
+
+
+def _assert_each_equals_alone(p, ids, k, trace=None):
+    got = explain_all(METHODS, p, ids, k, OPTS, trace=trace)
+    for name, rel in zip(METHODS, got):
+        want = explain(name, p, ids, k, OPTS).scores
+        gap = np.abs(rel.scores - want).max()
+        assert gap <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+@pytest.mark.parametrize("t_len", [1, 6, 13])
+def test_one_sweep_maps_equal_each_method_alone(arch_dir, t_len):
+    """From a ``document_trace``: the exact and the relevance rows share
+    one sweep, and every map equals its method run alone."""
+    p, ids = _inputs(arch_dir, t_len, t_len)
+    trace = document_trace(METHODS, p, ids, OPTS)
+    _assert_each_equals_alone(p, ids, 1, trace)
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+@pytest.mark.parametrize("t_len", [1, 7])
+def test_a_forward_trace_gives_the_same_maps(arch_dir, t_len):
+    """A trace from ``forward`` has no all-zero row: the further batch that
+    holds it runs its forward first, and the relevance rows still ride in
+    the trace's sweep."""
+    p, ids = _inputs(arch_dir, 20 + t_len, t_len)
+    _assert_each_equals_alone(p, ids, 0, forward(p, ids))
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+@pytest.mark.parametrize("from_forward", [False, True])
+def test_spilled_integrated_gradient_rows_give_the_same_maps(
+        arch_dir, from_forward, monkeypatch):
+    """With a batch budget of a few rows, the integrated-gradient rows of a
+    15-token input spill into further batches, each with its own sweep."""
+    p, ids = _inputs(arch_dir, 40, 15)
+    width = max(p.d_embed, p.d_hidden)
+    monkeypatch.setattr(gradient, "IG_BATCH_CELLS", 4 * len(ids) * width)
+    assert gradient._batch_rows(p, len(ids)) == 4
+    trace = forward(p, ids) if from_forward else \
+        document_trace(METHODS, p, ids, OPTS)
+    _assert_each_equals_alone(p, ids, 1, trace)
+
+
+def _count_calls(monkeypatch):
+    calls = {"_run": 0, "sweep": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    real = {name: getattr(models, name) for name in calls}
+    for module in (models, gradient):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, real[name]))
+    return calls
+
+
+def test_agreement_makes_one_forward_and_one_sweep_per_sample(monkeypatch):
+    """Each (sample, model) of the agreement game with the benchmark's
+    white-box methods runs one forward and one sweep."""
+    calls = _count_calls(monkeypatch)
+    for arch, direction in AGREEMENT_MODELS:
+        p = rand_params(arch, seed=4, scale=3.0, direction=direction)
+        p.vocab = tx.Vocabulary.build([[f"t{i}" for i in range(1, 20)]],
+                                      cutoff=19)
+        methods = [m for m in AGREEMENT_METHODS
+                   if not (m == "decomp" and arch == "CNN")]
+        for sample in _agreement_samples(4):
+            calls.update({"_run": 0, "sweep": 0})
+            run_agreement_eval(p, [sample], methods, ExplainOptions())
+            assert calls == {"_run": 1, "sweep": 1}, arch
+
+
+def test_one_sweep_holds_the_exact_and_the_relevance_rows(monkeypatch):
+    """The agreement method set sweeps 53 rows: 49 integrated-gradient
+    rows, the document under s and under p, then ``lrp`` and ``deeplift``
+    under a rule that governs the last two."""
+    seen = []
+    real = models.sweep
+
+    def spy(params, doc, dirs, dscores, param_grads=False, rule=None):
+        seen.append((len(dscores), rule and rule.first))
+        return real(params, doc, dirs, dscores, param_grads, rule)
+
+    monkeypatch.setattr(gradient, "sweep", spy)
+    p, ids = _inputs(("GRU", "bi"), 3, 8)
+    trace = document_trace(METHODS, p, ids)
+    explain_all(METHODS, p, ids, 1, trace=trace)
+    assert seen == [(53, 51)]
+
+
+@pytest.mark.parametrize("arch", ["GRU", "LSTM", "QGRU", "QLSTM"])
+def test_direction_stacks_view_the_flat_vector(arch):
+    """A bidirectional model's (D, ...) weight stacks are strided views of
+    ``params.flat``, and each direction's blocks are views of them."""
+    p = init_params(arch, 9, 3, 4, 3, SeededRng(1), direction="bi",
+                    kernel_width=3)
+    for name, both in p.dir_stack._asdict().items():
+        if both is None:
+            continue
+        assert both.shape[0] == 2
+        assert np.shares_memory(both, p.flat)
+        for i, dname in enumerate(p.directions):
+            one = getattr(p.stacks[dname], name)
+            assert np.shares_memory(one, both)
+            np.testing.assert_array_equal(one, both[i])
+    p.flat[:] = np.arange(p.flat.size)
+    assert p.dir_stack.bias[1, 0] == p.stacks["bwd"].bias[0]
+    p.dir_stack.kernel[1, 0, 0, 0] = -1.0
+    assert p.stacks["bwd"].kernel[0, 0, 0] == -1.0

@@ -1,5 +1,5 @@
 """One white-box pass per (document, model): one forward over the document's
-rows and two sweeps (``catalog.document_trace``, ``catalog.explain_all``).
+rows and one sweep (``catalog.document_trace``, ``catalog.explain_all``).
 
 Every map is checked against an oracle that shares none of the pass's
 batching: standalone gradients, serial integrated-gradient steps, the
