@@ -19,8 +19,8 @@ import numpy as np
 
 from .evaluate import build_hybrid_docs, format_report_tsv, \
     parse_agreement_tsv, run_agreement_eval, run_hybrid_eval
-from .explain import METHOD_NAMES, ExplainOptions, document_trace, \
-    explain_all
+from .explain import METHOD_NAMES, ExplainOptions, check_names, \
+    document_trace, explain_all
 from .models import ARCHS, Vocabulary, init_params, load_checkpoint, \
     save_checkpoint
 from .numerics import SeededRng
@@ -97,7 +97,8 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
 # file is read
 _FLAG_MINIMUMS = {"d_embed": 1, "d_hidden": 1, "epochs": 0, "batch_size": 1,
                   "group_size": 1, "int_steps": 1, "limsse_n": 1,
-                  "limsse_maxlen": 1, "vocab_cutoff": 1, "kernel_width": 1}
+                  "limsse_maxlen": 1, "vocab_cutoff": 1, "kernel_width": 1,
+                  "seed": 0}
 
 # flags that must be a positive finite number
 _POSITIVE_FLAGS = ("eps", "lr")
@@ -131,12 +132,6 @@ def _options_from(args) -> ExplainOptions:
                           limsse_n=args.limsse_n,
                           limsse_maxlen=args.limsse_maxlen,
                           seed=args.seed)
-
-
-def _check_methods(names) -> None:
-    for name in names:
-        if name not in METHOD_NAMES:
-            raise DataError(f"unknown explanation method {name!r}")
 
 
 def _load_model(path: str):
@@ -222,7 +217,7 @@ def _class_count(labels: list[int], path: str) -> int:
 
 
 def cmd_explain(args) -> int:
-    _check_methods(args.methods)
+    check_names(args.methods)
     _check_writable(args.out)
     _check_writable(args.html)
     params = _load_model(args.checkpoint)
@@ -276,7 +271,7 @@ def _explain_one(name, params, ids, k, opts, trace):
 
 
 def cmd_eval_hybrid(args) -> int:
-    _check_methods(args.methods)
+    check_names(args.methods)
     _check_writable(args.out)
     params = _load_model(args.checkpoint)
     docs = _read_corpus(args.corpus)
@@ -298,7 +293,7 @@ def cmd_eval_hybrid(args) -> int:
 
 
 def cmd_eval_agreement(args) -> int:
-    _check_methods(args.methods)
+    check_names(args.methods)
     _check_writable(args.out)
     params = _load_model(args.checkpoint)
     try:

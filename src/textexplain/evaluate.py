@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import ExplainOptions, document_trace, explain_all
+from .explain import ExplainOptions, check_names, document_trace, explain_all
 from .models import NetworkParams, forward
 from .numerics import SeededRng
 from .relevance import RelevanceMap, rmax
@@ -184,6 +184,7 @@ def run_hybrid_eval(params: NetworkParams, docs: list[HybridDocument],
                     baseline_seed: int = 0) -> list[EvalRow]:
     """Pointing-game accuracies per method, plus the random baseline."""
     opts = opts or ExplainOptions()
+    check_names(methods)
     rng = SeededRng(baseline_seed)
     counters = {name: [0, 0] for name in list(methods) + ["random"]}
     for doc in docs:
@@ -232,6 +233,7 @@ def run_agreement_eval(params: NetworkParams, samples: list[AgreementSample],
     """hit_target on correct predictions and hit_feat split by prediction
     correctness, per method plus random and last baselines."""
     opts = opts or ExplainOptions()
+    check_names(methods)
     if params.vocab is None:
         raise ValueError("agreement evaluation needs a checkpoint vocabulary")
     if params.n_classes != len(NUMBER_CLASSES):

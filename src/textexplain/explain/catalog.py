@@ -3,16 +3,18 @@
 The white-box methods of one (document, model) share one pass: one forward
 and one sweep. ``document_trace`` runs the forward over every row the
 asked methods read: the document (row 0, whose scores give the
-prediction), DeepLIFT's all-zero input, and the integrated-gradient inputs.
-``explain_all`` then runs one sweep (``gradient.white_box_pass``) whose
-rows give exact gradients for the gradient methods and, under a relevance
-rule in the trailing rows, LRP and DeepLIFT; decomposition reads row 0
-alone. Perturbation and LIMSSE score inputs of their own.
+prediction), DeepLIFT's all-zero input, and the integrated-gradient inputs,
+into one stacked trace. ``explain_all`` then runs one sweep
+(``gradient.white_box_pass``) over rows taken from it, which give exact
+gradients for the gradient methods and, under a relevance rule in the
+trailing rows, LRP and DeepLIFT; decomposition reads row 0's views.
+Perturbation and LIMSSE score inputs of their own.
 
 ``explain_all`` takes the trace as an optional argument; with none it starts
 from ``forward(params, ids)``, and any row its trace lacks (a plain forward
 trace, or one built for another ``int_steps``) runs in one more forward.
-``explain`` is its one-name case. A trace that does not belong to
+``explain`` is its one-name case, and so are ``lrp_explain``,
+``deeplift_explain`` and ``explain_gradient``. A trace that does not belong to
 ``params`` and ``ids`` is rejected, so it can never yield a map of another
 input.
 """
@@ -52,6 +54,16 @@ class ExplainOptions:
     seed: int = 0
 
 
+def check_names(names) -> None:
+    """Raise ValueError on a name outside the catalog or named twice (an
+    evaluation would count it twice per document)."""
+    for i, name in enumerate(names):
+        if name not in METHOD_NAMES:
+            raise ValueError(f"unknown explanation method {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"explanation method {name!r} named twice")
+
+
 def _white_box(name: str) -> bool:
     return name in GRADIENT_METHODS or name in ("lrp", "deeplift", "decomp")
 
@@ -68,7 +80,8 @@ def document_trace(names, params: NetworkParams, ids,
 def explain_all(names, params: NetworkParams, ids, k: int,
                 opts: ExplainOptions | None = None,
                 trace: ForwardTrace | None = None) -> list[RelevanceMap]:
-    """One map per catalog name, for target class ``k``.
+    """One map per catalog name, for target class ``k``; the names must
+    pass ``check_names``.
 
     ``trace``, when given, must be a forward trace of ``ids`` under
     ``params`` (``forward`` or ``document_trace``): its architecture and
@@ -78,9 +91,7 @@ def explain_all(names, params: NetworkParams, ids, k: int,
     names = list(names)
     if not 0 <= k < params.n_classes:
         raise ValueError(f"class {k} out of range [0, {params.n_classes})")
-    for name in names:
-        if name not in METHOD_NAMES:
-            raise ValueError(f"unknown explanation method {name!r}")
+    check_names(names)
     if trace is not None:
         check_trace(params, ids, trace)
     opts = opts or ExplainOptions()

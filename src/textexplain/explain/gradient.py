@@ -5,9 +5,10 @@ The gradient methods are {plain, integrated} x {score, prob} x {L2, dot}.
 (Ancona et al., ICLR 2018), so every one of them reads one pass per
 (document, model):
 
-* one forward over a stack of rows: row 0 is the document, then the
-  all-zero input if DeepLIFT is asked, then the integrated-gradient inputs
-  (m/M) E, m = 1..M-1 (row 0 is the m = M input, since 1.0 * E == E);
+* one forward over a stack of rows into one stacked trace: row 0 is the
+  document, then the all-zero input if DeepLIFT is asked, then the
+  integrated-gradient inputs (m/M) E, m = 1..M-1 (row 0 is the m = M
+  input, since 1.0 * E == E);
 * one sweep over the rows, gathered with repeats, that some method needs:
   exact gradients for one row per (row, output s_k or p_k), then one row
   of the document per relevance method under a ``models.RelevanceRule``
@@ -29,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import DirectionStack, ForwardTrace, NetworkParams, \
-    RelevanceRule, _run, embed, forward, forward_embedded, output_seeds, \
-    scaled_rows, sweep
+from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
+    RelevanceRule, _run, embed, forward_embedded, output_seeds, scaled_rows, \
+    sweep
 from ..numerics import esign
 from ..relevance import RelevanceMap
 
@@ -90,8 +91,8 @@ def check_white_box(params: NetworkParams, k: int, names,
     forward pass."""
     if not 0 <= k < params.n_classes:
         raise ValueError(f"class {k} out of range [0, {params.n_classes})")
-    if eps <= 0 and ("lrp" in names or "deeplift" in names):
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf and ("lrp" in names or "deeplift" in names):
+        raise ValueError("eps must be positive and finite")
     if steps < 1 and any(n.startswith("gradint_") for n in names):
         raise ValueError("steps must be >= 1")
 
@@ -127,10 +128,10 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
     chunks = [missing[lo:lo + size] for lo in range(0, len(missing), size)]
 
     def run(scales):
-        return _run(params, scaled_rows(emb, scales), keep=True) + (scales,)
+        _, scores, dirs = _run(params, scaled_rows(emb, scales), keep=True)
+        return scores, dirs, scales
 
-    own = (trace.batch_doc, trace.batch_scores, trace.batch_dirs,
-           trace.scales)
+    own = trace.batch_scores, trace.batch_dirs, trace.scales
     # a missing all-zero row leads the first further batch, run ahead
     ahead = run(chunks[0]) if "deeplift" in rules and 0.0 not in have \
         else None
@@ -145,7 +146,7 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
     at_one = {}                         # output -> gradient of the document
     sums = {}                           # output -> sum over m < M
     out = {}
-    for i, (_, scores, dirs, scales) in enumerate(batches()):
+    for i, (scores, dirs, scales) in enumerate(batches()):
         row = {}
         for b, a in enumerate(scales):
             row.setdefault(a, b)
@@ -188,12 +189,12 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
 
 def _rule_rows(params: NetworkParams, trace: ForwardTrace, k: int,
                rules: list[str], eps: float,
-               batch) -> tuple[DirectionStack, np.ndarray]:
-    """The reference traces of the relevance rows, one row per rule in
-    ``rules``, and their seeds d(root)/d(scores). ``batch`` (doc, scores,
-    traces, scales) holds the all-zero input's row when DeepLIFT is
+               batch) -> tuple[DirectionTrace, np.ndarray]:
+    """The reference trace of the relevance rows, one row per rule in
+    ``rules``, and their seeds d(root)/d(scores). ``batch`` (scores,
+    stacked trace, scales) holds the all-zero input's row when DeepLIFT is
     asked."""
-    _, scores, dirs, scales = batch
+    scores, dirs, scales = batch
     n = len(rules)
     zero = scales.index(0.0) if "deeplift" in rules else None
     roots = np.array([trace.scores[k] - (scores[zero, k] if r == "deeplift"
@@ -203,10 +204,9 @@ def _rule_rows(params: NetworkParams, trace: ForwardTrace, k: int,
     base = (dirs.take([zero] * n) if zero is not None
             else trace.batch_dirs.take([0] * n))
     if "lrp" in rules:
-        lrp, st = rules.index("lrp"), base.stack
-        for a in (st.hidden, st.cand, st.preact, st.cell):
+        for a in (base.hidden, base.cand, base.preact, base.cell):
             if a is not None:
-                a[:, lrp] = 0.0
+                a[:, rules.index("lrp")] = 0.0
     return base, seeds
 
 
@@ -221,9 +221,8 @@ def integrated_gradients(params: NetworkParams, ids, output: str, k: int,
     cfg = GradConfig("gradint", output, "dot", steps)
     cfg.validate()
     check_white_box(params, k, [cfg.name], steps=steps)
-    trace = forward_rows([cfg.name], params, ids, steps)
-    return white_box_pass(params, trace, k, [cfg.name],
-                          steps=steps)[f"gradint_{output}"]
+    return white_box_pass(params, forward_rows([cfg.name], params, ids, steps),
+                          k, [cfg.name], steps=steps)[f"gradint_{output}"]
 
 
 def reduce_gradients(grads: np.ndarray, emb: np.ndarray,
@@ -240,13 +239,8 @@ def reduce_gradients(grads: np.ndarray, emb: np.ndarray,
 
 def explain_gradient(params: NetworkParams, ids, k: int,
                      cfg: GradConfig) -> RelevanceMap:
-    """One gradient map of ``ids``, from ``forward(params, ids)`` and the
-    white-box pass."""
+    """One gradient map of ``ids``: ``catalog.explain`` of ``cfg.name``."""
+    from .catalog import ExplainOptions, explain
     cfg.validate()
-    check_white_box(params, k, [cfg.name], steps=cfg.steps)
-    trace = forward(params, ids)
-    grads = white_box_pass(params, trace, k, [cfg.name], steps=cfg.steps)
-    return RelevanceMap(
-        scores=reduce_gradients(grads[f"{cfg.variant}_{cfg.output}"],
-                                trace.embeddings, cfg.reduction),
-        k=k, method=cfg.name)
+    return explain(cfg.name, params, ids, k,
+                   ExplainOptions(int_steps=cfg.steps))

@@ -15,36 +15,28 @@ Both are rules of the one reverse sweep (``models.sweep`` with a
 ``RelevanceRule``), run by the white-box pass of ``explain.gradient``: each
 method is one row of the document in the pass's one sweep, beside the
 exact-gradient rows of the gradient methods, and the document's all-zero
-row is DeepLIFT's baseline. These one-method entry points start from
-``forward(params, ids)``, whose trace lacks the baseline row, so DeepLIFT
-gets it from one more forward run.
+row is DeepLIFT's baseline. The entry points below are ``catalog.explain``
+of one name: they start from ``forward(params, ids)``, whose trace lacks
+the baseline row, so DeepLIFT gets it from one more forward run.
 """
 
 from __future__ import annotations
 
-from ..models import NetworkParams, forward
+from ..models import NetworkParams
 from ..numerics import esign  # noqa: F401 -- importable from here too
 from ..relevance import RelevanceMap
-from .gradient import DEFAULT_EPS, check_white_box, white_box_pass
-
-
-def _explain(params: NetworkParams, ids, k: int, eps: float,
-             method: str) -> RelevanceMap:
-    check_white_box(params, k, [method], eps=eps)
-    trace = forward(params, ids)
-    return RelevanceMap(
-        scores=white_box_pass(params, trace, k, [method], eps=eps)[method],
-        k=k, method=method)
+from .catalog import ExplainOptions, explain
+from .gradient import DEFAULT_EPS
 
 
 def lrp_explain(params: NetworkParams, ids, k: int,
                 eps: float = DEFAULT_EPS) -> RelevanceMap:
     """Stabilized proportional relevance backpropagation of s(k, X)."""
-    return _explain(params, ids, k, eps, "lrp")
+    return explain("lrp", params, ids, k, ExplainOptions(eps=eps))
 
 
 def deeplift_explain(params: NetworkParams, ids, k: int,
                      eps: float = DEFAULT_EPS) -> RelevanceMap:
     """Difference-from-baseline relevance backpropagation of
     s(k, X) - s(k, X0), baseline X0 = all-zero embeddings."""
-    return _explain(params, ids, k, eps, "deeplift")
+    return explain("deeplift", params, ids, k, ExplainOptions(eps=eps))

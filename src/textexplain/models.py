@@ -18,11 +18,13 @@ minibatches and corpus scoring use this).
 records every intermediate quantity (gates, pre-activations, cell/hidden
 states, pooling winners) of every row in a ForwardTrace, which is what the
 white-box explainers consume. One document's trace is meant to be computed
-once and shared: it keeps the runner's batched arrays (``batch_dirs``) beside
-row 0's views (``dirs``), and ``check_trace`` tells whether a trace belongs to
-given parameters and token ids. ``score_batch`` keeps only the running state
-and returns the class scores of every row; the black-box explainers score
-their inputs with it in equal-length buckets.
+once and shared: it keeps the runner's stacked DirectionTrace, whose arrays
+carry a leading (direction, batch) axis pair (``batch_dirs``, as ``sweep``
+reads it), beside row 0's per-direction views (``dirs``), and
+``check_trace`` tells whether a trace belongs to given parameters and token
+ids. ``score_batch`` keeps only the running state and returns the class
+scores of every row; the black-box explainers score their inputs with it in
+equal-length buckets.
 
 Exact gradients come from one reverse sweep over a batched trace (``sweep``),
 with the same two branches and the same direction axis: given d(scores)
@@ -38,7 +40,7 @@ gradients and relevance flow through each architecture.
 
 Every weight of a model is a view into one flat float64 vector
 (``NetworkParams.flat``): the embedding, the classifier and, per direction,
-a ``GateStack`` of the gates' input kernels, biases and U, each stacked in
+one block of the gates' input kernels, biases and U, each stacked in
 ``_GATES`` order; ``dir_stack`` views the directions' blocks at once, as
 the runner and the sweep read them. The per-gate arrays that checkpoints
 store by name (Vz, Uz, bz, ...) are views of the same memory; a parameter
@@ -65,7 +67,6 @@ import itertools
 import json
 import math
 import zipfile
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -145,10 +146,10 @@ _GATES = {
 
 
 class GateStack(NamedTuple):
-    """One direction's weights, gates stacked in ``_GATES`` order: the input
-    kernel (F, n·d, d_e), of width 1 for GRU and LSTM (their V), the bias
-    (n·d,) and, for GRU and LSTM, the recurrent weights U (n·d, d), else
-    None."""
+    """Every direction's weights, gates stacked in ``_GATES`` order: the
+    input kernel (D, F, n·d, d_e), of width 1 for GRU and LSTM (their V),
+    the bias (D, n·d) and, for GRU and LSTM, the recurrent weights U
+    (D, n·d, d), else None."""
 
     kernel: np.ndarray
     bias: np.ndarray
@@ -159,15 +160,15 @@ class NetworkParams:
     """Architecture tag plus every weight of one classifier, as views into
     one float64 vector ``flat`` laid out by the shapes alone: ``embedding``
     (|V|, d_e), ``w_cls`` (K, d·n_dir), ``b_cls`` (K,), then per direction
-    its GateStack (``stacks``). The direction blocks are consecutive and
+    one block of gate weights. The direction blocks are consecutive and
     equal in size, so ``dir_stack`` views them all at once: a GateStack
     whose arrays carry a leading direction axis (D = 1 or 2), as the runner
     and the sweep step them. ``layers[dname]`` views the same memory gate by
     gate, by checkpoint name: Vn, Un and bn for a GRU or LSTM, Kn and bn
-    otherwise. ``stacks`` and ``layers`` are built on first use, so that
-    ``like`` (a gradient's layout, per training step) makes only the views
-    the sweep writes. A given ``flat`` (a gradient, say) gets the arrays
-    laid over it; by default they start at zero.
+    otherwise. ``layers`` is built on first use, so that ``like`` (a
+    gradient's layout, per training step) makes only the views the sweep
+    writes. A given ``flat`` (a gradient, say) gets the arrays laid over it;
+    by default they start at zero.
     """
 
     def __init__(self, arch: str, direction: str, vocab_size: int,
@@ -176,6 +177,8 @@ class NetworkParams:
                  flat: np.ndarray | None = None):
         if arch not in ARCHS:
             raise ValueError(f"unknown architecture {arch!r}")
+        if direction not in ("uni", "bi"):
+            raise ValueError(f"unknown direction {direction!r}")
         if arch == "CNN" and direction == "bi":
             raise ValueError("CNN is unidirectional")
         if kernel_width < 1 or kernel_width % 2 == 0:
@@ -200,35 +203,25 @@ class NetworkParams:
             dirs[:, end - ends[2] - math.prod(shape):end - ends[2]].reshape(
                 (n_dir,) + shape) for shape, end in zip(block, ends[3:])]
             + ([] if rec else [None]))
-        self._stacks: dict[str, GateStack] | None = None
         self._layers: dict[str, dict[str, np.ndarray]] | None = None
-
-    @property
-    def stacks(self) -> dict[str, GateStack]:
-        """Each direction's GateStack, views of ``dir_stack``."""
-        if self._stacks is None:
-            self._stacks = {
-                dname: GateStack(*(None if a is None else a[i]
-                                   for a in self.dir_stack))
-                for i, dname in enumerate(self.directions)}
-        return self._stacks
 
     @property
     def layers(self) -> dict[str, dict[str, np.ndarray]]:
         """Per-direction dicts of per-gate views, by checkpoint name."""
         if self._layers is None:
             names, d = _GATES[self.arch], self.d_hidden
+            kernel, bias, u = self.dir_stack
             self._layers = {}
-            for dname, st in self.stacks.items():
+            for i, dname in enumerate(self.directions):
                 self._layers[dname] = w = {}
                 for j, gate in enumerate(names):
                     rows = slice(j * d, (j + 1) * d)
-                    if st.u is not None:
-                        w["V" + gate] = st.kernel[0, rows]
-                        w["U" + gate] = st.u[rows]
+                    if u is not None:
+                        w["V" + gate] = kernel[i, 0, rows]
+                        w["U" + gate] = u[i, rows]
                     else:
-                        w["K" + gate] = st.kernel[:, rows]
-                    w["b" + gate] = st.bias[rows]
+                        w["K" + gate] = kernel[i, :, rows]
+                    w["b" + gate] = bias[i, rows]
         return self._layers
 
     def like(self, flat: np.ndarray) -> "NetworkParams":
@@ -288,77 +281,48 @@ def init_params(arch: str, vocab_size: int, d_embed: int, d_hidden: int,
 
 @dataclass
 class DirectionTrace:
-    """Per-timestep record for one direction, in that direction's order.
+    """Per-timestep record of every direction of a batched run, as the
+    runner writes it: each array carries a leading (D, B) direction and
+    batch axis (D = 1, or 2 for a bidirectional model), and each direction
+    runs in its own order.
 
     State arrays are indexed 0..T (row 0 is the initial state); gate,
     pre-activation and candidate arrays use rows 1..T with row 0 unused.
-    A batched trace carries a leading batch axis on every array, and the
-    runner's stack of directions (``DirectionStack``) a direction axis
-    before it.
+    ``at(i, b)`` views direction i, row b, without the leading axes.
     """
 
-    emb: np.ndarray                     # (T, d_e)
-    gates: dict[str, np.ndarray]        # each (T+1, d)
-    preact: np.ndarray                  # g' (T+1, d)
-    cand: np.ndarray                    # g  (T+1, d)
-    hidden: np.ndarray                  # (T+1, d)
-    cell: np.ndarray | None = None      # (T+1, d), LSTM family
-    pool_argmax: np.ndarray | None = None   # (d,), CNN: winning t in 1..T
+    emb: np.ndarray                     # (D, B, T, d_e)
+    gates: dict[str, np.ndarray]        # each (D, B, T+1, d)
+    preact: np.ndarray                  # g' (D, B, T+1, d)
+    cand: np.ndarray                    # g  (D, B, T+1, d)
+    hidden: np.ndarray                  # (D, B, T+1, d)
+    cell: np.ndarray | None = None      # (D, B, T+1, d), LSTM family
+    pool_argmax: np.ndarray | None = None   # (D, B, d), CNN: winning t in 1..T
     lengths: np.ndarray | None = None   # (B,) of a ragged batch, else None
 
-    def _map(self, f, lengths) -> "DirectionTrace":
-        """``f`` of every array, with ``lengths`` for the new batch."""
-        def g(a):
-            return None if a is None else f(a)
+    def _map(self, f, emb: np.ndarray, lengths) -> "DirectionTrace":
+        """``f`` of every array but ``emb``, given with ``lengths``."""
         return DirectionTrace(
-            emb=f(self.emb), gates={n: f(a) for n, a in self.gates.items()},
-            preact=f(self.preact), cand=f(self.cand), hidden=f(self.hidden),
-            cell=g(self.cell), pool_argmax=g(self.pool_argmax),
-            lengths=lengths)
+            emb, {n: f(a) for n, a in self.gates.items()},
+            *(None if a is None else f(a) for a in (
+                self.preact, self.cand, self.hidden, self.cell,
+                self.pool_argmax)), lengths)
 
-    def row(self, b: int) -> "DirectionTrace":
-        """Batch row ``b`` of a batched trace, cut to its own length."""
-        t_len = (self.emb.shape[1] if self.lengths is None
+    def at(self, i: int, b: int) -> "DirectionTrace":
+        """Direction ``i``, batch row ``b``, its steps cut to the row's own
+        length (``pool_argmax``, the one 3-d array, has no step axis)."""
+        t_len = (self.emb.shape[2] if self.lengths is None
                  else int(self.lengths[b]))
-        return DirectionTrace(
-            emb=self.emb[b, :t_len],
-            gates={n: a[b, :t_len + 1] for n, a in self.gates.items()},
-            preact=self.preact[b, :t_len + 1], cand=self.cand[b, :t_len + 1],
-            hidden=self.hidden[b, :t_len + 1],
-            cell=None if self.cell is None else self.cell[b, :t_len + 1],
-            pool_argmax=(None if self.pool_argmax is None
-                         else self.pool_argmax[b]))
+        return self._map(lambda a: a[i, b, :t_len + 1] if a.ndim == 4
+                         else a[i, b], self.emb[i, b, :t_len], None)
 
-
-class DirectionStack(Mapping):
-    """The batched traces of a model's directions as the runner records
-    them: one DirectionTrace (``stack``) whose arrays carry a leading
-    direction axis (D = 1, or 2 for a bidirectional model) before the batch
-    axis. As a mapping it gives each direction's (B, ...) trace by name,
-    as views of the stack."""
-
-    def __init__(self, names, stack: DirectionTrace):
-        self.stack = stack
-        self._pos = {dname: i for i, dname in enumerate(names)}
-
-    def __getitem__(self, dname: str) -> DirectionTrace:
-        i = self._pos[dname]
-        return self.stack._map(lambda a: a[i], self.stack.lengths)
-
-    def __iter__(self):
-        return iter(self._pos)
-
-    def __len__(self) -> int:
-        return len(self._pos)
-
-    def take(self, rows) -> "DirectionStack":
+    def take(self, rows) -> "DirectionTrace":
         """The batch rows ``rows`` of every direction, gathered in that
         order (repeats allowed) into a batch of their own."""
         rows = np.asarray(rows, dtype=np.intp)
-        lengths = self.stack.lengths
-        return DirectionStack(self._pos, self.stack._map(
-            lambda a: a.take(rows, axis=1),
-            None if lengths is None else lengths.take(rows)))
+        return self._map(
+            lambda a: a.take(rows, axis=1), self.emb.take(rows, axis=1),
+            None if self.lengths is None else self.lengths.take(rows))
 
 
 @dataclass
@@ -366,10 +330,10 @@ class ForwardTrace:
     """Everything one batched forward pass of one input computed.
 
     Row b of the batch ran on ``scales[b]`` times the input's embeddings;
-    row 0 is the input itself (scale 1). ``batch_dirs``, ``batch_doc`` and
-    ``batch_scores`` hold every row, as ``sweep`` takes them. ``dirs``,
-    ``doc_repr`` and ``scores`` are row 0: views of the same arrays, not
-    copies.
+    row 0 is the input itself (scale 1). ``batch_dirs`` and ``batch_scores``
+    hold every row, as ``sweep`` takes them. ``dirs`` (each direction's
+    ``batch_dirs.at(i, 0)``), ``doc_repr`` and ``scores`` are row 0: views
+    of the same arrays, not copies.
     """
 
     arch: str
@@ -379,8 +343,7 @@ class ForwardTrace:
     doc_repr: np.ndarray                # (d_h_total,)
     scores: np.ndarray                  # (K,)
     probs: np.ndarray                   # (K,)
-    batch_dirs: DirectionStack          # (B, ...) arrays per direction
-    batch_doc: np.ndarray               # (B, d_h_total)
+    batch_dirs: DirectionTrace          # (D, B, ...) arrays
     batch_scores: np.ndarray            # (B, K)
     scales: tuple[float, ...] = (1.0,)
 
@@ -577,9 +540,10 @@ def _run_directions(arch: str, w: GateStack, emb: np.ndarray,
 
 def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
          lengths=None,
-         ) -> tuple[np.ndarray, np.ndarray, DirectionStack | None]:
+         ) -> tuple[np.ndarray, np.ndarray, DirectionTrace | None]:
     """Batched forward over (B, T, d_e): document representations (B, d_h),
-    class scores (B, K) and, when ``keep``, the batched direction traces.
+    class scores (B, K) and, when ``keep``, the stacked trace of every
+    direction.
 
     A bidirectional model's two directions run as one (2, B, T, d_e) stack,
     the backward one on each row reversed (``_run_directions``).
@@ -614,7 +578,7 @@ def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
                                lengths)
     doc = np.concatenate(last, axis=1)
     scores = doc @ params.w_cls.T + params.b_cls
-    return doc, scores, DirectionStack(params.directions, tr) if keep else None
+    return doc, scores, tr
 
 
 def scaled_rows(emb: np.ndarray, scales) -> np.ndarray:
@@ -629,13 +593,14 @@ def forward_embedded(params: NetworkParams, emb: np.ndarray,
     per-step quantity recorded. The batch holds emb as row 0 and, after it,
     one row scales[j] * emb per extra scale."""
     scales = (1.0, *scales)
-    doc, scores, dirs = _run(params, scaled_rows(emb, scales), keep=True)
+    doc, scores, tr = _run(params, scaled_rows(emb, scales), keep=True)
     return ForwardTrace(arch=params.arch, direction=params.direction,
                         embeddings=emb,
-                        dirs={n: tr.row(0) for n, tr in dirs.items()},
+                        dirs={n: tr.at(i, 0)
+                              for i, n in enumerate(params.directions)},
                         doc_repr=doc[0], scores=scores[0],
-                        probs=softmax(scores[0]), batch_dirs=dirs,
-                        batch_doc=doc, batch_scores=scores, scales=scales)
+                        probs=softmax(scores[0]), batch_dirs=tr,
+                        batch_scores=scores, scales=scales)
 
 
 def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
@@ -676,7 +641,7 @@ def empty_sequence_scores(params: NetworkParams) -> np.ndarray:
     so each channel pools relu of its bias.
     """
     if params.arch == "CNN":
-        doc = np.maximum(params.stacks["fwd"].bias, 0.0)
+        doc = np.maximum(params.dir_stack.bias[0], 0.0)
     else:
         doc = np.zeros(params.w_cls.shape[1])
     return params.w_cls @ doc + params.b_cls
@@ -719,8 +684,8 @@ def _conv_kernel_grad(dout: np.ndarray, emb: np.ndarray, f: int,
 
 @dataclass(frozen=True)
 class RelevanceRule:
-    """Turns ``sweep`` into ε-LRP, or with ``base`` (the batched direction
-    traces of a baseline input) into DeepLIFT-Rescale; ``eps`` > 0. The
+    """Turns ``sweep`` into ε-LRP, or with ``base`` (the stacked trace of a
+    baseline input) into DeepLIFT-Rescale; ``eps`` > 0 and finite. The
     rule governs the batch rows from ``first`` on, and ``base`` holds one
     row for each of them; the rows before ``first`` get exact gradients in
     the same sweep.
@@ -742,7 +707,7 @@ class RelevanceRule:
     """
 
     eps: float
-    base: DirectionStack | None = None
+    base: DirectionTrace | None = None
     first: int = 0
 
 
@@ -771,8 +736,7 @@ def _local_factors(tr: DirectionTrace, rule: RelevanceRule | None,
                      1.0)
     if rule is None:
         return exact
-    first = rule.first
-    base = None if rule.base is None else rule.base.stack
+    first, base = rule.first, rule.base
 
     def delta(name, f=lambda a: a):
         a = f(getattr(tr, name)[:, first:])
@@ -950,7 +914,7 @@ def _sweep_directions(arch: str, w: GateStack, tr: DirectionTrace,
 
 
 def sweep(params: NetworkParams, doc: np.ndarray | None,
-          dirs: DirectionStack, dscores: np.ndarray,
+          dirs: DirectionTrace, dscores: np.ndarray,
           param_grads: bool = False, rule: RelevanceRule | None = None,
           ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one reverse sweep over a batched forward of ``_run(...,
@@ -958,7 +922,7 @@ def sweep(params: NetworkParams, doc: np.ndarray | None,
     it governs.
 
     ``doc`` and ``dirs`` are that run's document representations (read only
-    for ``param_grads``) and traces, or rows gathered from them with
+    for ``param_grads``) and stacked trace, or rows gathered from them with
     ``take``; ``dscores`` (B, K) is the gradient of some function of each
     row's class scores. Every direction steps back in the one loop of
     ``_sweep_directions``. Returns the gradients of the input embeddings
@@ -983,19 +947,17 @@ def sweep(params: NetworkParams, doc: np.ndarray | None,
         grads = params.like(np.zeros_like(params.flat))
         grads.w_cls[...] = dscores.T @ doc
         grads.b_cls[...] = dscores.sum(axis=0)
-    tr = dirs.stack
     de = _sweep_directions(
-        params.arch, params.dir_stack, tr,
+        params.arch, params.dir_stack, dirs,
         ddoc.reshape(b, n_dir, params.d_hidden).swapaxes(0, 1),
-        _local_factors(tr, rule), grads.dir_stack if grads else None)
-    demb = 0.0 + de[0]
+        _local_factors(dirs, rule), grads.dir_stack if grads else None)
+    demb, lengths = 0.0 + de[0], dirs.lengths
     if n_dir == 2:
-        lengths, t_len = tr.lengths, de.shape[2]
         demb = demb + (de[1][:, ::-1] if lengths is None else
                        de[1][np.arange(b)[:, None],
-                             _reverse_index(lengths, t_len)])
-    if tr.lengths is not None:
-        real = np.arange(demb.shape[1]) < tr.lengths[:, None]
+                             _reverse_index(lengths, de.shape[2])])
+    if lengths is not None:
+        real = np.arange(demb.shape[1]) < lengths[:, None]
         demb = np.where(real[:, :, None], demb, 0.0)
     return (demb[:1] if lone else demb), grads.flat if grads else None
 
@@ -1084,9 +1046,12 @@ def load_checkpoint(path) -> NetworkParams:
     (n_vocab, d_embed), (n_classes,), (d_hidden,) = (
         arrays[key].shape for key, _ in sized)
     vocab = Vocabulary.from_dict(meta["vocab"]) if meta.get("vocab") else None
-    params = NetworkParams(meta["arch"], meta["direction"], n_vocab, d_embed,
-                           d_hidden, n_classes, int(meta["kernel_width"]),
-                           vocab)
+    try:
+        params = NetworkParams(meta["arch"], meta["direction"], n_vocab,
+                               d_embed, d_hidden, n_classes,
+                               int(meta["kernel_width"]), vocab)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     want = params.arrays()
     extra = sorted(arrays.keys() - want.keys())
     if extra:

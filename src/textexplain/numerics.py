@@ -39,9 +39,10 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 def esign(a, eps: float) -> np.ndarray:
-    """Sign-preserving stabilizer: -eps where a < 0, +eps otherwise."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Sign-preserving stabilizer: -eps where a < 0, +eps otherwise; eps
+    must be positive and finite."""
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     return np.where(np.asarray(a, dtype=np.float64) < 0, -eps, eps)
 
 

@@ -55,8 +55,8 @@ def test_forward_embedded_is_a_batch_row(arch_dir, seed, t_len, batch):
         tr = forward_embedded(p, embs[b])
         np.testing.assert_allclose(tr.scores, scores[b], rtol=0, atol=1e-12)
         np.testing.assert_allclose(tr.doc_repr, doc[b], rtol=0, atol=1e-12)
-        for dname, d_tr in tr.dirs.items():
-            row = dirs[dname].row(b)
+        for i, d_tr in enumerate(tr.dirs.values()):
+            row = dirs.at(i, b)
             for field in ("preact", "cand", "hidden", "cell"):
                 got, want = getattr(row, field), getattr(d_tr, field)
                 if want is None:
@@ -131,8 +131,8 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
         np.testing.assert_allclose(demb[b, :t_len], one[0], rtol=0,
                                    atol=1e-12)
         assert np.all(demb[b, t_len:] == 0.0)
-        for dname, tr in one_dirs.items():
-            row, want = dirs[dname].row(b), tr.row(0)
+        for i in range(len(p.directions)):
+            row, want = dirs.at(i, b), one_dirs.at(i, 0)
             for field in ("emb", "preact", "cand", "hidden"):
                 np.testing.assert_allclose(getattr(row, field),
                                            getattr(want, field), rtol=0,

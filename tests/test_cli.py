@@ -170,6 +170,20 @@ class TestExplain:
                    "--methods", "shapley"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["explain", "eval-hybrid",
+                                         "eval-agreement"])
+    def test_repeated_method_is_data_error(self, tmp_path, capsys, command):
+        """A method named twice is rejected before the checkpoint, which
+        does not exist here, is read."""
+        out = tmp_path / "out"
+        rc = main([command, str(tmp_path / "model.npz"),
+                   str(tmp_path / "docs"), "--out", str(out),
+                   "--methods", "lrp", "omit_1", "lrp"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'lrp' named twice" in err
+        assert not out.exists()
+
 
 class TestEvalHybrid:
     def test_report_rows(self, trained_checkpoint, tmp_path):
@@ -343,6 +357,19 @@ class TestOptionValidation:
         assert err.count("\n") == 1 and flag[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, files, flags", [
+        ("train", ["c.jsonl"], ["--out", "m.npz", "--seed", "-1"]),
+        ("explain", ["m.npz", "docs"],
+         ["--methods", "limsse_ms_s", "--seed", "-3"]),
+        ("eval-hybrid", ["m.npz", "c.jsonl"], ["--seed", "-1"]),
+        ("eval-agreement", ["m.npz", "a.tsv"], ["--seed", "-1"]),
+    ], ids=["train", "explain", "eval-hybrid", "eval-agreement"])
+    def test_negative_seed(self, tmp_path, capsys, command, files, flags):
+        rc = main([command, *(str(tmp_path / f) for f in files), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
+
     def test_group_size(self, tmp_path, capsys):
         rc = main(["eval-hybrid", str(tmp_path / "m.npz"),
                    str(tmp_path / "c.jsonl"), "--group-size", "0"])
@@ -428,7 +455,11 @@ class TestDataErrors:
         lambda path, good: np.savez(path, **{
             **good, "meta": np.asarray(str(good["meta"]).replace(
                 '"kernel_width": 5', '"kernel_width": null'))}),
-    ], ids=["bad-zip", "meta-not-object", "kernel-width-null"])
+        lambda path, good: np.savez(path, **{
+            **good, "meta": np.asarray(str(good["meta"]).replace(
+                '"direction": "uni"', '"direction": "bidirectional"'))}),
+    ], ids=["bad-zip", "meta-not-object", "kernel-width-null",
+            "unknown-direction"])
     def test_corrupt_checkpoint(self, trained_checkpoint, tmp_path, capsys,
                                 write):
         _, corpus, ckpt = trained_checkpoint

@@ -255,6 +255,28 @@ class TestRunEvals:
             assert tgt.possible == fc.possible
             assert fc.possible + fi.possible == len(samples)
 
+    @pytest.mark.parametrize("run", ["hybrid", "agreement"])
+    def test_repeated_method_rejected_before_any_document(self, run,
+                                                          monkeypatch):
+        """A method named twice would count each document twice against
+        the baselines' once."""
+        import textexplain as tx
+        from conftest import rand_params
+        from textexplain import evaluate
+        p = rand_params("GRU", vocab_size=40)
+        p.vocab = tx.Vocabulary.build([[f"t{i}" for i in range(40)]],
+                                      cutoff=40)
+
+        def no_document(*args):
+            raise AssertionError("document run before the name check")
+
+        monkeypatch.setattr(evaluate, "document_trace", no_document)
+        with pytest.raises(ValueError, match="'lrp' named twice"):
+            if run == "hybrid":
+                run_hybrid_eval(p, self._docs(), ["lrp", "omit_1", "lrp"])
+            else:
+                run_agreement_eval(p, [SAMPLE], ["lrp", "omit_1", "lrp"])
+
     def test_agreement_needs_vocab(self):
         p = self._trained_gru()
         p.vocab = None

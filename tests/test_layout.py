@@ -45,7 +45,8 @@ def golden_init(name):
 def assert_views_of_flat(p):
     """The classifier, embedding and stacked blocks tile ``p.flat`` in that
     order, and the per-gate views cover each block once."""
-    stacked = [a for st in p.stacks.values() for a in st if a is not None]
+    stacked = [a[i] for i in range(len(p.directions))
+               for a in p.dir_stack if a is not None]
     blocks = [p.embedding, p.w_cls, p.b_cls] + stacked
     for a in blocks + list(p.arrays().values()):
         assert np.shares_memory(a, p.flat)
@@ -90,8 +91,8 @@ def test_a_gate_view_writes_the_stacked_block():
     p = init_params("LSTM", 5, 3, 4, 2, SeededRng(0))
     p.layers["fwd"]["Uf"][1, 2] = 7.0
     p.layers["fwd"]["Vo"][0, 1] = 8.0
-    st = p.stacks["fwd"]
-    assert st.u[4 + 1, 2] == 7.0 and st.kernel[0, 8, 1] == 8.0
+    st = p.dir_stack
+    assert st.u[0, 4 + 1, 2] == 7.0 and st.kernel[0, 0, 8, 1] == 8.0
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_INITS))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textexplain as tx
-from textexplain.explain import gradient as gradient_module, \
-    lrp as lrp_module
+from textexplain.explain import catalog as catalog_module, \
+    gradient as gradient_module
 from textexplain.explain.gradient import GradConfig, explain_gradient
 from textexplain.explain.lrp import deeplift_explain, esign, lrp_explain
 from textexplain.models import DirectionTrace, _conv_transpose, embed, \
@@ -19,8 +19,9 @@ class TestEsign:
         np.testing.assert_array_equal(out, [-0.5, 0.5, 0.5, 0.5])
 
     def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError):
-            esign(np.array([1.0]), 0.0)
+        for eps in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                esign(np.array([1.0]), eps)
 
 
 def _positive_relu_cnn(seed=0):
@@ -158,7 +159,7 @@ def _forbid_forward(monkeypatch, check):
     def no_forward(*args, **kwargs):
         raise AssertionError(f"forward pass before the {check} check")
 
-    monkeypatch.setattr(lrp_module, "forward", no_forward)
+    monkeypatch.setattr(catalog_module, "forward", no_forward)
     monkeypatch.setattr(gradient_module, "_run", no_forward)
 
 
@@ -188,7 +189,7 @@ class TestGeneralProperties:
         with pytest.raises(ValueError, match="out of range"):
             fn(rand_params("GRU", n_classes=2), [1, 2], k)
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3])
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.inf, np.nan])
     @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
     def test_nonpositive_eps_rejected_before_any_forward_pass(
             self, fn, eps, monkeypatch):
@@ -306,8 +307,8 @@ def _backprop_direction(arch: str, w: dict[str, np.ndarray],
 
 
 def _oracle_map(params, ids, k, eps, use_baseline):
-    """The per-document relevance pass's map (``_explain`` before the
-    sweep took it over)."""
+    """The per-document relevance pass's map (``lrp_explain`` and
+    ``deeplift_explain`` before the sweep took them over)."""
     trace = forward(params, ids)
     base = None
     if use_baseline:

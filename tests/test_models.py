@@ -155,6 +155,13 @@ class TestBidirectional:
         np.testing.assert_allclose(tr.doc_repr[:d], fwd_tr.doc_repr)
         np.testing.assert_allclose(tr.doc_repr[d:], bwd_tr.doc_repr)
 
+    @pytest.mark.parametrize("direction", ["bidirectional", "fwd", "", "Bi"])
+    def test_unknown_direction_rejected(self, direction):
+        """Only "uni" and "bi" name a direction; nothing else builds a
+        model."""
+        with pytest.raises(ValueError, match="unknown direction"):
+            init_params("GRU", 10, 4, 6, 2, SeededRng(0), direction=direction)
+
 
 MODELS = [(arch, direction) for arch in tx.ARCHS
           for direction in ("uni", "bi") if (arch, direction) != ("CNN", "bi")]

@@ -138,7 +138,8 @@ def test_one_sweep_holds_the_exact_and_the_relevance_rows(monkeypatch):
 @pytest.mark.parametrize("arch", ["GRU", "LSTM", "QGRU", "QLSTM"])
 def test_direction_stacks_view_the_flat_vector(arch):
     """A bidirectional model's (D, ...) weight stacks are strided views of
-    ``params.flat``, and each direction's blocks are views of them."""
+    ``params.flat``, and each direction's per-gate ``layers`` are views of
+    them."""
     p = init_params(arch, 9, 3, 4, 3, SeededRng(1), direction="bi",
                     kernel_width=3)
     for name, both in p.dir_stack._asdict().items():
@@ -146,11 +147,13 @@ def test_direction_stacks_view_the_flat_vector(arch):
             continue
         assert both.shape[0] == 2
         assert np.shares_memory(both, p.flat)
-        for i, dname in enumerate(p.directions):
-            one = getattr(p.stacks[dname], name)
-            assert np.shares_memory(one, both)
-            np.testing.assert_array_equal(one, both[i])
+    blocks = [a for a in p.dir_stack if a is not None]
+    for i, dname in enumerate(p.directions):
+        for one in p.layers[dname].values():
+            assert any(np.shares_memory(one, a[i]) for a in blocks)
     p.flat[:] = np.arange(p.flat.size)
-    assert p.dir_stack.bias[1, 0] == p.stacks["bwd"].bias[0]
+    gate = models._GATES[arch][0]
+    kernel = ("V" if arch in ("GRU", "LSTM") else "K") + gate
+    assert p.dir_stack.bias[1, 0] == p.layers["bwd"]["b" + gate][0]
     p.dir_stack.kernel[1, 0, 0, 0] = -1.0
-    assert p.stacks["bwd"].kernel[0, 0, 0] == -1.0
+    assert p.layers["bwd"][kernel].flat[0] == -1.0

@@ -88,13 +88,13 @@ def test_shared_trace_maps_equal_the_traceless_maps(arch_dir, seed, t_len, k):
 def test_trace_rows_are_views_of_the_batched_run(arch_dir):
     p = model(arch_dir, 2)
     trace = forward(p, token_ids(6, 2))
-    for dname, tr in trace.dirs.items():
-        batched = trace.batch_dirs[dname]
-        assert batched.hidden.shape[0] == 1
-        assert np.shares_memory(tr.hidden, batched.hidden)
-        assert np.shares_memory(tr.cand, batched.cand)
+    batched = trace.batch_dirs
+    for i, tr in enumerate(trace.dirs.values()):
+        assert batched.hidden.shape[1] == 1
+        assert np.shares_memory(tr.hidden, batched.hidden[i])
+        assert np.shares_memory(tr.cand, batched.cand[i])
         for gate, a in tr.gates.items():
-            assert np.shares_memory(a, batched.gates[gate])
+            assert np.shares_memory(a, batched.gates[gate][i])
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_document_trace_rows():
     assert trace.scales == (1.0, 0.0, 0.25, 0.5, 0.75)
     emb = embed(p, ids)
     for b, scale in enumerate(trace.scales):
-        np.testing.assert_array_equal(trace.batch_dirs["fwd"].emb[b],
+        np.testing.assert_array_equal(trace.batch_dirs.emb[0, b],
                                       emb * scale)
     plain = forward(p, ids)
     assert trace.predicted == plain.predicted
@@ -110,7 +110,7 @@ def test_document_trace_rows():
                                atol=1e-13)
     np.testing.assert_array_equal(trace.embeddings, emb)
     assert np.shares_memory(trace.dirs["bwd"].hidden,
-                            trace.batch_dirs["bwd"].hidden)
+                            trace.batch_dirs.hidden[1])
     # methods that read row 0 alone add no rows
     assert document_trace(["grad1_p_l2", "lrp", "decomp", "omit_1"], p,
                           ids).scales == (1.0,)
