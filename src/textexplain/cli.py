@@ -21,6 +21,7 @@ from .evaluate import build_hybrid_docs, format_report_tsv, \
     parse_agreement_tsv, run_agreement_eval, run_hybrid_eval
 from .explain import METHOD_NAMES, ExplainOptions, check_names, \
     document_trace, explain_all
+from .explain.decomp import check_decomp
 from .models import ARCHS, Vocabulary, init_params, load_checkpoint, \
     save_checkpoint
 from .numerics import SeededRng
@@ -30,10 +31,6 @@ from .train import TrainConfig, loss_and_accuracy, train
 
 class UsageError(Exception):
     """An option the loaded data cannot honour; maps to exit code 1."""
-
-
-class DataError(Exception):
-    """Bad or unreadable input data; maps to exit code 2."""
 
 
 def _read_corpus(path: str) -> list[dict]:
@@ -47,30 +44,30 @@ def _read_corpus(path: str) -> list[dict]:
                 try:
                     doc = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc}")
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}")
                 if (not isinstance(doc, dict) or "label" not in doc
                         or "sentences" not in doc):
-                    raise DataError(
+                    raise ValueError(
                         f"{path}:{lineno}: need 'label' and 'sentences'")
                 _check_record(doc, f"{path}:{lineno}")
                 docs.append(doc)
     except OSError as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}")
+        raise ValueError(f"cannot read corpus {path}: {exc}")
     if not docs:
-        raise DataError(f"{path}: empty corpus")
+        raise ValueError(f"{path}: empty corpus")
     return docs
 
 
 def _check_record(doc: dict, where: str) -> None:
     label, sentences = doc["label"], doc["sentences"]
     if not isinstance(label, int) or isinstance(label, bool):
-        raise DataError(f"{where}: 'label' must be an integer, got {label!r}")
+        raise ValueError(f"{where}: 'label' must be an integer, got {label!r}")
     if not (isinstance(sentences, list) and all(
             isinstance(sent, list)
             and all(isinstance(tok, str) for tok in sent)
             for sent in sentences)):
-        raise DataError(f"{where}: 'sentences' must be a list of lists of "
-                        f"strings")
+        raise ValueError(f"{where}: 'sentences' must be a list of lists of "
+                         f"strings")
 
 
 def _doc_tokens(doc: dict) -> list[str]:
@@ -134,14 +131,16 @@ def _options_from(args) -> ExplainOptions:
                           seed=args.seed)
 
 
-def _load_model(path: str):
-    """A checkpoint that carries its vocabulary."""
+def _load_model(path: str, methods=()):
+    """A checkpoint that carries its vocabulary and can run ``methods``."""
     try:
         params = load_checkpoint(path)
     except (OSError, KeyError, TypeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}")
+        raise ValueError(f"cannot read checkpoint {path}: {exc}")
     if params.vocab is None:
-        raise DataError("checkpoint has no vocabulary")
+        raise ValueError("checkpoint has no vocabulary")
+    if "decomp" in methods:
+        check_decomp(params.arch)
     return params
 
 
@@ -151,7 +150,7 @@ def _load_model(path: str):
 
 def cmd_train(args) -> int:
     if args.arch not in ARCHS:
-        raise DataError(f"unknown architecture {args.arch!r}")
+        raise ValueError(f"unknown architecture {args.arch!r}")
     _check_writable(args.out, "checkpoint ")
     docs = _read_corpus(args.corpus)
     labels = [int(d["label"]) for d in docs]
@@ -162,7 +161,7 @@ def cmd_train(args) -> int:
               for d, lab in zip(docs, labels)]
     corpus = [(ids, lab) for ids, lab in corpus if ids]
     if not corpus:
-        raise DataError("corpus contains no non-empty documents")
+        raise ValueError("corpus contains no non-empty documents")
 
     rng = SeededRng(args.seed)
     params = init_params(args.arch, len(vocab), args.d_embed, args.d_hidden,
@@ -171,7 +170,7 @@ def cmd_train(args) -> int:
     try:
         log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
     except OSError as exc:
-        raise DataError(f"cannot write {args.log}: {exc}")
+        raise ValueError(f"cannot write {args.log}: {exc}")
 
     def log_epoch(epoch):
         loss, acc = loss_and_accuracy(params, corpus)
@@ -194,7 +193,7 @@ def cmd_train(args) -> int:
     try:
         save_checkpoint(args.out, params)
     except OSError as exc:
-        raise DataError(f"cannot write checkpoint {args.out}: {exc}")
+        raise ValueError(f"cannot write checkpoint {args.out}: {exc}")
     return 0
 
 
@@ -204,15 +203,15 @@ def _class_count(labels: list[int], path: str) -> int:
     binary corpus may hold one of them only."""
     present = set(labels)
     if min(present) < 0:
-        raise DataError(f"{path}: negative label {min(present)}")
+        raise ValueError(f"{path}: negative label {min(present)}")
     if max(present) <= 1:
         return max(present) + 1
     # a gap, if any, lies below len(present): that many distinct labels
     # without one are exactly 0..len(present) - 1
     for cls in range(len(present)):
         if cls not in present:
-            raise DataError(f"{path}: no document has label {cls}, but "
-                            f"labels go up to {max(present)}")
+            raise ValueError(f"{path}: no document has label {cls}, but "
+                             f"labels go up to {max(present)}")
     return len(present)
 
 
@@ -273,7 +272,7 @@ def _explain_one(name, params, ids, k, opts, trace):
 def cmd_eval_hybrid(args) -> int:
     check_names(args.methods)
     _check_writable(args.out)
-    params = _load_model(args.checkpoint)
+    params = _load_model(args.checkpoint, args.methods)
     docs = _read_corpus(args.corpus)
     sentences = []
     for doc in docs:
@@ -281,11 +280,8 @@ def cmd_eval_hybrid(args) -> int:
             if sent:
                 sentences.append((list(sent), params.vocab.encode(sent),
                                   int(doc["label"])))
-    try:
-        hybrids = build_hybrid_docs(sentences, SeededRng(args.seed),
-                                    group_size=args.group_size)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    hybrids = build_hybrid_docs(sentences, SeededRng(args.seed),
+                                group_size=args.group_size)
     rows = run_hybrid_eval(params, hybrids, args.methods,
                            _options_from(args), baseline_seed=args.seed)
     _write_output(args.out, format_report_tsv(rows))
@@ -295,14 +291,14 @@ def cmd_eval_hybrid(args) -> int:
 def cmd_eval_agreement(args) -> int:
     check_names(args.methods)
     _check_writable(args.out)
-    params = _load_model(args.checkpoint)
+    params = _load_model(args.checkpoint, args.methods)
     try:
         with open(args.tsv, encoding="utf-8") as fh:
             samples = parse_agreement_tsv(fh)
     except OSError as exc:
-        raise DataError(f"cannot read {args.tsv}: {exc}")
+        raise ValueError(f"cannot read {args.tsv}: {exc}")
     except ValueError as exc:
-        raise DataError(f"{args.tsv}: {exc}")
+        raise ValueError(f"{args.tsv}: {exc}")
     rows = run_agreement_eval(params, samples, args.methods,
                               _options_from(args), baseline_seed=args.seed)
     _write_output(args.out, format_report_tsv(rows))
@@ -314,12 +310,12 @@ def cmd_render(args) -> int:
         with open(args.relevance, encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh if line.strip()]
     except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read {args.relevance}: {exc}")
+        raise ValueError(f"cannot read {args.relevance}: {exc}")
     chunks = []
     for index, r in enumerate(records, start=1):
         where = f"{args.relevance}: record {index}"
         if not isinstance(r, dict):
-            raise DataError(f"{where}: expected a JSON object")
+            raise ValueError(f"{where}: expected a JSON object")
         if "scores" not in r:
             continue
         _check_rendered(r, where)
@@ -338,13 +334,13 @@ def _check_rendered(r: dict, where: str) -> None:
     if not (isinstance(scores, list) and all(
             type(v) in (int, float) and abs(v) <= sys.float_info.max
             for v in scores)):
-        raise DataError(f"{where}: 'scores' must be a list of finite numbers")
+        raise ValueError(f"{where}: 'scores' must be a list of finite numbers")
     if tokens is None:
-        raise DataError(f"{where}: has scores but no tokens")
+        raise ValueError(f"{where}: has scores but no tokens")
     if not (isinstance(tokens, list) and len(tokens) == len(scores)
             and all(isinstance(tok, str) for tok in tokens)):
-        raise DataError(f"{where}: 'tokens' must be a list of one string "
-                        f"per score")
+        raise ValueError(f"{where}: 'tokens' must be a list of one string "
+                         f"per score")
 
 
 def _check_writable(path: str | None, what: str = "") -> None:
@@ -354,10 +350,10 @@ def _check_writable(path: str | None, what: str = "") -> None:
         return
     target = Path(path)
     if not target.parent.is_dir():
-        raise DataError(f"cannot write {what}{path}: "
-                        f"no directory {target.parent}")
+        raise ValueError(f"cannot write {what}{path}: "
+                         f"no directory {target.parent}")
     if target.is_dir():
-        raise DataError(f"cannot write {what}{path}: is a directory")
+        raise ValueError(f"cannot write {what}{path}: is a directory")
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -367,7 +363,7 @@ def _write_output(path: str | None, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}")
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +456,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

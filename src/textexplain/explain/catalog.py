@@ -1,18 +1,19 @@
 """Name-keyed dispatch over the full catalog of explanation methods.
 
 The white-box methods of one (document, model) share one pass: one forward
-and one sweep. ``document_trace`` runs the forward over every row the
-asked methods read: the document (row 0, whose scores give the
-prediction), DeepLIFT's all-zero input, and the integrated-gradient inputs,
-into one stacked trace. ``explain_all`` then runs one sweep
-(``gradient.white_box_pass``) over rows taken from it, which give exact
-gradients for the gradient methods and, under a relevance rule in the
-trailing rows, LRP and DeepLIFT; decomposition reads row 0's views.
+and one sweep. ``document_trace`` runs the forward over the first batch of
+the rows the asked methods read (``gradient.row_plan``): the document (row
+0, whose scores give the prediction), DeepLIFT's all-zero input, and the
+integrated-gradient inputs, into one stacked trace. ``explain_all`` then
+runs one sweep (``gradient.white_box_pass``) over rows taken from it, which
+give exact gradients for the gradient methods and, under a relevance rule
+in the trailing rows, LRP and DeepLIFT; decomposition reads row 0's views.
 Perturbation and LIMSSE score inputs of their own.
 
-``explain_all`` takes the trace as an optional argument; with none it starts
-from ``forward(params, ids)``, and any row its trace lacks (a plain forward
-trace, or one built for another ``int_steps``) runs in one more forward.
+``explain_all`` takes the trace as an optional argument; with none it runs
+``document_trace``. A trace that does not start with the plan's first batch
+(a plain forward trace, or one built for another ``int_steps``) runs again
+from the plan in one forward.
 ``explain`` is its one-name case, and so are ``lrp_explain``,
 ``deeplift_explain`` and ``explain_gradient``. A trace that does not belong to
 ``params`` and ``ids`` is rejected, so it can never yield a map of another
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..models import ForwardTrace, NetworkParams, check_trace, forward
+from ..models import ForwardTrace, NetworkParams, check_trace, embed, \
+    forward_embedded
 from ..relevance import RelevanceMap
 from .decomp import decomp_explain
-from .gradient import DEFAULT_EPS, check_white_box, forward_rows, \
-    reduce_gradients, white_box_pass
+from .gradient import DEFAULT_EPS, check_white_box, reduce_gradients, \
+    row_plan, white_box_pass
 from .limsse import DEFAULT_MAX_LEN, DEFAULT_N_SAMPLES, limsse_explain
 from .perturb import PerturbConfig, perturb_explain
 
@@ -70,11 +72,14 @@ def _white_box(name: str) -> bool:
 
 def document_trace(names, params: NetworkParams, ids,
                    opts: ExplainOptions | None = None) -> ForwardTrace:
-    """The forward trace of ``ids`` with every row the white-box methods
-    among ``names`` read, in one batch: row 0 is the document, so the
-    trace's row-0 fields read as ``forward(params, ids)``'s."""
+    """The forward trace of ``ids`` over the first batch of the rows the
+    white-box methods among ``names`` read (``gradient.row_plan``): row 0
+    is the document, so the trace's row-0 fields read as
+    ``forward(params, ids)``'s."""
     opts = opts or ExplainOptions()
-    return forward_rows(names, params, ids, opts.int_steps)
+    emb = embed(params, ids)
+    return forward_embedded(params, emb, row_plan(
+        names, params, len(emb), opts.int_steps)[0][1:])
 
 
 def explain_all(names, params: NetworkParams, ids, k: int,
@@ -100,7 +105,7 @@ def explain_all(names, params: NetworkParams, ids, k: int,
     if white:
         check_white_box(params, k, white, opts.eps, opts.int_steps)
         if trace is None:
-            trace = forward(params, ids)
+            trace = document_trace(white, params, ids, opts)
         if "decomp" in white:
             maps["decomp"] = decomp_explain(params, ids, k, trace=trace)
         raw = white_box_pass(params, trace, k, white, opts.eps,

@@ -37,11 +37,16 @@ def _suffix_gate_products(gates: np.ndarray, t_len: int) -> np.ndarray:
     return prod
 
 
+def check_decomp(arch: str) -> None:
+    """Raise ValueError unless decomposition is defined for ``arch``."""
+    if arch not in _DECOMP_ARCHS:
+        raise ValueError(f"decomposition undefined for {arch}")
+
+
 def net_load_series(trace: ForwardTrace, params: NetworkParams, k: int,
                     dname: str) -> np.ndarray:
     """nl(t) for t = 0..T in one direction; nl(0) = 0 under zero init."""
-    if params.arch not in _DECOMP_ARCHS:
-        raise ValueError(f"decomposition undefined for {params.arch}")
+    check_decomp(params.arch)
     tr: DirectionTrace = trace.dirs[dname]
     t_len = tr.emb.shape[0]
     pos = params.directions.index(dname)

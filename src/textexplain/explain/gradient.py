@@ -16,23 +16,23 @@ The gradient methods are {plain, integrated} x {score, prob} x {L2, dot}.
   all-zero input's row, LRP's an all-zero activation trace (ε-LRP is
   DeepLIFT-Rescale against it).
 
-``forward_rows`` runs the forward and ``white_box_pass`` the sweep; rows
-its trace lacks run in further batches, each with one sweep of its own.
-Integrated-gradient rows past ``IG_BATCH_CELLS`` always do, so that no
-batch's trace exceeds a few MB. The relevance rows ride in the first
-batch's sweep: if the trace lacks DeepLIFT's all-zero row, the further
-batch that holds it runs its forward first.
+``row_plan`` names those rows and splits them into batches of at most
+``models.batch_rows``, so that no batch's trace exceeds a few MB; the
+trace holds the first batch, and ``white_box_pass`` runs the others, each
+with one sweep of its own. The relevance rows ride in the first batch's
+sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
-    RelevanceRule, _run, embed, forward_embedded, output_seeds, scaled_rows, \
-    sweep
+    RelevanceRule, _run, batch_rows, forward_embedded, output_seeds, \
+    scaled_rows, sweep
 from ..numerics import esign
 from ..relevance import RelevanceMap
 
@@ -59,30 +59,23 @@ class GradConfig:
         return f"{self.variant}_{self.output}_{self.reduction}"
 
 
-# Most cells (rows x length x width) one batch of integrated gradients
-# holds; longer inputs are split into several batches so that the trace of
-# one batch stays a few MB.
-IG_BATCH_CELLS = 1 << 18
-
 DEFAULT_EPS = 1e-3
 
 
-def _batch_rows(params: NetworkParams, t_len: int) -> int:
-    width = max(params.d_embed, params.d_hidden)
-    return max(1, IG_BATCH_CELLS // max(1, t_len * width))
-
-
-def forward_rows(names, params: NetworkParams, ids,
-                 steps: int) -> ForwardTrace:
-    """The forward trace of ``ids`` beside the rows the white-box ``names``
-    read, in one batch: scale 0 (DeepLIFT's all-zero input), then as many
-    integrated-gradient rows m/M (M = ``steps``) as fit the batch."""
-    emb = embed(params, ids)
-    extra = (0.0,) if "deeplift" in names else ()
-    if any(n.startswith("gradint_") for n in names):
-        room = _batch_rows(params, len(emb)) - 1 - len(extra)
-        extra += tuple(m / steps for m in range(1, min(steps, room + 1)))
-    return forward_embedded(params, emb, extra)
+def row_plan(names, params: NetworkParams, t_len: int,
+             steps: int) -> list[tuple[float, ...]]:
+    """The scales of the rows the white-box ``names`` read, split into
+    forward batches. The first holds the document (1.0), then DeepLIFT's
+    all-zero input (0.0) if it is asked, then as many integrated-gradient
+    rows m/M (M = ``steps``) as fit ``batch_rows``; the other m/M follow
+    in batches of at most that many rows."""
+    first = (1.0, 0.0) if "deeplift" in names else (1.0,)
+    integrated = any(n.startswith("gradint_") for n in names)
+    rows = first + tuple(m / steps for m in range(1, steps) if integrated)
+    size = batch_rows(params, t_len)
+    head = max(len(first), size)
+    return [rows[:head]] + [rows[lo:lo + size]
+                            for lo in range(head, len(rows), size)]
 
 
 def check_white_box(params: NetworkParams, k: int, names,
@@ -108,101 +101,81 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
       the order m = 1..M;
     * ``"lrp"`` and ``"deeplift"``: the (T,) relevance e_t · demb_t.
 
-    Needed rows the trace lacks run in batches of their own, each followed
-    by its own sweep; the relevance rows ride in the trace's. The arguments
-    must pass ``check_white_box``.
+    The trace holds ``row_plan``'s first batch (a trace that does not
+    start with it runs again from it, in one forward), and each further
+    batch runs with a sweep of its own; the relevance rows ride in the
+    trace's. The arguments must pass ``check_white_box``.
     """
     emb = trace.embeddings
+    plan = row_plan(names, params, len(emb), steps)
+    if trace.scales[:len(plan[0])] != plan[0]:
+        trace = forward_embedded(params, emb, plan[0][1:])
     averaged = {n.split("_")[1] for n in names if n.startswith("gradint_")}
-    plain = {n.split("_")[1] for n in names if n.startswith("grad1_")}
-    # the scales of each output's exact rows, in the order m = 1..M (the
-    # document, m = M, last); sorted outputs keep the row order repeatable
-    need = {o: [m / steps for m in range(1, steps + 1)] if o in averaged
-            else [1.0] for o in sorted(averaged | plain)}
+    # sorted outputs keep the row order repeatable
+    outputs = sorted({n.split("_")[1] for n in names if n.startswith("grad")})
     rules = [r for r in ("lrp", "deeplift") if r in names]
-    have = set(trace.scales)
-    missing = [a for a in dict.fromkeys(
-        ([0.0] if "deeplift" in rules else [])
-        + [a for scales in need.values() for a in scales]) if a not in have]
-    size = _batch_rows(params, len(emb))
-    chunks = [missing[lo:lo + size] for lo in range(0, len(missing), size)]
-
-    def run(scales):
-        _, scores, dirs = _run(params, scaled_rows(emb, scales), keep=True)
-        return scores, dirs, scales
-
-    own = trace.batch_scores, trace.batch_dirs, trace.scales
-    # a missing all-zero row leads the first further batch, run ahead
-    ahead = run(chunks[0]) if "deeplift" in rules and 0.0 not in have \
-        else None
-    if rules:
-        base, seeds = _rule_rows(params, trace, k, rules, eps, ahead or own)
+    if not outputs and not rules:
+        return {}
 
     def batches():
-        yield own
-        for i, scales in enumerate(chunks):
-            yield ahead if i == 0 and ahead else run(scales)
+        # (scores, stacked trace, its integrated-gradient rows, its
+        # document row)
+        yield (trace.batch_scores, trace.batch_dirs,
+               range(1 + ("deeplift" in names), len(plan[0])), [0])
+        for scales in plan[1:]:
+            _, scores, dirs = _run(params, scaled_rows(emb, scales),
+                                   keep=True)
+            yield scores, dirs, range(len(scales)), []
 
     at_one = {}                         # output -> gradient of the document
-    sums = {}                           # output -> sum over m < M
+    parts = {o: [] for o in outputs}    # output -> its batches' sums, m < M
     out = {}
-    for i, (scores, dirs, scales) in enumerate(batches()):
-        row = {}
-        for b, a in enumerate(scales):
-            row.setdefault(a, b)
-        rows, outs, spans = [], [], []
-        for output, scales in need.items():
-            here = [a for a in scales if a in row]
-            spans.append((output, len(rows), len(rows) + len(here),
-                          1.0 in here))
-            rows += [row[a] for a in here]
-            outs += [output] * len(here)
-        ride = bool(rules) and i == 0
-        if not rows and not ride:
-            continue
-        dscores = output_seeds(scores[rows], k, outs)
+    for scores, dirs, ig, doc in batches():
+        # per output, its scaled rows in the order m = 1..M, the document
+        # (m = M, row 0) last
+        here = [(list(ig) if o in averaged else []) + doc for o in outputs]
+        rows = [b for h in here for b in h]
+        dscores = output_seeds(scores[rows], k,
+                               [o for o, h in zip(outputs, here) for _ in h])
         rule = None
-        if ride:
-            # the document (row 0) once per relevance method, last
+        if rules and doc:
+            # the document once per relevance method, last
+            base, seeds = _rule_rows(params, trace, k, rules, eps)
             rule = RelevanceRule(eps, base, first=len(rows))
             dscores = np.concatenate([dscores, seeds])
             rows += [0] * len(rules)
         demb = sweep(params, None, dirs.take(rows), dscores, rule=rule)[0]
+        *blocks, relevance = np.split(demb, np.cumsum([len(h) for h in here]))
         if rule:
             out.update((r, (emb * d).sum(axis=1))
-                       for r, d in zip(rules, demb[rule.first:]))
-        for output, lo, hi, last_is_one in spans:
-            if last_is_one:
-                hi -= 1
-                at_one[output] = demb[hi]
-            if hi > lo:
-                part = demb[lo:hi].sum(axis=0)
-                sums[output] = part if output not in sums \
-                    else sums[output] + part
+                       for r, d in zip(rules, relevance))
+        for o, block in zip(outputs, blocks):
+            if doc:
+                at_one[o], block = block[-1], block[:-1]
+            if len(block):
+                parts[o].append(block.sum(axis=0))
 
-    out.update((f"grad1_{o}", at_one[o]) for o in need)
-    for o in averaged:
-        total = at_one[o] if o not in sums else sums[o] + at_one[o]
-        out[f"gradint_{o}"] = total / steps
+    out.update((f"grad1_{o}", at_one[o]) for o in outputs)
+    out.update((f"gradint_{o}", reduce(np.add, parts[o] + [at_one[o]]) / steps)
+               for o in averaged)
     return out
 
 
 def _rule_rows(params: NetworkParams, trace: ForwardTrace, k: int,
-               rules: list[str], eps: float,
-               batch) -> tuple[DirectionTrace, np.ndarray]:
+               rules: list[str],
+               eps: float) -> tuple[DirectionTrace, np.ndarray]:
     """The reference trace of the relevance rows, one row per rule in
-    ``rules``, and their seeds d(root)/d(scores). ``batch`` (scores,
-    stacked trace, scales) holds the all-zero input's row when DeepLIFT is
-    asked."""
-    scores, dirs, scales = batch
+    ``rules``, and their seeds d(root)/d(scores). The trace's row 1 is the
+    all-zero input when DeepLIFT is asked; LRP's reference starts from the
+    document's row."""
     n = len(rules)
-    zero = scales.index(0.0) if "deeplift" in rules else None
-    roots = np.array([trace.scores[k] - (scores[zero, k] if r == "deeplift"
-                                         else 0.0) for r in rules])
+    zero = int("deeplift" in rules)
+    roots = np.array([trace.scores[k] - (trace.batch_scores[zero, k]
+                                         if r == "deeplift" else 0.0)
+                      for r in rules])
     seeds = np.zeros((n, params.n_classes))
     seeds[:, k] = roots / (roots + esign(roots, eps))
-    base = (dirs.take([zero] * n) if zero is not None
-            else trace.batch_dirs.take([0] * n))
+    base = trace.batch_dirs.take([zero] * n)
     if "lrp" in rules:
         for a in (base.hidden, base.cand, base.preact, base.cell):
             if a is not None:
@@ -216,13 +189,16 @@ def integrated_gradients(params: NetworkParams, ids, output: str, k: int,
 
     The baseline is the all-zero embedding matrix, so the interpolation is a
     pure scaling of the actual embeddings. The document and its scaled
-    inputs run as the white-box pass's rows.
+    inputs run as the white-box pass's rows, from ``catalog.document_trace``.
     """
+    from .catalog import ExplainOptions, document_trace
     cfg = GradConfig("gradint", output, "dot", steps)
     cfg.validate()
     check_white_box(params, k, [cfg.name], steps=steps)
-    return white_box_pass(params, forward_rows([cfg.name], params, ids, steps),
-                          k, [cfg.name], steps=steps)[f"gradint_{output}"]
+    trace = document_trace([cfg.name], params, ids,
+                           ExplainOptions(int_steps=steps))
+    return white_box_pass(params, trace, k, [cfg.name],
+                          steps=steps)[f"gradint_{output}"]
 
 
 def reduce_gradients(grads: np.ndarray, emb: np.ndarray,

@@ -581,6 +581,19 @@ def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
     return doc, scores, tr
 
 
+# Most cells (rows x length x width) one batched run holds: the white-box
+# pass's rows and the chunks of corpus scoring are split into batches of at
+# most this many, so that one batch's trace or state stays a few MB.
+BATCH_CELLS = 1 << 18
+
+
+def batch_rows(params: NetworkParams, t_len: int) -> int:
+    """How many rows of length ``t_len`` one batch of ``BATCH_CELLS``
+    holds (at least one)."""
+    width = max(params.d_embed, params.d_hidden)
+    return max(1, BATCH_CELLS // max(1, t_len * width))
+
+
 def scaled_rows(emb: np.ndarray, scales) -> np.ndarray:
     """The (B, T, d_e) stack of the inputs scales[b] * emb; a scale of 1
     gives emb bitwise."""
@@ -1018,8 +1031,9 @@ def save_checkpoint(path, params: NetworkParams) -> None:
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Read a checkpoint. A file that is not one, and a missing, mis-shaped,
-    unexpected or non-finite weight array (by name), raise ValueError."""
+    """Read a checkpoint. A file that is not one, a vocabulary that does not
+    fit the embedding, and a missing, mis-shaped, unexpected or non-finite
+    weight array (by name), raise ValueError."""
     try:
         data = np.load(path, allow_pickle=False)
     except (zipfile.BadZipFile, EOFError) as exc:
@@ -1027,7 +1041,10 @@ def load_checkpoint(path) -> NetworkParams:
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValueError(f"{path}: not a checkpoint file")
     with data:
-        meta = json.loads(str(data["meta"]))
+        try:
+            meta = json.loads(str(data["meta"]))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a checkpoint file ({exc})")
         if (not isinstance(meta, dict)
                 or meta.get("format") != CHECKPOINT_FORMAT):
             raise ValueError(f"{path}: not a checkpoint file")
@@ -1046,6 +1063,10 @@ def load_checkpoint(path) -> NetworkParams:
     (n_vocab, d_embed), (n_classes,), (d_hidden,) = (
         arrays[key].shape for key, _ in sized)
     vocab = Vocabulary.from_dict(meta["vocab"]) if meta.get("vocab") else None
+    if vocab is not None and not 0 <= vocab.oov_id < len(vocab) <= n_vocab:
+        raise ValueError(f"{path}: vocabulary ({len(vocab)} tokens, oov id "
+                         f"{vocab.oov_id}) does not fit {n_vocab} embedding "
+                         f"rows")
     try:
         params = NetworkParams(meta["arch"], meta["direction"], n_vocab,
                                d_embed, d_hidden, n_classes,

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import NetworkParams, _run, sweep
+from .models import NetworkParams, _run, batch_rows, sweep
 from .numerics import SeededRng, softmax
-
-# Most cells (documents x padded length x width) one scoring chunk of
-# ``loss_and_accuracy`` holds; the corpus is scored in length-sorted chunks
-# so that the padding stays small and one chunk's state a few MB.
-SCORE_BATCH_CELLS = 1 << 18
 
 # Adam's moment decay rates and denominator stabilizer
 ADAM_BETA1 = 0.9
@@ -102,18 +97,18 @@ def train(params: NetworkParams, corpus: list[tuple[list[int], int]],
 def loss_and_accuracy(params: NetworkParams,
                       corpus: list[tuple[list[int], int]]) -> tuple[float, float]:
     """Mean crossentropy and accuracy over the corpus (no parameter
-    updates), scored in length-sorted ragged chunks of at most
-    ``SCORE_BATCH_CELLS`` cells; the losses are summed in corpus order."""
+    updates), scored in length-sorted ragged chunks (so the padding stays
+    small) of at most ``models.batch_rows`` rows of the chunk's padded
+    length; the losses are summed in corpus order."""
     order = sorted(range(len(corpus)), key=lambda i: len(corpus[i][0]))
-    width = max(params.d_embed, params.d_hidden)
     losses = np.zeros(len(corpus))
     hits = np.zeros(len(corpus), dtype=bool)
     lo = 0
     while lo < len(order):
         # the chunk's padded length is its last (longest) document's
         hi = lo + 1
-        while (hi < len(order) and (hi + 1 - lo) * width
-               * len(corpus[order[hi]][0]) <= SCORE_BATCH_CELLS):
+        while (hi < len(order) and hi + 1 - lo
+               <= batch_rows(params, len(corpus[order[hi]][0]))):
             hi += 1
         chunk = order[lo:hi]
         examples = [corpus[i] for i in chunk]

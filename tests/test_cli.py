@@ -31,6 +31,14 @@ def write_corpus(path, n_docs, seed=0, n_sentences=2, sent_len=4):
                      + "\n")
 
 
+def _save_with_vocab(path, good, edit):
+    """Save the arrays of ``good`` under a copy of its meta whose vocabulary
+    dict ``edit`` changed in place."""
+    meta = json.loads(str(good["meta"]))
+    edit(meta["vocab"])
+    np.savez(path, **{**good, "meta": np.asarray(json.dumps(meta))})
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli")
@@ -458,8 +466,16 @@ class TestDataErrors:
         lambda path, good: np.savez(path, **{
             **good, "meta": np.asarray(str(good["meta"]).replace(
                 '"direction": "uni"', '"direction": "bidirectional"'))}),
+        lambda path, good: np.savez(path, **{
+            **good, "meta": np.asarray("{'format': 1}")}),
+        lambda path, good: _save_with_vocab(
+            path, good, lambda v: v["tokens"].extend(
+                f"extra{i}" for i in range(21))),
+        lambda path, good: _save_with_vocab(
+            path, good, lambda v: v.update(oov_id=len(v["tokens"]))),
     ], ids=["bad-zip", "meta-not-object", "kernel-width-null",
-            "unknown-direction"])
+            "unknown-direction", "meta-not-json", "vocab-over-embedding",
+            "oov-id-out-of-range"])
     def test_corrupt_checkpoint(self, trained_checkpoint, tmp_path, capsys,
                                 write):
         _, corpus, ckpt = trained_checkpoint
@@ -470,6 +486,20 @@ class TestDataErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "bad.npz" in err
+
+    @pytest.mark.parametrize("command", ["eval-hybrid", "eval-agreement"])
+    def test_method_the_model_cannot_run(self, tmp_path, capsys, command):
+        """``decomp`` on a CNN is rejected as soon as the checkpoint loads,
+        before the corpus or TSV is read (here it does not exist)."""
+        vocab = Vocabulary.build([["yes", "no"]])
+        ckpt = tmp_path / "cnn.npz"
+        save_checkpoint(ckpt, init_params("CNN", len(vocab), 4, 4, 2,
+                                          SeededRng(0), vocab=vocab))
+        rc = main([command, str(ckpt), str(tmp_path / "missing"),
+                   "--methods", "lrp", "decomp"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: decomposition undefined for CNN\n"
 
     def test_agreement_on_a_three_class_model(self, trained_checkpoint,
                                               tmp_path, capsys):

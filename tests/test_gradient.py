@@ -75,7 +75,7 @@ class TestIntegratedGradients:
         whole = integrated_gradients(p, ids, "p", 1, steps=11)
         # a budget of 4 rows gives the document with steps 1..3, then steps
         # 4..7 and 8..10; step 11 is the document itself
-        monkeypatch.setattr(gradient, "IG_BATCH_CELLS",
+        monkeypatch.setattr(models, "BATCH_CELLS",
                             4 * len(ids) * max(p.d_embed, p.d_hidden))
         calls = []
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textexplain as tx
-from textexplain.explain import catalog as catalog_module, \
-    gradient as gradient_module
+from textexplain import models as models_module
+from textexplain.explain import gradient as gradient_module
 from textexplain.explain.gradient import GradConfig, explain_gradient
 from textexplain.explain.lrp import deeplift_explain, esign, lrp_explain
 from textexplain.models import DirectionTrace, _conv_transpose, embed, \
@@ -154,12 +154,12 @@ class TestGatesAsWeights:
 
 
 def _forbid_forward(monkeypatch, check):
-    """Make the document's forward pass and the white-box pass's runs of
-    further rows (the all-zero baseline) fail."""
+    """Make every forward fail: the runner that ``document_trace`` (through
+    ``forward_embedded``) and the white-box pass's further batches run."""
     def no_forward(*args, **kwargs):
         raise AssertionError(f"forward pass before the {check} check")
 
-    monkeypatch.setattr(catalog_module, "forward", no_forward)
+    monkeypatch.setattr(models_module, "_run", no_forward)
     monkeypatch.setattr(gradient_module, "_run", no_forward)
 
 

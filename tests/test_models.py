@@ -293,7 +293,8 @@ class TestTrain:
                   ([2, 2], 0), ([3, 1, 4, 1, 5], 0)]
         p = rand_params("LSTM", direction="bi", scale=3.0)
         width = max(p.d_embed, p.d_hidden)
-        monkeypatch.setattr(train_mod, "SCORE_BATCH_CELLS", 2 * 5 * width)
+        monkeypatch.setattr(importlib.import_module("textexplain.models"),
+                            "BATCH_CELLS", 2 * 5 * width)
         runs = []
         real = train_mod._run
         monkeypatch.setattr(train_mod, "_run", lambda *a, **kw: runs.append(

@@ -6,8 +6,8 @@ trailing rows alone. A bidirectional model's directions step together,
 through (D, ...) stacked weights that view ``params.flat``. Every map of the
 shared pass must equal the same method run alone, on every architecture and
 direction: from a ``document_trace``, from a plain ``forward`` trace (which
-lacks DeepLIFT's all-zero row) and when the integrated-gradient rows spill
-into further batches.
+lacks DeepLIFT's all-zero row, so the pass runs its rows again) and when
+the integrated-gradient rows spill into further batches.
 """
 
 import numpy as np
@@ -63,9 +63,9 @@ def test_one_sweep_maps_equal_each_method_alone(arch_dir, t_len):
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
 @pytest.mark.parametrize("t_len", [1, 7])
 def test_a_forward_trace_gives_the_same_maps(arch_dir, t_len):
-    """A trace from ``forward`` has no all-zero row: the further batch that
-    holds it runs its forward first, and the relevance rows still ride in
-    the trace's sweep."""
+    """A trace from ``forward`` lacks the plan's first batch: it runs again
+    from the plan in one forward, and the relevance rows still ride in the
+    first batch's sweep."""
     p, ids = _inputs(arch_dir, 20 + t_len, t_len)
     _assert_each_equals_alone(p, ids, 0, forward(p, ids))
 
@@ -78,8 +78,8 @@ def test_spilled_integrated_gradient_rows_give_the_same_maps(
     15-token input spill into further batches, each with its own sweep."""
     p, ids = _inputs(arch_dir, 40, 15)
     width = max(p.d_embed, p.d_hidden)
-    monkeypatch.setattr(gradient, "IG_BATCH_CELLS", 4 * len(ids) * width)
-    assert gradient._batch_rows(p, len(ids)) == 4
+    monkeypatch.setattr(models, "BATCH_CELLS", 4 * len(ids) * width)
+    assert models.batch_rows(p, len(ids)) == 4
     trace = forward(p, ids) if from_forward else \
         document_trace(METHODS, p, ids, OPTS)
     _assert_each_equals_alone(p, ids, 1, trace)

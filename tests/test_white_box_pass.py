@@ -74,7 +74,8 @@ def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps,
                                          trace_steps, chosen, seed):
     """``explain_all`` over a ``document_trace`` equals every method's
     oracle within 1e-12 of the map's peak, also when the trace was built
-    for another ``int_steps`` (its missing rows run in one more forward)."""
+    for another ``int_steps`` (the pass then runs its rows again, in one
+    forward)."""
     arch, direction = arch_dir
     names = [n for n in chosen if not (n == "decomp" and arch == "CNN")]
     if not names:
@@ -117,17 +118,45 @@ def test_document_trace_rows():
 
 
 def test_a_plain_trace_is_completed_by_one_more_forward(monkeypatch):
+    """A trace that lacks the plan's first batch runs again from it, in one
+    forward, and the maps equal those from a ``document_trace``."""
     p = rand_params("LSTM", seed=2, scale=3.0)
     ids = [3, 1, 4, 1, 5]
     names = ["gradint_p_dot", "deeplift", "grad1_s_dot"]
+    opts = ExplainOptions(int_steps=6)
     trace = forward(p, ids)
+    want = explain_all(names, p, ids, 1, opts,
+                       trace=document_trace(names, p, ids, opts))
     runs = []
-    real = gradient._run
-    monkeypatch.setattr(gradient, "_run", lambda params, embs, **kw: (
-        runs.append(embs.shape[0]) or real(params, embs, **kw)))
-    explain_all(names, p, ids, 1, ExplainOptions(int_steps=6), trace=trace)
-    # the all-zero input and the scaled inputs 1/6 .. 5/6
-    assert runs == [6]
+
+    def counting(real):
+        return lambda params, embs, **kw: (
+            runs.append(embs.shape[0]) or real(params, embs, **kw))
+
+    for module in (models, gradient):
+        monkeypatch.setattr(module, "_run", counting(module._run))
+    got = explain_all(names, p, ids, 1, opts, trace=trace)
+    # the document, the all-zero input and the scaled inputs 1/6 .. 5/6
+    assert runs == [7]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.scores, b.scores)
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+def test_one_method_alone_reads_its_document_trace(arch_dir):
+    """Run alone, each white-box method's map is bitwise the one it gets
+    from the ``document_trace`` of its own name."""
+    arch, direction = arch_dir
+    p = rand_params(arch, seed=6, scale=3.0, direction=direction)
+    ids = [4, 8, 15, 16, 2, 3]
+    opts = ExplainOptions(int_steps=7)
+    for name in WHITE_BOX:
+        if name == "decomp" and arch == "CNN":
+            continue
+        trace = document_trace([name], p, ids, opts)
+        want = explain_all([name], p, ids, 1, opts, trace=trace)[0]
+        np.testing.assert_array_equal(
+            explain(name, p, ids, 1, opts).scores, want.scores, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
