@@ -20,7 +20,7 @@ import numpy as np
 from .evaluate import build_hybrid_docs, format_report_tsv, \
     parse_agreement_tsv, run_agreement_eval, run_hybrid_eval
 from .explain import METHOD_NAMES, ExplainOptions, check_names, \
-    document_trace, explain_all
+    explain_document
 from .explain.decomp import check_decomp
 from .models import ARCHS, Vocabulary, init_params, load_checkpoint, \
     save_checkpoint
@@ -225,6 +225,14 @@ def cmd_explain(args) -> int:
                          f"{params.n_classes} classes")
     docs = _read_corpus(args.docs)
     opts = _options_from(args)
+    # a method the model cannot run gets an error record per document
+    errors = {}
+    if "decomp" in args.methods:
+        try:
+            check_decomp(params.arch)
+        except ValueError as exc:
+            errors["decomp"] = str(exc)
+    runnable = [name for name in args.methods if name not in errors]
 
     records = []
     for doc_idx, doc in enumerate(docs):
@@ -232,22 +240,16 @@ def cmd_explain(args) -> int:
         if not tokens:
             continue
         ids = params.vocab.encode(tokens)
-        trace = document_trace(args.methods, params, ids, opts)
-        k = trace.predicted if args.k is None else args.k
-        try:
-            rels = explain_all(args.methods, params, ids, k, opts, trace=trace)
-        except ValueError:
-            # some method cannot run on this model: run each on its own
-            rels = [_explain_one(name, params, ids, k, opts, trace)
-                    for name in args.methods]
-        for name, rel in zip(args.methods, rels):
-            if isinstance(rel, ValueError):
-                records.append({"doc": doc_idx, "method": name,
-                                "error": str(rel)})
+        k, rels = explain_document(runnable, params, ids, opts, args.k)
+        maps = dict(zip(runnable, rels))
+        for name in args.methods:
+            record = {"doc": doc_idx, "method": name}
+            if name in errors:
+                record["error"] = errors[name]
             else:
-                records.append({"doc": doc_idx, "method": name, "k": int(k),
-                                "tokens": tokens,
-                                "scores": [float(v) for v in rel.scores]})
+                record.update(k=int(k), tokens=tokens,
+                              scores=[float(v) for v in maps[name].scores])
+            records.append(record)
     out = "\n".join(json.dumps(r) for r in records) + "\n"
     _write_output(args.out, out)
     if args.html:
@@ -259,14 +261,6 @@ def cmd_explain(args) -> int:
                              + emit_html(colored))
         _write_output(args.html, "\n".join(pages))
     return 0
-
-
-def _explain_one(name, params, ids, k, opts, trace):
-    """The map of one method, or the ValueError it raised."""
-    try:
-        return explain_all([name], params, ids, k, opts, trace=trace)[0]
-    except ValueError as exc:
-        return exc
 
 
 def cmd_eval_hybrid(args) -> int:

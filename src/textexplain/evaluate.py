@@ -12,11 +12,12 @@ Two paradigms:
   the subject (on correct predictions) and hit_feat when it is a noun/verb
   carrying the predicted number, partitioned by prediction correctness.
 
-Both run one white-box pass per document: ``document_trace`` runs the
-document beside every baseline and interpolation row the asked methods
-read, its row 0 gives the prediction, and ``explain_all`` computes every
-method's map from it with one sweep, whose trailing rows carry the
-relevance rules.
+Both make one ``explain_document`` call per document. It runs one
+white-box pass: one forward of the document beside every baseline and
+interpolation row the asked methods read, whose row 0 gives the
+prediction, and one sweep, whose trailing rows carry the relevance rules.
+Every map is for the predicted class, so a skipped hybrid document is
+explained before the skip.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import ExplainOptions, check_names, document_trace, explain_all
+from .explain import ExplainOptions, check_names, explain_document
 from .models import NetworkParams, forward
 from .numerics import SeededRng
 from .relevance import RelevanceMap, rmax
@@ -188,12 +189,9 @@ def run_hybrid_eval(params: NetworkParams, docs: list[HybridDocument],
     rng = SeededRng(baseline_seed)
     counters = {name: [0, 0] for name in list(methods) + ["random"]}
     for doc in docs:
-        trace = document_trace(methods, params, doc.ids, opts)
-        predicted = trace.predicted
+        predicted, rels = explain_document(methods, params, doc.ids, opts)
         if predicted not in doc.origin_labels:
             continue
-        rels = explain_all(methods, params, doc.ids, predicted, opts,
-                           trace=trace)
         for name, rel in zip(methods, rels):
             counters[name][0] += hit_hybrid(doc, predicted, rel)
             counters[name][1] += 1
@@ -248,10 +246,8 @@ def run_agreement_eval(params: NetworkParams, samples: list[AgreementSample],
 
     for sample in samples:
         ids = params.vocab.encode(sample.tokens)
-        trace = document_trace(methods, params, ids, opts)
-        predicted = trace.predicted
+        predicted, rels = explain_document(methods, params, ids, opts)
         correct = predicted == sample.label_id
-        rels = explain_all(methods, params, ids, predicted, opts, trace=trace)
         rels += [baseline_random(rng, len(ids)), baseline_last(len(ids))]
         for name, rel in zip(all_methods, rels):
             if correct:

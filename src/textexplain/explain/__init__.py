@@ -1,8 +1,8 @@
 """Explanation methods: gradient-based, relevance propagation, cell
 decomposition, input perturbation, and substring-surrogate fitting."""
 
-from .catalog import METHOD_NAMES, ExplainOptions, check_names, \
-    document_trace, explain, explain_all
+from .catalog import METHOD_NAMES, ExplainOptions, check_names, explain, \
+    explain_all, explain_document
 from .gradient import GradConfig, explain_gradient, integrated_gradients, \
     reduce_gradients
 from .lrp import deeplift_explain, esign, lrp_explain
@@ -12,8 +12,8 @@ from .limsse import SubstringSample, fit_blackbox, fit_magnitude, \
     limsse_explain, sample_substrings
 
 __all__ = [
-    "METHOD_NAMES", "ExplainOptions", "check_names", "document_trace",
-    "explain", "explain_all",
+    "METHOD_NAMES", "ExplainOptions", "check_names", "explain",
+    "explain_all", "explain_document",
     "GradConfig", "explain_gradient", "integrated_gradients",
     "reduce_gradients",
     "deeplift_explain", "esign", "lrp_explain",

@@ -1,35 +1,31 @@
 """Name-keyed dispatch over the full catalog of explanation methods.
 
-The white-box methods of one (document, model) share one pass: one forward
-and one sweep. ``document_trace`` runs the forward over the first batch of
-the rows the asked methods read (``gradient.row_plan``): the document (row
-0, whose scores give the prediction), DeepLIFT's all-zero input, and the
-integrated-gradient inputs, into one stacked trace. ``explain_all`` then
-runs one sweep (``gradient.white_box_pass``) over rows taken from it, which
-give exact gradients for the gradient methods and, under a relevance rule
-in the trailing rows, LRP and DeepLIFT; decomposition reads row 0's views.
-Perturbation and LIMSSE score inputs of their own.
+``explain_document`` is the one entry point per (document, model): it
+gives the class explained and every asked map. The white-box methods share
+one pass: ``gradient.document_trace`` runs one forward over the first batch
+of the rows they read (``gradient.row_plan``): the document (row 0, whose
+scores give the prediction), DeepLIFT's all-zero input, and the
+integrated-gradient inputs, into one stacked trace. One sweep
+(``gradient.white_box_pass``) over rows taken from it gives exact gradients
+for the gradient methods and, under a relevance rule in the trailing rows,
+LRP and DeepLIFT; decomposition reads row 0's views. With no class given,
+the prediction is read from row 0 of the same trace. Perturbation and
+LIMSSE score inputs of their own.
 
-``explain_all`` takes the trace as an optional argument; with none it runs
-``document_trace``. A trace that does not start with the plan's first batch
-(a plain forward trace, or one built for another ``int_steps``) runs again
-from the plan in one forward.
-``explain`` is its one-name case, and so are ``lrp_explain``,
-``deeplift_explain`` and ``explain_gradient``. A trace that does not belong to
-``params`` and ``ids`` is rejected, so it can never yield a map of another
-input.
+``explain_all`` is ``explain_document`` for a given class, ``explain`` its
+one-name case, and so are ``lrp_explain``, ``deeplift_explain`` and
+``explain_gradient``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..models import ForwardTrace, NetworkParams, check_trace, embed, \
-    forward_embedded
+from ..models import NetworkParams
 from ..relevance import RelevanceMap
 from .decomp import decomp_explain
-from .gradient import DEFAULT_EPS, check_white_box, reduce_gradients, \
-    row_plan, white_box_pass
+from .gradient import DEFAULT_EPS, check_white_box, document_trace, \
+    reduce_gradients, white_box_pass
 from .limsse import DEFAULT_MAX_LEN, DEFAULT_N_SAMPLES, limsse_explain
 from .perturb import PerturbConfig, perturb_explain
 
@@ -70,42 +66,22 @@ def _white_box(name: str) -> bool:
     return name in GRADIENT_METHODS or name in ("lrp", "deeplift", "decomp")
 
 
-def document_trace(names, params: NetworkParams, ids,
-                   opts: ExplainOptions | None = None) -> ForwardTrace:
-    """The forward trace of ``ids`` over the first batch of the rows the
-    white-box methods among ``names`` read (``gradient.row_plan``): row 0
-    is the document, so the trace's row-0 fields read as
-    ``forward(params, ids)``'s."""
-    opts = opts or ExplainOptions()
-    emb = embed(params, ids)
-    return forward_embedded(params, emb, row_plan(
-        names, params, len(emb), opts.int_steps)[0][1:])
-
-
-def explain_all(names, params: NetworkParams, ids, k: int,
-                opts: ExplainOptions | None = None,
-                trace: ForwardTrace | None = None) -> list[RelevanceMap]:
-    """One map per catalog name, for target class ``k``; the names must
-    pass ``check_names``.
-
-    ``trace``, when given, must be a forward trace of ``ids`` under
-    ``params`` (``forward`` or ``document_trace``): its architecture and
-    embeddings are checked (ValueError otherwise), and the white-box
-    methods read it.
-    """
+def explain_document(names, params: NetworkParams, ids,
+                     opts: ExplainOptions | None = None,
+                     k: int | None = None) -> tuple[int, list[RelevanceMap]]:
+    """The class explained, ``k`` or the predicted class when ``k`` is
+    None, and one map per catalog name for it; the names must pass
+    ``check_names``. The arguments are checked before any forward pass."""
     names = list(names)
-    if not 0 <= k < params.n_classes:
-        raise ValueError(f"class {k} out of range [0, {params.n_classes})")
     check_names(names)
-    if trace is not None:
-        check_trace(params, ids, trace)
     opts = opts or ExplainOptions()
     white = [name for name in names if _white_box(name)]
+    check_white_box(params, k, white, opts.eps, opts.int_steps)
+    if white or k is None:
+        trace = document_trace(white, params, ids, opts.int_steps)
+        k = trace.predicted if k is None else k
     maps = {}
     if white:
-        check_white_box(params, k, white, opts.eps, opts.int_steps)
-        if trace is None:
-            trace = document_trace(white, params, ids, opts)
         if "decomp" in white:
             maps["decomp"] = decomp_explain(params, ids, k, trace=trace)
         raw = white_box_pass(params, trace, k, white, opts.eps,
@@ -118,9 +94,15 @@ def explain_all(names, params: NetworkParams, ids, k: int,
                 maps[name] = RelevanceMap(scores=scores, k=k, method=name)
             elif name != "decomp":
                 maps[name] = RelevanceMap(scores=raw[name], k=k, method=name)
-    return [maps[name] if name in maps else _black_box(name, params, ids, k,
-                                                       opts)
-            for name in names]
+    return k, [maps[name] if name in maps
+               else _black_box(name, params, ids, k, opts) for name in names]
+
+
+def explain_all(names, params: NetworkParams, ids, k: int,
+                opts: ExplainOptions | None = None) -> list[RelevanceMap]:
+    """One map per catalog name, for target class ``k``:
+    ``explain_document``'s maps."""
+    return explain_document(names, params, ids, opts, k)[1]
 
 
 def _black_box(name: str, params: NetworkParams, ids, k: int,
@@ -136,8 +118,7 @@ def _black_box(name: str, params: NetworkParams, ids, k: int,
 
 
 def explain(name: str, params: NetworkParams, ids, k: int,
-            opts: ExplainOptions | None = None,
-            trace: ForwardTrace | None = None) -> RelevanceMap:
+            opts: ExplainOptions | None = None) -> RelevanceMap:
     """Run one explanation method by catalog name for target class ``k``:
     ``explain_all`` of that one name."""
-    return explain_all([name], params, ids, k, opts, trace)[0]
+    return explain_all([name], params, ids, k, opts)[0]

@@ -17,10 +17,10 @@ The gradient methods are {plain, integrated} x {score, prob} x {L2, dot}.
   DeepLIFT-Rescale against it).
 
 ``row_plan`` names those rows and splits them into batches of at most
-``models.batch_rows``, so that no batch's trace exceeds a few MB; the
-trace holds the first batch, and ``white_box_pass`` runs the others, each
-with one sweep of its own. The relevance rows ride in the first batch's
-sweep.
+``models.batch_rows``, so that no batch's trace exceeds a few MB;
+``document_trace`` runs the first batch, and ``white_box_pass`` runs the
+others, each with one sweep of its own. The relevance rows ride in the
+first batch's sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
-    RelevanceRule, _run, batch_rows, forward_embedded, output_seeds, \
+    RelevanceRule, _run, batch_rows, embed, forward_embedded, output_seeds, \
     scaled_rows, sweep
 from ..numerics import esign
 from ..relevance import RelevanceMap
@@ -78,11 +78,22 @@ def row_plan(names, params: NetworkParams, t_len: int,
                             for lo in range(head, len(rows), size)]
 
 
-def check_white_box(params: NetworkParams, k: int, names,
+def document_trace(names, params: NetworkParams, ids,
+                   steps: int) -> ForwardTrace:
+    """The forward trace of ``ids`` over ``row_plan``'s first batch for the
+    white-box ``names``: row 0 is the document, so the trace's row-0
+    fields read as ``forward(params, ids)``'s."""
+    emb = embed(params, ids)
+    return forward_embedded(params, emb,
+                            row_plan(names, params, len(emb), steps)[0][1:])
+
+
+def check_white_box(params: NetworkParams, k: int | None, names,
                     eps: float = DEFAULT_EPS, steps: int = 50) -> None:
     """The checks of ``white_box_pass``'s arguments, made before any
-    forward pass."""
-    if not 0 <= k < params.n_classes:
+    forward pass; a class ``k`` of None (the prediction, not yet known)
+    passes."""
+    if k is not None and not 0 <= k < params.n_classes:
         raise ValueError(f"class {k} out of range [0, {params.n_classes})")
     if not 0 < eps < np.inf and ("lrp" in names or "deeplift" in names):
         raise ValueError("eps must be positive and finite")
@@ -101,15 +112,13 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
       the order m = 1..M;
     * ``"lrp"`` and ``"deeplift"``: the (T,) relevance e_t · demb_t.
 
-    The trace holds ``row_plan``'s first batch (a trace that does not
-    start with it runs again from it, in one forward), and each further
-    batch runs with a sweep of its own; the relevance rows ride in the
-    trace's. The arguments must pass ``check_white_box``.
+    ``trace`` is the ``document_trace`` of ``names`` and ``steps``: it
+    holds ``row_plan``'s first batch, and each further batch runs with a
+    sweep of its own; the relevance rows ride in the trace's. The arguments
+    must pass ``check_white_box``.
     """
     emb = trace.embeddings
     plan = row_plan(names, params, len(emb), steps)
-    if trace.scales[:len(plan[0])] != plan[0]:
-        trace = forward_embedded(params, emb, plan[0][1:])
     averaged = {n.split("_")[1] for n in names if n.startswith("gradint_")}
     # sorted outputs keep the row order repeatable
     outputs = sorted({n.split("_")[1] for n in names if n.startswith("grad")})
@@ -189,14 +198,12 @@ def integrated_gradients(params: NetworkParams, ids, output: str, k: int,
 
     The baseline is the all-zero embedding matrix, so the interpolation is a
     pure scaling of the actual embeddings. The document and its scaled
-    inputs run as the white-box pass's rows, from ``catalog.document_trace``.
+    inputs run as the white-box pass's rows, from ``document_trace``.
     """
-    from .catalog import ExplainOptions, document_trace
     cfg = GradConfig("gradint", output, "dot", steps)
     cfg.validate()
     check_white_box(params, k, [cfg.name], steps=steps)
-    trace = document_trace([cfg.name], params, ids,
-                           ExplainOptions(int_steps=steps))
+    trace = document_trace([cfg.name], params, ids, steps)
     return white_box_pass(params, trace, k, [cfg.name],
                           steps=steps)[f"gradint_{output}"]
 

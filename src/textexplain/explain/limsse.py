@@ -7,8 +7,9 @@ weights are the token relevances.
 
 The work is done per distinct (start, length) pair: the draw is one array
 computation that returns exactly what a loop of scalar draws would, each
-distinct substring is scored once (all substrings of one length in a single
-batched forward run) and has one coverage row, and the fits weight or
+distinct substring is scored once (the substrings of one length gathered and
+scored by ``models.score_rows``, in batches of the one cell budget) and has
+one coverage row, and the fits weight or
 gather the rows by how often they were drawn. Three fitting objectives:
 
     bb    logistic loss on "did the classifier predict k on the substring"
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from ..models import NetworkParams, embed, score_batch
+from ..models import NetworkParams, embed, score_rows
 from ..numerics import SeededRng, lemire_bounded, sigmoid, softmax
 from ..relevance import RelevanceMap
 
@@ -222,14 +223,14 @@ def _substring_responses(params: NetworkParams, ids: list[int], k: int,
                          variant: str, starts: np.ndarray,
                          lengths: np.ndarray) -> np.ndarray:
     """Response of each (start, length) substring, scored as a standalone
-    sequence; one batched forward run per substring length, in the order
-    given."""
+    sequence; the substrings of one length are scored together, in the
+    order given."""
     emb = embed(params, ids)
     out = np.empty(len(starts))
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
         windows = starts[rows][:, None] + np.arange(length)
-        scores = score_batch(params, emb[windows])
+        scores = score_rows(params, emb, windows)
         if variant == "bb":
             out[rows] = np.argmax(softmax(scores), axis=1) == k
         elif variant == "ms_s":

@@ -7,9 +7,10 @@ drop in the unnormalized class score over its N windows. Windows reaching
 past a sequence end are clipped to the valid span (the divisor stays N).
 
 Each distinct clipped span is scored once. The perturbed inputs are grouped
-by length and every group is scored in one batched forward run; for
-occlusion every input has length T, and the unperturbed input is a row of
-the same batch.
+by length, and every group is gathered from the embeddings and scored by
+``models.score_rows`` in batches of the one cell budget; for occlusion
+every input has length T, is gathered from the embeddings with one all-zero
+row appended, and the unperturbed input is the group's first row.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import NetworkParams, embed, empty_sequence_scores, score_batch
+from ..models import NetworkParams, embed, empty_sequence_scores, score_rows
 from ..relevance import RelevanceMap
 
 
@@ -49,26 +50,28 @@ def _span_scores(params: NetworkParams, emb: np.ndarray, k: int,
                  ) -> tuple[float, dict[tuple[int, int], float]]:
     """Unperturbed score s_k and the score with each span removed or zeroed."""
     t_len = emb.shape[0]
+    positions = np.arange(t_len)
     if mode == "occlude":
-        batch = np.repeat(emb[None], len(spans) + 1, axis=0)
+        # row t_len of the table is the all-zero embedding
+        idx = np.repeat(positions[None], len(spans) + 1, axis=0)
         for row, (lo, hi) in enumerate(spans, start=1):
-            batch[row, lo:hi] = 0.0
-        s = score_batch(params, batch)[:, k]
+            idx[row, lo:hi] = t_len
+        s = score_rows(params, np.vstack([emb, np.zeros_like(emb[:1])]),
+                       idx)[:, k]
         return float(s[0]), {span: float(v) for span, v in zip(spans, s[1:])}
 
-    s_full = float(score_batch(params, emb[None])[0, k])
+    s_full = float(score_rows(params, emb, positions[None])[0, k])
     by_len: dict[int, list[tuple[int, int]]] = {}
     for lo, hi in spans:
         by_len.setdefault(t_len - (hi - lo), []).append((lo, hi))
     out = {}
-    positions = np.arange(t_len)
     for kept_len, group in by_len.items():
         if kept_len == 0:
             s = np.full(len(group), empty_sequence_scores(params)[k])
         else:
             kept = np.stack([positions[(positions < lo) | (positions >= hi)]
                              for lo, hi in group])
-            s = score_batch(params, emb[kept])[:, k]
+            s = score_rows(params, emb, kept)[:, k]
         out.update((span, float(v)) for span, v in zip(group, s))
     return s_full, out
 

@@ -20,11 +20,11 @@ states, pooling winners) of every row in a ForwardTrace, which is what the
 white-box explainers consume. One document's trace is meant to be computed
 once and shared: it keeps the runner's stacked DirectionTrace, whose arrays
 carry a leading (direction, batch) axis pair (``batch_dirs``, as ``sweep``
-reads it), beside row 0's per-direction views (``dirs``), and
-``check_trace`` tells whether a trace belongs to given parameters and token
-ids. ``score_batch`` keeps only the running state and returns the class
-scores of every row; the black-box explainers score their inputs with it in
-equal-length buckets.
+reads it), beside row 0's per-direction views (``dirs``). ``score_batch``
+keeps only the running state and returns the class scores of every row;
+the black-box explainers score their equal-length inputs through
+``score_rows``, which gathers them from a table in batches of the one cell
+budget.
 
 Exact gradients come from one reverse sweep over a batched trace (``sweep``),
 with the same two branches and the same direction axis: given d(scores)
@@ -329,8 +329,9 @@ class DirectionTrace:
 class ForwardTrace:
     """Everything one batched forward pass of one input computed.
 
-    Row b of the batch ran on ``scales[b]`` times the input's embeddings;
-    row 0 is the input itself (scale 1). ``batch_dirs`` and ``batch_scores``
+    Row b of the batch ran on a scaled copy of the input's embeddings
+    (``forward_embedded``'s scales); row 0 is the input itself.
+    ``batch_dirs`` and ``batch_scores``
     hold every row, as ``sweep`` takes them. ``dirs`` (each direction's
     ``batch_dirs.at(i, 0)``), ``doc_repr`` and ``scores`` are row 0: views
     of the same arrays, not copies.
@@ -345,7 +346,6 @@ class ForwardTrace:
     probs: np.ndarray                   # (K,)
     batch_dirs: DirectionTrace          # (D, B, ...) arrays
     batch_scores: np.ndarray            # (B, K)
-    scales: tuple[float, ...] = (1.0,)
 
     @property
     def length(self) -> int:
@@ -582,8 +582,9 @@ def _run(params: NetworkParams, embs: np.ndarray, keep: bool,
 
 
 # Most cells (rows x length x width) one batched run holds: the white-box
-# pass's rows and the chunks of corpus scoring are split into batches of at
-# most this many, so that one batch's trace or state stays a few MB.
+# pass's rows, the perturbed inputs and substrings of ``score_rows`` and the
+# chunks of corpus scoring are split into batches of at most this many, so
+# that one batch's inputs, trace or state stay a few MB.
 BATCH_CELLS = 1 << 18
 
 
@@ -605,15 +606,15 @@ def forward_embedded(params: NetworkParams, emb: np.ndarray,
     """Forward pass on an explicit embedding matrix (T, d_e), with every
     per-step quantity recorded. The batch holds emb as row 0 and, after it,
     one row scales[j] * emb per extra scale."""
-    scales = (1.0, *scales)
-    doc, scores, tr = _run(params, scaled_rows(emb, scales), keep=True)
+    doc, scores, tr = _run(params, scaled_rows(emb, (1.0, *scales)),
+                           keep=True)
     return ForwardTrace(arch=params.arch, direction=params.direction,
                         embeddings=emb,
                         dirs={n: tr.at(i, 0)
                               for i, n in enumerate(params.directions)},
                         doc_repr=doc[0], scores=scores[0],
                         probs=softmax(scores[0]), batch_dirs=tr,
-                        batch_scores=scores, scales=scales)
+                        batch_scores=scores)
 
 
 def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
@@ -627,23 +628,23 @@ def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
     return _run(params, embs, keep=False)[1]
 
 
+def score_rows(params: NetworkParams, table: np.ndarray,
+               idx: np.ndarray) -> np.ndarray:
+    """Class scores (N, K) of the equal-length inputs ``table[idx]``, for
+    an (N, T) array ``idx`` of row indices into the (V, d_e) ``table``.
+
+    The inputs are gathered and scored in batches of at most
+    ``batch_rows`` rows, so no batch's input stack exceeds ``BATCH_CELLS``;
+    a set of inputs that fits one batch is scored as one ``score_batch``.
+    """
+    size = batch_rows(params, idx.shape[1])
+    return np.concatenate([score_batch(params, table[idx[lo:lo + size]])
+                           for lo in range(0, len(idx), size)])
+
+
 def forward(params: NetworkParams, ids) -> ForwardTrace:
     """Forward pass on a token id sequence."""
     return forward_embedded(params, embed(params, ids))
-
-
-def check_trace(params: NetworkParams, ids, trace: ForwardTrace) -> None:
-    """Raise ValueError unless ``trace`` can stand for ``forward(params,
-    ids)``: same architecture and shapes, and embeddings equal to
-    ``embed(params, ids)``."""
-    if (trace.arch != params.arch or trace.direction != params.direction
-            or trace.scores.shape != (params.n_classes,)
-            or trace.doc_repr.shape != (params.w_cls.shape[1],)):
-        raise ValueError(f"trace of a {trace.arch}-{trace.direction} model "
-                         f"given for a {params.arch}-{params.direction} one")
-    if not np.array_equal(trace.embeddings, embed(params, ids)):
-        raise ValueError("trace is not the forward pass of these token ids "
-                         "under these parameters")
 
 
 def empty_sequence_scores(params: NetworkParams) -> np.ndarray:
@@ -697,11 +698,11 @@ def _conv_kernel_grad(dout: np.ndarray, emb: np.ndarray, f: int,
 
 @dataclass(frozen=True)
 class RelevanceRule:
-    """Turns ``sweep`` into ε-LRP, or with ``base`` (the stacked trace of a
-    baseline input) into DeepLIFT-Rescale; ``eps`` > 0 and finite. The
-    rule governs the batch rows from ``first`` on, and ``base`` holds one
-    row for each of them; the rows before ``first`` get exact gradients in
-    the same sweep.
+    """Turns ``sweep`` into DeepLIFT-Rescale against ``base``, the stacked
+    trace of a reference input, and so into ε-LRP where ``base`` is an
+    all-zero activation trace; ``eps`` > 0 and finite. The rule governs the
+    batch rows from ``first`` on, and ``base`` holds one row for each of
+    them; the rows before ``first`` get exact gradients in the same sweep.
 
     Both are gradient × input under a modified chain rule (Ancona et al.,
     ICLR 2018), so a rule changes only the local factors of the sweep,
@@ -720,7 +721,7 @@ class RelevanceRule:
     """
 
     eps: float
-    base: DirectionTrace | None = None
+    base: DirectionTrace
     first: int = 0
 
 
@@ -752,8 +753,7 @@ def _local_factors(tr: DirectionTrace, rule: RelevanceRule | None,
     first, base = rule.first, rule.base
 
     def delta(name, f=lambda a: a):
-        a = f(getattr(tr, name)[:, first:])
-        return a if base is None else a - f(getattr(base, name))
+        return f(getattr(tr, name)[:, first:]) - f(getattr(base, name))
 
     def ratio(num, den):
         return num / (den + esign(den, rule.eps))
@@ -951,7 +951,7 @@ def sweep(params: NetworkParams, doc: np.ndarray | None,
         # their results differ in the last bits; a lone row runs twice, so
         # that a map made alone matches the same map made beside other rows
         dirs, dscores = dirs.take([0, 0]), np.concatenate([dscores] * 2)
-        if rule is not None and rule.base is not None:
+        if rule is not None:
             rule = RelevanceRule(rule.eps, rule.base.take([0, 0]))
     ddoc = dscores @ params.w_cls
     b, n_dir = len(dscores), len(params.directions)

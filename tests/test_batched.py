@@ -167,8 +167,15 @@ def test_ragged_rule_sweep_rows_are_their_single_input_sweeps(
 
     def rule_sweep(stack, row_lengths, ds):
         doc, _, dirs = _run(p, stack, keep=True, lengths=row_lengths)
-        base = (_run(p, np.zeros_like(stack), keep=True,
-                     lengths=row_lengths)[2] if deeplift else None)
+        if deeplift:
+            base = _run(p, np.zeros_like(stack), keep=True,
+                        lengths=row_lengths)[2]
+        else:
+            # ε-LRP's reference: an all-zero activation trace
+            base = dirs.take(range(len(ds)))
+            for a in (base.hidden, base.cand, base.preact, base.cell):
+                if a is not None:
+                    a[...] = 0.0
         return sweep(p, doc, dirs, ds, rule=RelevanceRule(1e-3, base))[0]
 
     demb = rule_sweep(embs, lengths, dscores)

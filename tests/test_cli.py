@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from textexplain import cli
+from textexplain import cli, models
+from textexplain.explain import gradient
 from textexplain.cli import _options_from, build_parser, main
 from textexplain.explain import METHOD_NAMES, ExplainOptions, explain
 from textexplain.models import Vocabulary, forward, init_params, \
@@ -129,6 +130,39 @@ class TestExplain:
                     assert "error" in r
                 else:
                     assert len(r["scores"]) == len(r["tokens"])
+
+    def test_a_method_the_model_cannot_run_shares_the_forward(
+            self, tmp_path, monkeypatch):
+        """With ``decomp`` asked of a CNN, the other methods still share
+        one forward per document, of 51 rows: the document, the all-zero
+        input and 49 integrated-gradient inputs."""
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 8)
+        ckpt = tmp_path / "cnn.npz"
+        assert main(["train", str(corpus), "--out", str(ckpt), "--arch",
+                     "CNN", "--d-embed", "8", "--d-hidden", "8",
+                     "--epochs", "1"]) == 0
+        docs = tmp_path / "docs.jsonl"
+        write_corpus(docs, 3, seed=4)
+        runs = []
+        real = models._run
+
+        def counting(params, embs, **kwargs):
+            runs.append(len(embs))
+            return real(params, embs, **kwargs)
+
+        for module in (models, gradient):
+            monkeypatch.setattr(module, "_run", counting)
+        out = tmp_path / "rel.jsonl"
+        methods = ["gradint_s_dot", "deeplift", "decomp"]
+        assert main(["explain", str(ckpt), str(docs), "--out", str(out),
+                     "--methods", *methods]) == 0
+        assert runs == [51] * 3
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [(r["doc"], r["method"]) for r in records] == [
+            (doc, name) for doc in range(3) for name in methods]
+        for r in records:
+            assert ("error" in r) == (r["method"] == "decomp")
 
     def test_fixed_k_and_html(self, trained_checkpoint, tmp_path):
         _, corpus, ckpt = trained_checkpoint

@@ -270,7 +270,7 @@ class TestRunEvals:
         def no_document(*args):
             raise AssertionError("document run before the name check")
 
-        monkeypatch.setattr(evaluate, "document_trace", no_document)
+        monkeypatch.setattr(evaluate, "explain_document", no_document)
         with pytest.raises(ValueError, match="'lrp' named twice"):
             if run == "hybrid":
                 run_hybrid_eval(p, self._docs(), ["lrp", "omit_1", "lrp"])

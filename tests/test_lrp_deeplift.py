@@ -154,8 +154,9 @@ class TestGatesAsWeights:
 
 
 def _forbid_forward(monkeypatch, check):
-    """Make every forward fail: the runner that ``document_trace`` (through
-    ``forward_embedded``) and the white-box pass's further batches run."""
+    """Make every forward fail: the runner that ``gradient.document_trace``
+    (through ``forward_embedded``) and the white-box pass's further batches
+    run."""
     def no_forward(*args, **kwargs):
         raise AssertionError(f"forward pass before the {check} check")
 

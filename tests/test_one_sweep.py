@@ -5,9 +5,9 @@ The white-box pass runs the exact-gradient rows and the relevance rows
 trailing rows alone. A bidirectional model's directions step together,
 through (D, ...) stacked weights that view ``params.flat``. Every map of the
 shared pass must equal the same method run alone, on every architecture and
-direction: from a ``document_trace``, from a plain ``forward`` trace (which
-lacks DeepLIFT's all-zero row, so the pass runs its rows again) and when
-the integrated-gradient rows spill into further batches.
+direction: for a given class, for the class ``forward`` predicts (which the
+pass reads from its own row 0) and when the integrated-gradient rows spill
+into further batches.
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ import pytest
 import textexplain as tx
 from textexplain import models
 from textexplain.evaluate import run_agreement_eval
-from textexplain.explain import ExplainOptions, document_trace, explain, \
-    explain_all
+from textexplain.explain import ExplainOptions, explain, explain_all, \
+    explain_document
 from textexplain.explain import gradient
 from textexplain.models import forward, init_params
 from textexplain.numerics import SeededRng
@@ -42,32 +42,34 @@ def _inputs(arch_dir, seed, t_len):
     return p, ids
 
 
-def _assert_each_equals_alone(p, ids, k, trace=None):
-    got = explain_all(METHODS, p, ids, k, OPTS, trace=trace)
+def _assert_each_equals_alone(p, ids, k=None):
+    """Every map of one ``explain_document`` call equals its method run
+    alone; returns the class explained."""
+    k, got = explain_document(METHODS, p, ids, OPTS, k)
     for name, rel in zip(METHODS, got):
         want = explain(name, p, ids, k, OPTS).scores
         gap = np.abs(rel.scores - want).max()
         assert gap <= 1e-12 * np.abs(want).max(), name
+    return k
 
 
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
 @pytest.mark.parametrize("t_len", [1, 6, 13])
 def test_one_sweep_maps_equal_each_method_alone(arch_dir, t_len):
-    """From a ``document_trace``: the exact and the relevance rows share
-    one sweep, and every map equals its method run alone."""
+    """The exact and the relevance rows share one sweep, and every map
+    equals its method run alone."""
     p, ids = _inputs(arch_dir, t_len, t_len)
-    trace = document_trace(METHODS, p, ids, OPTS)
-    _assert_each_equals_alone(p, ids, 1, trace)
+    _assert_each_equals_alone(p, ids, 1)
 
 
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
 @pytest.mark.parametrize("t_len", [1, 7])
 def test_a_forward_trace_gives_the_same_maps(arch_dir, t_len):
-    """A trace from ``forward`` lacks the plan's first batch: it runs again
-    from the plan in one forward, and the relevance rows still ride in the
-    first batch's sweep."""
+    """With no class given, the pass explains the class ``forward``
+    predicts, read from its own row 0, and the maps equal each method run
+    alone for that class."""
     p, ids = _inputs(arch_dir, 20 + t_len, t_len)
-    _assert_each_equals_alone(p, ids, 0, forward(p, ids))
+    assert _assert_each_equals_alone(p, ids) == forward(p, ids).predicted
 
 
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
@@ -75,14 +77,14 @@ def test_a_forward_trace_gives_the_same_maps(arch_dir, t_len):
 def test_spilled_integrated_gradient_rows_give_the_same_maps(
         arch_dir, from_forward, monkeypatch):
     """With a batch budget of a few rows, the integrated-gradient rows of a
-    15-token input spill into further batches, each with its own sweep."""
+    15-token input spill into further batches, each with its own sweep,
+    for a given class and for the class ``forward`` predicts."""
     p, ids = _inputs(arch_dir, 40, 15)
     width = max(p.d_embed, p.d_hidden)
     monkeypatch.setattr(models, "BATCH_CELLS", 4 * len(ids) * width)
     assert models.batch_rows(p, len(ids)) == 4
-    trace = forward(p, ids) if from_forward else \
-        document_trace(METHODS, p, ids, OPTS)
-    _assert_each_equals_alone(p, ids, 1, trace)
+    k = _assert_each_equals_alone(p, ids, None if from_forward else 1)
+    assert k == (forward(p, ids).predicted if from_forward else 1)
 
 
 def _count_calls(monkeypatch):
@@ -130,8 +132,7 @@ def test_one_sweep_holds_the_exact_and_the_relevance_rows(monkeypatch):
 
     monkeypatch.setattr(gradient, "sweep", spy)
     p, ids = _inputs(("GRU", "bi"), 3, 8)
-    trace = document_trace(METHODS, p, ids)
-    explain_all(METHODS, p, ids, 1, trace=trace)
+    explain_all(METHODS, p, ids, 1)
     assert seen == [(53, 51)]
 
 

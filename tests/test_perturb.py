@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from textexplain import models
+from textexplain.explain import ExplainOptions, explain_all
 from textexplain.explain.perturb import PerturbConfig, perturb_explain
 from textexplain.models import embed, empty_sequence_scores, forward_embedded
 
@@ -122,3 +124,36 @@ def test_zero_relevance_for_irrelevant_token(arch, direction):
     p.embedding[5][:] = 0.0
     got = perturb_explain(p, [5, 1, 2], 0, PerturbConfig("occlude", 1)).scores
     assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("arch,direction", [("GRU", "bi"), ("QLSTM", "uni"),
+                                            ("CNN", "uni")])
+def test_scoring_keeps_to_the_batch_budget(arch, direction, monkeypatch):
+    """With a budget of 4 rows, no scoring call of a perturbation or LIMSSE
+    map runs more than ``batch_rows`` inputs, and the maps stay within
+    1e-12 of their peak of the ones scored in one batch per length."""
+    p = rand_params(arch, seed=3, scale=3.0, direction=direction)
+    ids = [1 + (5 * i) % 17 for i in range(12)]
+    names = ["omit_1", "omit_3", "occ_1", "occ_7", "limsse_ms_s",
+             "limsse_bb"]
+    opts = ExplainOptions(limsse_n=200, limsse_maxlen=4)
+    calls = []
+    real = models.score_batch
+
+    def counting(params, embs):
+        calls.append(len(embs))
+        assert len(embs) <= models.batch_rows(params, embs.shape[1])
+        return real(params, embs)
+
+    monkeypatch.setattr(models, "score_batch", counting)
+    whole = explain_all(names, p, ids, 1, opts)
+    n_whole = len(calls)
+    width = max(p.d_embed, p.d_hidden)
+    monkeypatch.setattr(models, "BATCH_CELLS", 4 * len(ids) * width)
+    split = explain_all(names, p, ids, 1, opts)
+    # at the default budget, an occlusion map scores its 13 inputs of 12
+    # tokens in one call
+    assert len(calls) - n_whole > n_whole
+    for name, a, b in zip(names, split, whole):
+        gap = np.abs(a.scores - b.scores).max()
+        assert gap <= 1e-12 * max(np.abs(b.scores).max(), 1e-300), name

@@ -1,5 +1,6 @@
 """One white-box pass per (document, model): one forward over the document's
-rows and one sweep (``catalog.document_trace``, ``catalog.explain_all``).
+rows and one sweep (``gradient.document_trace``,
+``catalog.explain_document``).
 
 Every map is checked against an oracle that shares none of the pass's
 batching: standalone gradients, serial integrated-gradient steps, the
@@ -14,11 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 import textexplain as tx
 from textexplain import models
 from textexplain.evaluate import AgreementSample, run_agreement_eval
-from textexplain.explain import ExplainOptions, document_trace, explain, \
-    explain_all
+from textexplain.explain import ExplainOptions, explain, explain_all, \
+    explain_document
+from textexplain.explain.decomp import decomp_explain, net_load_series
 from textexplain.explain import gradient
-from textexplain.explain.decomp import net_load_series
-from textexplain.explain.gradient import reduce_gradients
+from textexplain.explain.gradient import document_trace, reduce_gradients, \
+    white_box_pass
 from textexplain.models import embed, embedding_gradients, forward, \
     forward_embedded
 from textexplain.numerics import SeededRng
@@ -65,17 +67,13 @@ def _oracle(name, p, ids, k, opts):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(t_len=st.integers(1, 15), k=st.sampled_from([0, 1]),
        steps=st.sampled_from([1, 3, 7]),
-       trace_steps=st.sampled_from([1, 3, 7]),
        chosen=st.lists(st.sampled_from(WHITE_BOX), min_size=1, unique=True),
        seed=st.integers(0, 2 ** 16))
-@example(t_len=1, k=0, steps=3, trace_steps=3, chosen=list(WHITE_BOX),
-         seed=0)
-def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps,
-                                         trace_steps, chosen, seed):
-    """``explain_all`` over a ``document_trace`` equals every method's
-    oracle within 1e-12 of the map's peak, also when the trace was built
-    for another ``int_steps`` (the pass then runs its rows again, in one
-    forward)."""
+@example(t_len=1, k=0, steps=3, chosen=list(WHITE_BOX), seed=0)
+def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps, chosen,
+                                         seed):
+    """``explain_all``, one white-box pass, equals every method's oracle
+    within 1e-12 of the map's peak."""
     arch, direction = arch_dir
     names = [n for n in chosen if not (n == "decomp" and arch == "CNN")]
     if not names:
@@ -83,9 +81,7 @@ def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps,
     p = rand_params(arch, seed=seed, scale=3.0, direction=direction)
     ids = np.random.default_rng(seed).integers(0, 20, size=t_len).tolist()
     opts = ExplainOptions(int_steps=steps)
-    trace = document_trace(names, p, ids, ExplainOptions(
-        int_steps=trace_steps))
-    got = explain_all(names, p, ids, k, opts, trace=trace)
+    got = explain_all(names, p, ids, k, opts)
     for name, rel in zip(names, got):
         want = _oracle(name, p, ids, k, opts)
         assert rel.method == name and rel.k == k
@@ -98,11 +94,11 @@ def test_document_trace_rows():
     inputs m/M; the row-0 fields read as ``forward``'s."""
     p = rand_params("GRU", seed=1, scale=3.0, direction="bi")
     ids = [1, 2, 3, 4]
-    trace = document_trace(["gradint_s_dot", "deeplift"], p, ids,
-                           ExplainOptions(int_steps=4))
-    assert trace.scales == (1.0, 0.0, 0.25, 0.5, 0.75)
+    trace = document_trace(["gradint_s_dot", "deeplift"], p, ids, 4)
     emb = embed(p, ids)
-    for b, scale in enumerate(trace.scales):
+    scales = (1.0, 0.0, 0.25, 0.5, 0.75)
+    assert trace.batch_dirs.emb.shape[1] == len(scales)
+    for b, scale in enumerate(scales):
         np.testing.assert_array_equal(trace.batch_dirs.emb[0, b],
                                       emb * scale)
     plain = forward(p, ids)
@@ -114,38 +110,13 @@ def test_document_trace_rows():
                             trace.batch_dirs.hidden[1])
     # methods that read row 0 alone add no rows
     assert document_trace(["grad1_p_l2", "lrp", "decomp", "omit_1"], p,
-                          ids).scales == (1.0,)
-
-
-def test_a_plain_trace_is_completed_by_one_more_forward(monkeypatch):
-    """A trace that lacks the plan's first batch runs again from it, in one
-    forward, and the maps equal those from a ``document_trace``."""
-    p = rand_params("LSTM", seed=2, scale=3.0)
-    ids = [3, 1, 4, 1, 5]
-    names = ["gradint_p_dot", "deeplift", "grad1_s_dot"]
-    opts = ExplainOptions(int_steps=6)
-    trace = forward(p, ids)
-    want = explain_all(names, p, ids, 1, opts,
-                       trace=document_trace(names, p, ids, opts))
-    runs = []
-
-    def counting(real):
-        return lambda params, embs, **kw: (
-            runs.append(embs.shape[0]) or real(params, embs, **kw))
-
-    for module in (models, gradient):
-        monkeypatch.setattr(module, "_run", counting(module._run))
-    got = explain_all(names, p, ids, 1, opts, trace=trace)
-    # the document, the all-zero input and the scaled inputs 1/6 .. 5/6
-    assert runs == [7]
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.scores, b.scores)
+                          ids, 50).batch_scores.shape[0] == 1
 
 
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
 def test_one_method_alone_reads_its_document_trace(arch_dir):
-    """Run alone, each white-box method's map is bitwise the one it gets
-    from the ``document_trace`` of its own name."""
+    """Run alone, each white-box method's map is bitwise what the pass
+    reads from the ``document_trace`` of its own name."""
     arch, direction = arch_dir
     p = rand_params(arch, seed=6, scale=3.0, direction=direction)
     ids = [4, 8, 15, 16, 2, 3]
@@ -153,10 +124,43 @@ def test_one_method_alone_reads_its_document_trace(arch_dir):
     for name in WHITE_BOX:
         if name == "decomp" and arch == "CNN":
             continue
-        trace = document_trace([name], p, ids, opts)
-        want = explain_all([name], p, ids, 1, opts, trace=trace)[0]
+        trace = document_trace([name], p, ids, 7)
+        if name == "decomp":
+            want = decomp_explain(p, ids, 1, trace=trace).scores
+        else:
+            raw = white_box_pass(p, trace, 1, [name], steps=7)
+            variant, *rest = name.split("_")
+            want = raw[name] if not rest else reduce_gradients(
+                raw[f"{variant}_{rest[0]}"], trace.embeddings, rest[1])
         np.testing.assert_array_equal(
-            explain(name, p, ids, 1, opts).scores, want.scores, err_msg=name)
+            explain(name, p, ids, 1, opts).scores, want, err_msg=name)
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+def test_explain_document_explains_the_predicted_class(arch_dir):
+    """With no class given, ``explain_document`` explains the class
+    ``forward`` predicts, and its maps are bitwise ``explain_all``'s for
+    that class."""
+    arch, direction = arch_dir
+    p = rand_params(arch, seed=8, scale=3.0, direction=direction,
+                    n_classes=3)
+    opts = ExplainOptions(int_steps=5, limsse_n=30, limsse_maxlen=3)
+    names = [n for n in WHITE_BOX + ("omit_3", "occ_1", "limsse_ms_s")
+             if not (n == "decomp" and arch == "CNN")]
+    rng = np.random.default_rng(8)
+    # the first input of each predicted class, among inputs of 1 to 14 tokens
+    by_class = {}
+    for t_len in list(range(1, 15)) * 4:
+        ids = rng.integers(0, 20, size=t_len).tolist()
+        by_class.setdefault(forward(p, ids).predicted, ids)
+    assert len(by_class) > 1, "every input predicted the same class"
+    for predicted, ids in by_class.items():
+        k, got = explain_document(names, p, ids, opts)
+        assert k == predicted
+        want = explain_all(names, p, ids, k, opts)
+        for name, a, b in zip(names, got, want):
+            assert a.k == k and a.method == name
+            np.testing.assert_array_equal(a.scores, b.scores, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
