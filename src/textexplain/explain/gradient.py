@@ -35,6 +35,7 @@ from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
     scaled_rows, sweep
 from ..numerics import esign
 from ..relevance import RelevanceMap
+from .decomp import check_decomp
 
 
 @dataclass
@@ -90,15 +91,17 @@ def document_trace(names, params: NetworkParams, ids,
 
 def check_white_box(params: NetworkParams, k: int | None, names,
                     eps: float = DEFAULT_EPS, steps: int = 50) -> None:
-    """The checks of ``white_box_pass``'s arguments, made before any
-    forward pass; a class ``k`` of None (the prediction, not yet known)
-    passes."""
+    """The checks of ``white_box_pass``'s arguments, and that ``decomp``
+    is defined for the model, made before any forward pass; a class ``k``
+    of None (the prediction, not yet known) passes."""
     if k is not None and not 0 <= k < params.n_classes:
         raise ValueError(f"class {k} out of range [0, {params.n_classes})")
     if not 0 < eps < np.inf and ("lrp" in names or "deeplift" in names):
         raise ValueError("eps must be positive and finite")
     if steps < 1 and any(n.startswith("gradint_") for n in names):
         raise ValueError("steps must be >= 1")
+    if "decomp" in names:
+        check_decomp(params.arch)
 
 
 def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,

@@ -12,6 +12,9 @@ would.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random on first use; imported here, it is loaded with
+# the package and not inside the first SeededRng
+from numpy.random import PCG64, Generator
 
 __all__ = ["sigmoid", "softmax", "esign", "lemire_bounded", "SeededRng"]
 
@@ -69,7 +72,7 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = Generator(PCG64(self.seed))
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import textexplain as tx
+from textexplain import models as models_module
+from textexplain.explain import gradient as gradient_module
 from textexplain.numerics import SeededRng
 
 
@@ -32,6 +34,17 @@ def rand_params(arch: str, seed: int = 0, vocab_size: int = 20,
                 if weights[name].ndim == 1:
                     weights[name][:] = 0.0
     return p
+
+
+def forbid_forward(monkeypatch, check: str) -> None:
+    """Make every forward fail: the runner that ``gradient.document_trace``
+    (through ``forward_embedded``) and the white-box pass's further batches
+    run."""
+    def no_forward(*args, **kwargs):
+        raise AssertionError(f"forward pass before the {check} check")
+
+    monkeypatch.setattr(models_module, "_run", no_forward)
+    monkeypatch.setattr(gradient_module, "_run", no_forward)
 
 
 def keyword_corpus(n_docs: int, rng: SeededRng, vocab_size: int = 40,

@@ -206,6 +206,35 @@ class TestExplain:
         assert out == ""
         assert err.count("\n") == 2 and bad in err
 
+    def test_no_non_empty_document_is_data_error(self, trained_checkpoint,
+                                                 tmp_path, capsys):
+        """A corpus whose documents are all empty exits 2 with train's
+        one-line error and writes nothing; in a mixed corpus the empty
+        documents are skipped."""
+        _, _, ckpt = trained_checkpoint
+        empty = [{"label": 0, "sentences": []},
+                 {"label": 1, "sentences": [[]]}]
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("".join(json.dumps(d) + "\n" for d in empty))
+        out = tmp_path / "rel.jsonl"
+        argv = ["explain", str(ckpt), str(docs), "--methods", "lrp"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(argv) == 2
+        assert main(["train", str(docs), "--out",
+                     str(tmp_path / "m.npz")]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.splitlines() == [
+            "error: corpus contains no non-empty documents"] * 3
+
+        mixed = empty + [{"label": 1, "sentences": [["yes", "w1"]]}]
+        docs.write_text("".join(json.dumps(d) + "\n" for d in mixed))
+        assert main(argv + ["--out", str(out)]) == 0
+        records = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [(r["doc"], r["tokens"]) for r in records] == [
+            (2, ["yes", "w1"])]
+
     def test_unknown_method_is_data_error(self, trained_checkpoint, tmp_path):
         _, corpus, ckpt = trained_checkpoint
         rc = main(["explain", str(ckpt), str(corpus),

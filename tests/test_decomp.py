@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from textexplain.explain.catalog import explain_document
 from textexplain.explain.decomp import _suffix_gate_products, \
     decomp_explain, net_load, net_load_series
 from textexplain.models import forward
 
-from conftest import rand_params
+from conftest import forbid_forward, rand_params
 
 GATED = ("LSTM", "QLSTM", "GRU", "QGRU")
 
@@ -139,6 +140,15 @@ class TestDecompExplain:
     def test_cnn_rejected(self):
         with pytest.raises(ValueError):
             decomp_explain(rand_params("CNN"), [1, 2, 3], 0)
+
+    @pytest.mark.parametrize("k", [None, 0])
+    def test_cnn_rejected_before_any_forward_pass(self, k, monkeypatch):
+        """The catalog checks the architecture with its other arguments,
+        before the document trace is run."""
+        forbid_forward(monkeypatch, "decomp")
+        with pytest.raises(ValueError, match="undefined for CNN"):
+            explain_document(["gradint_s_dot", "decomp"], rand_params("CNN"),
+                             [1, 2, 3], k=k)
 
     def test_bidirectional_positions_align(self):
         """A backward-only contribution at original position t must land at

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import textexplain as tx
-from textexplain import models as models_module
-from textexplain.explain import gradient as gradient_module
 from textexplain.explain.gradient import GradConfig, explain_gradient
 from textexplain.explain.lrp import deeplift_explain, esign, lrp_explain
 from textexplain.models import DirectionTrace, _conv_transpose, embed, \
     forward, forward_embedded
 
-from conftest import rand_params
+from conftest import forbid_forward, rand_params
 
 
 class TestEsign:
@@ -153,17 +151,6 @@ class TestGatesAsWeights:
         np.testing.assert_allclose(got.scores, [expected.sum()], rtol=1e-10)
 
 
-def _forbid_forward(monkeypatch, check):
-    """Make every forward fail: the runner that ``gradient.document_trace``
-    (through ``forward_embedded``) and the white-box pass's further batches
-    run."""
-    def no_forward(*args, **kwargs):
-        raise AssertionError(f"forward pass before the {check} check")
-
-    monkeypatch.setattr(models_module, "_run", no_forward)
-    monkeypatch.setattr(gradient_module, "_run", no_forward)
-
-
 class TestGeneralProperties:
     @pytest.mark.parametrize("arch", tx.ARCHS)
     @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
@@ -186,7 +173,7 @@ class TestGeneralProperties:
     @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
     def test_invalid_class_rejected_before_any_forward_pass(
             self, fn, k, monkeypatch):
-        _forbid_forward(monkeypatch, "class")
+        forbid_forward(monkeypatch, "class")
         with pytest.raises(ValueError, match="out of range"):
             fn(rand_params("GRU", n_classes=2), [1, 2], k)
 
@@ -194,7 +181,7 @@ class TestGeneralProperties:
     @pytest.mark.parametrize("fn", [lrp_explain, deeplift_explain])
     def test_nonpositive_eps_rejected_before_any_forward_pass(
             self, fn, eps, monkeypatch):
-        _forbid_forward(monkeypatch, "eps")
+        forbid_forward(monkeypatch, "eps")
         with pytest.raises(ValueError, match="eps must be positive"):
             fn(rand_params("GRU"), [1, 2], 0, eps=eps)
 
