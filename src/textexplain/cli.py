@@ -479,6 +479,11 @@ def main(argv=None) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's names the allocation; a bare MemoryError has no message
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

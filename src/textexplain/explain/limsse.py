@@ -7,10 +7,11 @@ weights are the token relevances.
 
 The work is done per distinct (start, length) pair: the draw is one array
 computation that returns exactly what a loop of scalar draws would, each
-distinct substring is scored once (the substrings of one length gathered and
-scored by ``models.score_rows``, in batches of the one cell budget) and has
-one coverage row, and the fits weight or
-gather the rows by how often they were drawn. Three fitting objectives:
+distinct substring is scored once and has one coverage row (all of them
+index rows into the embeddings, in one ``models.score_rows`` call, which
+scores the substrings of one length together in batches of the one cell
+budget), and the fits weight or gather the rows by how often they were
+drawn. Three fitting objectives:
 
     bb    logistic loss on "did the classifier predict k on the substring"
     ms_s  least squares on the unnormalized class score s(k, Z)
@@ -228,21 +229,16 @@ def _substring_responses(params: NetworkParams, ids: list[int], k: int,
                          variant: str, starts: np.ndarray,
                          lengths: np.ndarray) -> np.ndarray:
     """Response of each (start, length) substring, scored as a standalone
-    sequence; the substrings of one length are scored together, in the
-    order given."""
-    emb = embed(params, ids)
-    out = np.empty(len(starts))
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        windows = starts[rows][:, None] + np.arange(length)
-        scores = score_rows(params, emb, windows)
-        if variant == "bb":
-            out[rows] = np.argmax(softmax(scores), axis=1) == k
-        elif variant == "ms_s":
-            out[rows] = scores[:, k]
-        else:
-            out[rows] = softmax(scores)[:, k]
-    return out
+    sequence: one ``score_rows`` call over the (U, l_max) window array,
+    which scores the substrings of one length together, in the order
+    given."""
+    windows = starts[:, None] + np.arange(lengths.max(initial=0))
+    scores = score_rows(params, embed(params, ids), windows, lengths)
+    if variant == "bb":
+        return (np.argmax(softmax(scores), axis=1) == k).astype(np.float64)
+    if variant == "ms_s":
+        return scores[:, k]
+    return softmax(scores)[:, k]
 
 
 def limsse_explain(params: NetworkParams, ids, k: int, variant: str = "ms_s",

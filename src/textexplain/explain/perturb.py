@@ -6,11 +6,12 @@ replaces it with all-zero embedding rows. The token's relevance is the mean
 drop in the unnormalized class score over its N windows. Windows reaching
 past a sequence end are clipped to the valid span (the divisor stays N).
 
-Each distinct clipped span is scored once. The perturbed inputs are grouped
-by length, and every group is gathered from the embeddings and scored by
-``models.score_rows`` in batches of the one cell budget; for occlusion
-every input has length T, is gathered from the embeddings with one all-zero
-row appended, and the unperturbed input is the group's first row.
+Each distinct clipped span is scored once. The unperturbed input and every
+perturbed one are index rows into the embeddings with one all-zero row
+appended, scored in one ``models.score_rows`` call: the inputs of one length
+together, in batches of the one cell budget. So an occlusion input shares
+its batch with the unperturbed one (every input has length T), and an
+omission input with the other spans of its kept length.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import NetworkParams, embed, empty_sequence_scores, score_rows
+from ..models import NetworkParams, embed, score_rows
 from ..relevance import RelevanceMap
 
 
@@ -48,32 +49,24 @@ def _clipped_spans(t_len: int, n: int) -> list[tuple[int, int]]:
 def _span_scores(params: NetworkParams, emb: np.ndarray, k: int,
                  spans: list[tuple[int, int]], mode: str,
                  ) -> tuple[float, dict[tuple[int, int], float]]:
-    """Unperturbed score s_k and the score with each span removed or zeroed."""
-    t_len = emb.shape[0]
-    positions = np.arange(t_len)
-    if mode == "occlude":
-        # row t_len of the table is the all-zero embedding
-        idx = np.repeat(positions[None], len(spans) + 1, axis=0)
-        for row, (lo, hi) in enumerate(spans, start=1):
-            idx[row, lo:hi] = t_len
-        s = score_rows(params, np.vstack([emb, np.zeros_like(emb[:1])]),
-                       idx)[:, k]
-        return float(s[0]), {span: float(v) for span, v in zip(spans, s[1:])}
+    """Unperturbed score s_k and the score with each span removed or zeroed.
 
-    s_full = float(score_rows(params, emb, positions[None])[0, k])
-    by_len: dict[int, list[tuple[int, int]]] = {}
-    for lo, hi in spans:
-        by_len.setdefault(t_len - (hi - lo), []).append((lo, hi))
-    out = {}
-    for kept_len, group in by_len.items():
-        if kept_len == 0:
-            s = np.full(len(group), empty_sequence_scores(params)[k])
-        else:
-            kept = np.stack([positions[(positions < lo) | (positions >= hi)]
-                             for lo, hi in group])
-            s = score_rows(params, emb, kept)[:, k]
-        out.update((span, float(v)) for span, v in zip(group, s))
-    return s_full, out
+    Row 0 of the index array is the unperturbed input and row j the input
+    perturbed over ``spans[j - 1]`` = [lo, hi), as indices into ``emb``
+    with one all-zero row appended at T: occlusion points the span's
+    positions at that row; omission reads position p < lo as p and p >= lo
+    as p + (hi - lo), and keeps the first T - (hi - lo).
+    """
+    t_len = emb.shape[0]
+    lo, hi = np.array([(0, 0), *spans]).T[:, :, None]
+    pos = np.arange(t_len)
+    if mode == "occlude":
+        idx, lengths = np.where((lo <= pos) & (pos < hi), t_len, pos), None
+    else:
+        idx, lengths = pos + (pos >= lo) * (hi - lo), t_len - (hi - lo)[:, 0]
+    s = score_rows(params, np.vstack([emb, np.zeros_like(emb[:1])]), idx,
+                   lengths)[:, k]
+    return float(s[0]), dict(zip(spans, s[1:].tolist()))
 
 
 def perturb_explain(params: NetworkParams, ids, k: int,

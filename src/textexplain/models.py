@@ -22,9 +22,9 @@ once and shared: it keeps the runner's stacked DirectionTrace, whose arrays
 carry a leading (direction, batch) axis pair (``batch_dirs``, as ``sweep``
 reads it), beside row 0's per-direction views (``dirs``). ``score_batch``
 keeps only the running state and returns the class scores of every row;
-the black-box explainers score their equal-length inputs through
-``score_rows``, which gathers them from a table in batches of the one cell
-budget.
+``score_rows``, the one scorer of the black-box explainers, takes their
+inputs as index rows of any length into a table and scores the rows of one
+length together, in batches of the one cell budget.
 
 Exact gradients come from one reverse sweep over a batched trace (``sweep``),
 with the same two branches and the same direction axis: given d(scores)
@@ -628,18 +628,31 @@ def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
     return _run(params, embs, keep=False)[1]
 
 
-def score_rows(params: NetworkParams, table: np.ndarray,
-               idx: np.ndarray) -> np.ndarray:
-    """Class scores (N, K) of the equal-length inputs ``table[idx]``, for
-    an (N, T) array ``idx`` of row indices into the (V, d_e) ``table``.
+def score_rows(params: NetworkParams, table: np.ndarray, idx: np.ndarray,
+               lengths=None) -> np.ndarray:
+    """Class scores (N, K) of N inputs gathered from the (V, d_e)
+    ``table``: input i is ``table[idx[i, :lengths[i]]]`` for an (N, W)
+    index array ``idx`` (``lengths`` defaults to W for every row; entries
+    past a row's length are never read). This is the one scorer of the
+    black-box explainers' perturbed inputs and substrings.
 
-    The inputs are gathered and scored in batches of at most
-    ``batch_rows`` rows, so no batch's input stack exceeds ``BATCH_CELLS``;
-    a set of inputs that fits one batch is scored as one ``score_batch``.
+    The inputs of one length are scored together, in their given order, in
+    batches of at most ``batch_rows`` rows, so no batch's input stack
+    exceeds ``BATCH_CELLS``; a length-0 input scores as
+    ``empty_sequence_scores``. Since a row's last bits depend on its batch,
+    the rows and order of each batch are the contract.
     """
-    size = batch_rows(params, idx.shape[1])
-    return np.concatenate([score_batch(params, table[idx[lo:lo + size]])
-                           for lo in range(0, len(idx), size)])
+    n, width = idx.shape
+    lengths = np.full(n, width) if lengths is None else np.asarray(lengths)
+    out = np.empty((n, len(params.b_cls)))
+    out[lengths == 0] = empty_sequence_scores(params)
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        size = batch_rows(params, length)
+        for lo in range(0, len(rows), size):
+            batch = rows[lo:lo + size]
+            out[batch] = score_batch(params, table[idx[batch, :length]])
+    return out
 
 
 def forward(params: NetworkParams, ids) -> ForwardTrace:

@@ -1,12 +1,14 @@
 """What the ``textexplain`` entry point does to its process, each checked in
-a fresh interpreter: ``cli.main`` has glibc keep its freed heap top, and
-scipy.optimize is imported only for a ``limsse_bb`` fit. (The test process
-itself has imported scipy.optimize, through ``test_limsse``, and has set the
-heap pad through other tests' ``main`` calls.)"""
+a fresh interpreter: ``cli.main`` has glibc keep its freed heap top,
+scipy.optimize is imported only for a ``limsse_bb`` fit, and running out of
+memory ends in exit code 2 with one line. (The test process itself has
+imported scipy.optimize, through ``test_limsse``, and has set the heap pad
+through other tests' ``main`` calls.)"""
 
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import textwrap
@@ -115,3 +117,43 @@ def test_scipy_optimize_loads_only_for_a_limsse_bb_fit(tmp_path):
     maps = (lazy / "bb.jsonl").read_bytes()
     assert maps == (first / "bb.jsonl").read_bytes()
     assert any(any(r["scores"]) for r in map(json.loads, maps.splitlines()))
+
+
+# address space of the out-of-memory runs: room for the interpreter, numpy
+# and a small model, not for the arrays the flags below ask for
+ADDRESS_SPACE = 1_500_000 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS bounds the address space on Linux")
+@pytest.mark.parametrize("flags", [
+    ["limsse_ms_s", "--limsse-n", "300000000"],
+    ["gradint_s_dot", "--int-steps", "300000000"],
+], ids=["limsse-n", "int-steps"])
+def test_out_of_memory_is_a_one_line_data_error(tmp_path, flags):
+    """Under a 1.5 GB address-space limit, a flag value whose arrays do not
+    fit (numpy's ``_ArrayMemoryError`` for the LIMSSE draw, a bare
+    MemoryError for the integrated-gradient scales) exits 2 with one
+    ``error: out of memory`` line and no traceback."""
+    run_python("""
+        assert cli.main(["train", str(corpus), "--out",
+                         str(workdir / "model.npz"), "--epochs", "1"]) == 0
+    """, tmp_path)
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (ADDRESS_SPACE, ADDRESS_SPACE))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "textexplain.cli", "explain",
+         str(tmp_path / "model.npz"), str(tmp_path / "corpus.jsonl"),
+         "--out", str(tmp_path / "maps.jsonl"), "--methods", *flags],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_address_space, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
