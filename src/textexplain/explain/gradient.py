@@ -20,13 +20,15 @@ The gradient methods are {plain, integrated} x {score, prob} x {L2, dot}.
 ``models.batch_rows``, so that no batch's trace exceeds a few MB;
 ``document_trace`` runs the first batch, and ``white_box_pass`` runs the
 others, each with one sweep of its own. The relevance rows ride in the
-first batch's sweep.
+first batch's sweep. The plan forms each later batch's scales
+``np.arange(lo, hi) / M`` when that batch runs, and the pass adds each
+batch's gradient sum to one running sum per averaged output, so memory
+does not grow with M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -63,20 +65,22 @@ class GradConfig:
 DEFAULT_EPS = 1e-3
 
 
-def row_plan(names, params: NetworkParams, t_len: int,
-             steps: int) -> list[tuple[float, ...]]:
-    """The scales of the rows the white-box ``names`` read, split into
-    forward batches. The first holds the document (1.0), then DeepLIFT's
+def row_plan(names, params: NetworkParams, t_len: int, steps: int):
+    """The scales of the rows the white-box ``names`` read, one forward
+    batch at a time. The first holds the document (1.0), then DeepLIFT's
     all-zero input (0.0) if it is asked, then as many integrated-gradient
-    rows m/M (M = ``steps``) as fit ``batch_rows``; the other m/M follow
-    in batches of at most that many rows."""
+    rows m/M (M = ``steps``) as fit ``batch_rows``, as a tuple; the other
+    m/M follow as ``np.arange(lo, hi) / M`` arrays of at most that many
+    rows, each formed when the batch is asked for, so the plan holds one
+    batch whatever M is."""
     first = (1.0, 0.0) if "deeplift" in names else (1.0,)
-    integrated = any(n.startswith("gradint_") for n in names)
-    rows = first + tuple(m / steps for m in range(1, steps) if integrated)
+    last = steps if any(n.startswith("gradint_") for n in names) else 1
     size = batch_rows(params, t_len)
-    head = max(len(first), size)
-    return [rows[:head]] + [rows[lo:lo + size]
-                            for lo in range(head, len(rows), size)]
+    # the first m outside the head batch
+    head = min(max(len(first), size) - len(first) + 1, last)
+    yield first + tuple(m / steps for m in range(1, head))
+    for lo in range(head, last, size):
+        yield np.arange(lo, min(lo + size, last)) / steps
 
 
 def document_trace(names, params: NetworkParams, ids,
@@ -86,7 +90,8 @@ def document_trace(names, params: NetworkParams, ids,
     fields read as ``forward(params, ids)``'s."""
     emb = embed(params, ids)
     return forward_embedded(params, emb,
-                            row_plan(names, params, len(emb), steps)[0][1:])
+                            next(row_plan(names, params, len(emb),
+                                          steps))[1:])
 
 
 def check_white_box(params: NetworkParams, k: int | None, names,
@@ -122,6 +127,7 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
     """
     emb = trace.embeddings
     plan = row_plan(names, params, len(emb), steps)
+    head = next(plan)
     averaged = {n.split("_")[1] for n in names if n.startswith("gradint_")}
     # sorted outputs keep the row order repeatable
     outputs = sorted({n.split("_")[1] for n in names if n.startswith("grad")})
@@ -133,14 +139,14 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
         # (scores, stacked trace, its integrated-gradient rows, its
         # document row)
         yield (trace.batch_scores, trace.batch_dirs,
-               range(1 + ("deeplift" in names), len(plan[0])), [0])
-        for scales in plan[1:]:
+               range(1 + ("deeplift" in names), len(head)), [0])
+        for scales in plan:
             _, scores, dirs = _run(params, scaled_rows(emb, scales),
                                    keep=True)
             yield scores, dirs, range(len(scales)), []
 
     at_one = {}                         # output -> gradient of the document
-    parts = {o: [] for o in outputs}    # output -> its batches' sums, m < M
+    total = {}                          # output -> sum of its rows m < M
     out = {}
     for scores, dirs, ig, doc in batches():
         # per output, its scaled rows in the order m = 1..M, the document
@@ -165,11 +171,12 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
             if doc:
                 at_one[o], block = block[-1], block[:-1]
             if len(block):
-                parts[o].append(block.sum(axis=0))
+                part = block.sum(axis=0)
+                total[o] = total[o] + part if o in total else part
 
     out.update((f"grad1_{o}", at_one[o]) for o in outputs)
-    out.update((f"gradint_{o}", reduce(np.add, parts[o] + [at_one[o]]) / steps)
-               for o in averaged)
+    out.update((f"gradint_{o}", (total[o] + at_one[o] if o in total
+                                 else at_one[o]) / steps) for o in averaged)
     return out
 
 

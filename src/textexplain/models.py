@@ -67,6 +67,7 @@ import itertools
 import json
 import math
 import zipfile
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -108,14 +109,9 @@ class Vocabulary:
         Ties in frequency are broken by first occurrence so builds are
         deterministic.
         """
-        counts: dict[str, int] = {}
-        order: dict[str, int] = {}
-        for tokens in token_lists:
-            for tok in tokens:
-                counts[tok] = counts.get(tok, 0) + 1
-                order.setdefault(tok, len(order))
-        ranked = sorted(counts, key=lambda t: (-counts[t], order[t]))
-        kept = ranked[:cutoff]
+        counts = Counter(tok for tokens in token_lists for tok in tokens)
+        # most_common keeps equal counts in first-occurrence order
+        kept = [tok for tok, _ in counts.most_common(cutoff)]
         return cls(id_to_token=[OOV_TOKEN] + kept, oov_id=0, cutoff=cutoff)
 
     def encode(self, tokens) -> list[int]:
@@ -406,12 +402,12 @@ def _conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray,
 def _row_ends(lengths: np.ndarray | None, t_len: int) -> dict[int, np.ndarray]:
     """Rows of a ragged batch that end before step ``t_len``, keyed by their
     last step (1-based); empty for an equal-length batch."""
-    ends: dict[int, list[int]] = {}
-    if lengths is not None:
-        for row, t in enumerate(lengths.tolist()):
-            if t < t_len:
-                ends.setdefault(t, []).append(row)
-    return {t: np.array(rows) for t, rows in ends.items()}
+    if lengths is None:
+        return {}
+    # a set, not np.unique: a process's first np.unique pages in about
+    # 1.6 MB, which training and the white-box pass otherwise never touch
+    return {t: np.flatnonzero(lengths == t)
+            for t in set(lengths[lengths < t_len].tolist())}
 
 
 def _reverse_index(lengths: np.ndarray, t_len: int) -> np.ndarray:

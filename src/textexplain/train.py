@@ -114,9 +114,10 @@ def loss_and_accuracy(params: NetworkParams,
         examples = [corpus[i] for i in chunk]
         _, embs, lengths = _padded(params, examples)
         probs = softmax(_run(params, embs, keep=False, lengths=lengths)[1])
-        for row, (i, (_, label)) in enumerate(zip(chunk, examples)):
-            losses[i] = -np.log(max(probs[row, label], 1e-300))
-            hits[i] = np.argmax(probs[row]) == label
+        labels = np.array([label for _, label in examples])
+        losses[chunk] = -np.log(np.maximum(
+            probs[np.arange(len(chunk)), labels], 1e-300))
+        hits[chunk] = np.argmax(probs, axis=1) == labels
         lo = hi
     return sum(losses.tolist()) / len(corpus), int(hits.sum()) / len(corpus)
 

@@ -1,9 +1,10 @@
 """What the ``textexplain`` entry point does to its process, each checked in
 a fresh interpreter: ``cli.main`` has glibc keep its freed heap top,
 scipy.optimize is imported only for a ``limsse_bb`` fit, and running out of
-memory ends in exit code 2 with one line. (The test process itself has
-imported scipy.optimize, through ``test_limsse``, and has set the heap pad
-through other tests' ``main`` calls.)"""
+memory ends in exit code 2 with one line (a bare MemoryError's line is
+checked in this process). (The test process itself has imported
+scipy.optimize, through ``test_limsse``, and has set the heap pad through
+other tests' ``main`` calls.)"""
 
 import json
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import textexplain
+from textexplain import cli
 
 SRC = Path(textexplain.__file__).resolve().parents[1]
 
@@ -128,12 +130,10 @@ ADDRESS_SPACE = 1_500_000 * 1024
                     reason="RLIMIT_AS bounds the address space on Linux")
 @pytest.mark.parametrize("flags", [
     ["limsse_ms_s", "--limsse-n", "300000000"],
-    ["gradint_s_dot", "--int-steps", "300000000"],
-], ids=["limsse-n", "int-steps"])
+], ids=["limsse-n"])
 def test_out_of_memory_is_a_one_line_data_error(tmp_path, flags):
     """Under a 1.5 GB address-space limit, a flag value whose arrays do not
-    fit (numpy's ``_ArrayMemoryError`` for the LIMSSE draw, a bare
-    MemoryError for the integrated-gradient scales) exits 2 with one
+    fit (numpy's ``_ArrayMemoryError`` for the LIMSSE draw) exits 2 with one
     ``error: out of memory`` line and no traceback."""
     run_python("""
         assert cli.main(["train", str(corpus), "--out",
@@ -157,3 +157,18 @@ def test_out_of_memory_is_a_one_line_data_error(tmp_path, flags):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+
+
+def test_bare_memory_error_is_a_one_line_data_error(tmp_path, monkeypatch,
+                                                    capsys):
+    """A MemoryError without a message (what CPython raises when an object
+    cannot be allocated) exits 2 with ``error: out of memory: an allocation
+    failed``."""
+    def no_memory(path):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_read_corpus", no_memory)
+    assert cli.main(["train", str(tmp_path / "corpus.jsonl"), "--out",
+                     str(tmp_path / "model.npz")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: out of memory: an allocation failed\n")

@@ -367,6 +367,24 @@ class TestVocabulary:
         assert vocab.oov_id < len(vocab)
         assert {"x", "y", "z"} <= set(vocab.token_to_id)
 
+    def test_rank_is_count_descending_then_first_occurrence(self):
+        """On 50 random corpora of few types (so counts tie often), the
+        kept types are the rule's ranking cut at ``cutoff``, below and
+        above the number of types; the corpus may be a one-pass
+        generator."""
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            types = [f"t{i}" for i in rng.permutation(8)[:rng.integers(1, 9)]]
+            lists = [[types[j] for j in rng.integers(0, len(types), size)]
+                     for size in rng.integers(0, 6, rng.integers(1, 6))]
+            flat = [tok for tokens in lists for tok in tokens]
+            count = {tok: flat.count(tok) for tok in flat}
+            ranked = sorted(count, key=lambda t: (-count[t], flat.index(t)))
+            for cutoff in range(len(ranked) + 2):
+                vocab = tx.Vocabulary.build((t for t in lists), cutoff)
+                assert vocab.id_to_token[1:] == ranked[:cutoff]
+                assert vocab.oov_id == 0
+
 
 # ---------------------------------------------------------------------------
 # A GRU or LSTM without recurrent weights is a QRNN of kernel width 1

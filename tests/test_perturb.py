@@ -4,7 +4,8 @@ import pytest
 from textexplain import models
 from textexplain.explain import ExplainOptions, explain_all
 from textexplain.explain.perturb import PerturbConfig, perturb_explain
-from textexplain.models import embed, empty_sequence_scores, forward_embedded
+from textexplain.models import embed, empty_sequence_scores, \
+    forward_embedded, score_rows
 
 from conftest import rand_params
 
@@ -157,3 +158,53 @@ def test_scoring_keeps_to_the_batch_budget(arch, direction, monkeypatch):
     for name, a, b in zip(names, split, whole):
         gap = np.abs(a.scores - b.scores).max()
         assert gap <= 1e-12 * max(np.abs(b.scores).max(), 1e-300), name
+
+
+def window_loop_perturb(params, ids, k, mode, n):
+    """The span list, span dict and T·n window loop that the shifted sums
+    replace: the distinct clipped spans sorted by (lo, hi) and scored in one
+    ``score_rows`` call after the unperturbed input, then each token's
+    drops added window by window from a running 0.0."""
+    emb = embed(params, ids)
+    t_len = emb.shape[0]
+    spans = sorted({(max(start, 0), min(start + n, t_len))
+                    for start in range(1 - n, t_len)})
+    lo, hi = np.array([(0, 0), *spans]).T[:, :, None]
+    pos = np.arange(t_len)
+    if mode == "occlude":
+        idx, lengths = np.where((lo <= pos) & (pos < hi), t_len, pos), None
+    else:
+        idx, lengths = pos + (pos >= lo) * (hi - lo), t_len - (hi - lo)[:, 0]
+    s = score_rows(params, np.vstack([emb, np.zeros_like(emb[:1])]), idx,
+                   lengths)[:, k]
+    s_full, span_score = float(s[0]), dict(zip(spans, s[1:].tolist()))
+    scores = np.zeros(t_len)
+    for t in range(t_len):
+        drop = 0.0
+        for start in range(t - n + 1, t + 1):
+            drop += s_full - span_score[(max(start, 0),
+                                         min(start + n, t_len))]
+        scores[t] = drop / n
+    return scores
+
+
+@pytest.mark.parametrize("arch,direction", [
+    ("GRU", "bi"), ("LSTM", "uni"), ("QGRU", "bi"), ("QLSTM", "uni"),
+    ("CNN", "uni")])
+@pytest.mark.parametrize("t_len", [1, 2, 3, 6, 9, 20])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_shifted_sums_equal_the_window_loop(monkeypatch, arch, direction,
+                                            t_len, rows):
+    """All six perturbation maps equal the window loop bitwise, for T = 1,
+    T < n and T > n, at the default budget and at 3 rows a batch (so the
+    spans' order within a length decides each batch's rows)."""
+    p = rand_params(arch, seed=t_len, scale=3.0, direction=direction)
+    if rows:
+        monkeypatch.setattr(models, "BATCH_CELLS",
+                            rows * t_len * max(p.d_embed, p.d_hidden))
+    ids = [1 + (7 * i * i + 3 * i) % 19 for i in range(t_len)]
+    for mode in ("omit", "occlude"):
+        for n in (1, 3, 7):
+            got = perturb_explain(p, ids, 1, PerturbConfig(mode, n)).scores
+            want = window_loop_perturb(p, ids, 1, mode, n)
+            assert got.tobytes() == want.tobytes(), (mode, n)

@@ -101,31 +101,32 @@ def equal_length_rows(params, table, idx):
                            for lo in range(0, len(idx), size)])
 
 
-def grouped_span_scores(params, emb, k, spans, mode):
-    """Span scores with one scoring call per equal-length group."""
+def grouped_span_scores(params, emb, k, lo, hi, mode):
+    """Span scores with one scoring call per equal-length group: s_k of
+    the unperturbed input, then of each span [lo, hi)."""
     t_len = emb.shape[0]
     positions = np.arange(t_len)
+    spans = list(zip(lo.tolist(), hi.tolist()))
     if mode == "occlude":
         idx = np.repeat(positions[None], len(spans) + 1, axis=0)
-        for row, (lo, hi) in enumerate(spans, start=1):
-            idx[row, lo:hi] = t_len
-        s = equal_length_rows(
+        for row, (a, b) in enumerate(spans, start=1):
+            idx[row, a:b] = t_len
+        return equal_length_rows(
             params, np.vstack([emb, np.zeros_like(emb[:1])]), idx)[:, k]
-        return float(s[0]), {span: float(v) for span, v in zip(spans, s[1:])}
-    s_full = float(equal_length_rows(params, emb, positions[None])[0, k])
+    out = np.empty(len(spans) + 1)
+    out[0] = equal_length_rows(params, emb, positions[None])[0, k]
     by_len = {}
-    for lo, hi in spans:
-        by_len.setdefault(t_len - (hi - lo), []).append((lo, hi))
-    out = {}
-    for kept_len, group in by_len.items():
+    for row, (a, b) in enumerate(spans, start=1):
+        by_len.setdefault(t_len - (b - a), []).append(row)
+    for kept_len, rows in by_len.items():
         if kept_len == 0:
-            s = np.full(len(group), empty_sequence_scores(params)[k])
+            out[rows] = empty_sequence_scores(params)[k]
         else:
-            kept = np.stack([positions[(positions < lo) | (positions >= hi)]
-                             for lo, hi in group])
-            s = equal_length_rows(params, emb, kept)[:, k]
-        out.update((span, float(v)) for span, v in zip(group, s))
-    return s_full, out
+            kept = np.stack([positions[(positions < spans[r - 1][0])
+                                       | (positions >= spans[r - 1][1])]
+                             for r in rows])
+            out[rows] = equal_length_rows(params, emb, kept)[:, k]
+    return out
 
 
 def grouped_substring_responses(params, ids, k, variant, starts, lengths):

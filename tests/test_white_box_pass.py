@@ -8,6 +8,9 @@ per-document relevance pass kept in ``test_lrp_deeplift`` and the net-load
 series of a plain forward trace.
 """
 
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,8 +24,8 @@ from textexplain.explain.decomp import decomp_explain, net_load_series
 from textexplain.explain import gradient
 from textexplain.explain.gradient import document_trace, reduce_gradients, \
     white_box_pass
-from textexplain.models import embed, embedding_gradients, forward, \
-    forward_embedded
+from textexplain.models import batch_rows, embed, embedding_gradients, \
+    forward, forward_embedded
 from textexplain.numerics import SeededRng
 
 from conftest import rand_params
@@ -111,6 +114,91 @@ def test_document_trace_rows():
     # methods that read row 0 alone add no rows
     assert document_trace(["grad1_p_l2", "lrp", "decomp", "omit_1"], p,
                           ids, 50).batch_scores.shape[0] == 1
+
+
+def list_plan(names, params, t_len, steps):
+    """``row_plan`` as one list of scale tuples, every m/M formed before
+    the first batch runs."""
+    first = (1.0, 0.0) if "deeplift" in names else (1.0,)
+    integrated = any(n.startswith("gradint_") for n in names)
+    rows = first + tuple(m / steps for m in range(1, steps) if integrated)
+    size = batch_rows(params, t_len)
+    head = max(len(first), size)
+    return [rows[:head]] + [rows[lo:lo + size]
+                            for lo in range(head, len(rows), size)]
+
+
+@pytest.mark.parametrize("cells", [None, 300, 2000])
+@pytest.mark.parametrize("t_len", [1, 5, 80])
+@pytest.mark.parametrize("steps", [1, 2, 50, 333])
+def test_row_plan_batches_equal_the_list_plan(monkeypatch, cells, t_len,
+                                              steps):
+    """The head batch is the same tuple, and each later batch's
+    ``np.arange(lo, hi) / M`` holds the list plan's scales bitwise, with
+    and without DeepLIFT's zero row and the integrated-gradient rows; a
+    lowered budget (1 to 66 rows a batch here) cuts the plan into more
+    batches."""
+    p = rand_params("GRU", seed=1)
+    if cells:
+        monkeypatch.setattr(models, "BATCH_CELLS", cells)
+    for names in (["grad1_s_dot"], ["gradint_s_dot"], ["deeplift"],
+                  ["lrp", "deeplift", "gradint_p_l2"],
+                  ["gradint_s_l2", "grad1_p_dot", "decomp"]):
+        got = list(gradient.row_plan(names, p, t_len, steps))
+        want = list_plan(names, p, t_len, steps)
+        assert isinstance(got[0], tuple) and got[0] == want[0], names
+        assert ([np.asarray(b, dtype=float).tobytes() for b in got]
+                == [np.asarray(b, dtype=float).tobytes() for b in want]), \
+            names
+
+
+def test_integrated_gradients_add_the_batch_sums_in_plan_order(monkeypatch):
+    """Under a budget of 7 rows a batch, ``gradint_s`` is the sum of each
+    batch's scaled-row gradients, added batch by batch in plan order, then
+    the document's gradient, over M: bitwise what a list of the batch sums
+    reduced at the end gives."""
+    p = rand_params("LSTM", seed=2, scale=3.0, direction="bi")
+    ids = [1, 2, 3, 4, 5]
+    monkeypatch.setattr(models, "BATCH_CELLS",
+                        7 * len(ids) * max(p.d_embed, p.d_hidden))
+    sweeps = []
+
+    def recorded(*args, **kwargs):
+        out = models.sweep(*args, **kwargs)
+        sweeps.append(out[0])
+        return out
+
+    monkeypatch.setattr(gradient, "sweep", recorded)
+    names, steps = ["gradint_s_dot", "grad1_s_l2"], 50
+    trace = document_trace(names, p, ids, steps)
+    got = white_box_pass(p, trace, 1, names, steps=steps)
+    # the head batch's rows m = 1..6, then the document's row
+    assert [len(d) for d in sweeps] == [7] + [7] * 6 + [1]
+    parts = [sweeps[0][:-1].sum(axis=0)] + [d.sum(axis=0) for d in sweeps[1:]]
+    want = reduce(np.add, parts + [sweeps[0][-1]]) / steps
+    assert got["gradint_s"].tobytes() == want.tobytes()
+    assert got["grad1_s"].tobytes() == sweeps[0][-1].tobytes()
+
+
+def test_white_box_memory_does_not_grow_with_int_steps(monkeypatch):
+    """With 256 rows a batch, the traced peak of an integrated-gradient
+    map at M = 10^5 is within 1 MB of M = 10^4: the plan forms each
+    batch's scales when it runs, and the pass keeps one running sum."""
+    p = rand_params("GRU", seed=1)
+    ids = [1, 2, 3]
+    monkeypatch.setattr(models, "BATCH_CELLS",
+                        256 * len(ids) * max(p.d_embed, p.d_hidden))
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            explain_document(["gradint_s_dot"], p, ids,
+                             ExplainOptions(int_steps=steps), k=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10 ** 5) - peak(10 ** 4) < 1 << 20
 
 
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
