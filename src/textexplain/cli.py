@@ -182,6 +182,9 @@ def cmd_train(args) -> int:
 
     def log_epoch(epoch):
         loss, acc = loss_and_accuracy(params, corpus)
+        if not (math.isfinite(loss) and np.isfinite(params.flat).all()):
+            raise UsageError(f"training diverged in epoch {epoch} (loss "
+                             f"{loss}); try a smaller --lr")
         record = {"epoch": epoch, "loss": loss, "accuracy": acc}
         print(f"epoch {epoch}: loss={loss:.4f} accuracy={acc:.4f}",
               file=sys.stderr)
@@ -189,12 +192,15 @@ def cmd_train(args) -> int:
             log_fh.write(json.dumps(record) + "\n")
 
     try:
-        for epoch in range(1, args.epochs + 1):
-            # one optimizer epoch at a time so metrics can be logged between
-            train(params, corpus,
-                  TrainConfig(epochs=1, lr=args.lr, batch_size=args.batch_size,
-                              seed=args.seed + epoch))
-            log_epoch(epoch)
+        # a diverging run overflows silently here; log_epoch rejects it
+        with np.errstate(all="ignore"):
+            for epoch in range(1, args.epochs + 1):
+                # one optimizer epoch at a time, so metrics are logged between
+                train(params, corpus,
+                      TrainConfig(epochs=1, lr=args.lr,
+                                  batch_size=args.batch_size,
+                                  seed=args.seed + epoch))
+                log_epoch(epoch)
     finally:
         if log_fh:
             log_fh.close()
@@ -303,6 +309,8 @@ def cmd_eval_agreement(args) -> int:
         raise ValueError(f"cannot read {args.tsv}: {exc}")
     except ValueError as exc:
         raise ValueError(f"{args.tsv}: {exc}")
+    if not samples:
+        raise ValueError(f"{args.tsv}: no samples")
     rows = run_agreement_eval(params, samples, args.methods,
                               _options_from(args), baseline_seed=args.seed)
     _write_output(args.out, format_report_tsv(rows))

@@ -9,7 +9,7 @@ from .lrp import deeplift_explain, esign, lrp_explain
 from .decomp import decomp_explain, net_load
 from .perturb import PerturbConfig, perturb_explain
 from .limsse import SubstringSample, fit_blackbox, fit_magnitude, \
-    limsse_explain, sample_substrings
+    limsse_explain, limsse_maps, sample_substrings
 
 __all__ = [
     "METHOD_NAMES", "ExplainOptions", "check_names", "explain",
@@ -20,5 +20,5 @@ __all__ = [
     "decomp_explain", "net_load",
     "PerturbConfig", "perturb_explain",
     "SubstringSample", "fit_blackbox", "fit_magnitude", "limsse_explain",
-    "sample_substrings",
+    "limsse_maps", "sample_substrings",
 ]

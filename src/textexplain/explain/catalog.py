@@ -9,8 +9,9 @@ integrated-gradient inputs, into one stacked trace. One sweep
 (``gradient.white_box_pass``) over rows taken from it gives exact gradients
 for the gradient methods and, under a relevance rule in the trailing rows,
 LRP and DeepLIFT; decomposition reads row 0's views. With no class given,
-the prediction is read from row 0 of the same trace. Perturbation and
-LIMSSE score inputs of their own.
+the prediction is read from row 0 of the same trace. Perturbation scores
+inputs of its own, and LIMSSE one draw of substrings for every asked
+variant (``limsse.limsse_maps``).
 
 ``explain_all`` is ``explain_document`` for a given class, ``explain`` its
 one-name case, and so are ``lrp_explain``, ``deeplift_explain`` and
@@ -26,7 +27,7 @@ from ..relevance import RelevanceMap
 from .decomp import decomp_explain
 from .gradient import DEFAULT_EPS, check_white_box, document_trace, \
     reduce_gradients, white_box_pass
-from .limsse import DEFAULT_MAX_LEN, DEFAULT_N_SAMPLES, limsse_explain
+from .limsse import DEFAULT_MAX_LEN, DEFAULT_N_SAMPLES, limsse_maps
 from .perturb import PerturbConfig, perturb_explain
 
 GRADIENT_METHODS = tuple(
@@ -94,8 +95,19 @@ def explain_document(names, params: NetworkParams, ids,
                 maps[name] = RelevanceMap(scores=scores, k=k, method=name)
             elif name != "decomp":
                 maps[name] = RelevanceMap(scores=raw[name], k=k, method=name)
-    return k, [maps[name] if name in maps
-               else _black_box(name, params, ids, k, opts) for name in names]
+    for name in names:
+        if name in PERTURB_METHODS:
+            mode, n = name.rsplit("_", 1)
+            cfg = PerturbConfig(mode="omit" if mode == "omit" else "occlude",
+                                n=int(n))
+            maps[name] = perturb_explain(params, ids, k, cfg)
+    limsse = [name for name in names if name in LIMSSE_METHODS]
+    if limsse:
+        variants = [name[len("limsse_"):] for name in limsse]
+        maps.update(zip(limsse, limsse_maps(
+            params, ids, k, variants, opts.limsse_n, opts.limsse_maxlen,
+            opts.seed)))
+    return k, [maps[name] for name in names]
 
 
 def explain_all(names, params: NetworkParams, ids, k: int,
@@ -103,18 +115,6 @@ def explain_all(names, params: NetworkParams, ids, k: int,
     """One map per catalog name, for target class ``k``:
     ``explain_document``'s maps."""
     return explain_document(names, params, ids, opts, k)[1]
-
-
-def _black_box(name: str, params: NetworkParams, ids, k: int,
-               opts: ExplainOptions) -> RelevanceMap:
-    if name in PERTURB_METHODS:
-        mode, n = name.rsplit("_", 1)
-        cfg = PerturbConfig(mode="omit" if mode == "omit" else "occlude",
-                            n=int(n))
-        return perturb_explain(params, ids, k, cfg)
-    variant = name[len("limsse_"):]
-    return limsse_explain(params, ids, k, variant=variant, n=opts.limsse_n,
-                          l_max=opts.limsse_maxlen, seed=opts.seed)
 
 
 def explain(name: str, params: NetworkParams, ids, k: int,

@@ -17,7 +17,8 @@ The gradient methods are {plain, integrated} x {score, prob} x {L2, dot}.
   DeepLIFT-Rescale against it).
 
 ``row_plan`` names those rows and splits them into batches of at most
-``models.batch_rows``, so that no batch's trace exceeds a few MB;
+``models.batch_rows``, so that a batch's trace is bounded whatever M is (a
+full batch at T = 80 traces 37-99 MB; see ``models.BATCH_CELLS``);
 ``document_trace`` runs the first batch, and ``white_box_pass`` runs the
 others, each with one sweep of its own. The relevance rows ride in the
 first batch's sweep. The plan forms each later batch's scales

@@ -5,13 +5,15 @@ start), queries the classifier on each substring as a standalone sequence,
 and fits a linear surrogate over binary coverage vectors. The surrogate's
 weights are the token relevances.
 
-The work is done per distinct (start, length) pair: the draw is one array
-computation that returns exactly what a loop of scalar draws would, each
-distinct substring is scored once and has one coverage row (all of them
-index rows into the embeddings, in one ``models.score_rows`` call, which
-scores the substrings of one length together in batches of the one cell
-budget), and the fits weight or gather the rows by how often they were
-drawn. Three fitting objectives:
+One pass per document serves every asked variant (``limsse_maps``): one
+draw, an array computation that returns exactly what a loop of scalar
+draws would; one keying of the distinct (start, length) pairs; one
+``models.score_rows`` call that scores each distinct substring once, as
+index rows into the embeddings, the substrings of one length together in
+batches of the one cell budget; one coverage design with a row per
+distinct substring; and one fit per variant, which weights or gathers the
+rows by how often they were drawn. Each variant's map is the one it would
+get alone. Three fitting objectives:
 
     bb    logistic loss on "did the classifier predict k on the substring"
     ms_s  least squares on the unnormalized class score s(k, Z)
@@ -98,22 +100,6 @@ def sample_substrings(rng: SeededRng, t_len: int, n: int,
     starts, lengths = draw_substrings(rng, t_len, n, l_max)
     return [SubstringSample(start=s, length=l)
             for s, l in zip(starts.tolist(), lengths.tolist())]
-
-
-@dataclass
-class DistinctSubstrings:
-    """Sampled substrings as their distinct (start, length) pairs, sorted by
-    length, then start; sample i is pair ``inv[i]``."""
-    starts: np.ndarray
-    lengths: np.ndarray
-    inv: np.ndarray
-
-    @classmethod
-    def of(cls, starts: np.ndarray, lengths: np.ndarray,
-           t_len: int) -> "DistinctSubstrings":
-        keys, inv = np.unique((lengths - 1) * t_len + starts,
-                              return_inverse=True)
-        return cls(starts=keys % t_len, lengths=keys // t_len + 1, inv=inv)
 
 
 def _design(starts: np.ndarray, lengths: np.ndarray,
@@ -213,46 +199,42 @@ def fit_blackbox(z: np.ndarray, labels: np.ndarray,
     return v
 
 
-def surrogate_fit(samples: DistinctSubstrings, responses: np.ndarray,
-                  variant: str, t_len: int) -> np.ndarray:
-    """Surrogate weights from one response per distinct substring."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown surrogate variant {variant!r}")
-    z = _design(samples.starts, samples.lengths, t_len)
-    if variant == "bb":
-        return fit_blackbox(z, responses, inv=samples.inv)
-    counts = np.bincount(samples.inv, minlength=z.shape[0])
-    return fit_magnitude(z, responses, counts=counts)
-
-
-def _substring_responses(params: NetworkParams, ids: list[int], k: int,
-                         variant: str, starts: np.ndarray,
-                         lengths: np.ndarray) -> np.ndarray:
-    """Response of each (start, length) substring, scored as a standalone
-    sequence: one ``score_rows`` call over the (U, l_max) window array,
-    which scores the substrings of one length together, in the order
-    given."""
+def limsse_maps(params: NetworkParams, ids, k: int, variants,
+                n: int = DEFAULT_N_SAMPLES, l_max: int = DEFAULT_MAX_LEN,
+                seed: int = 0) -> list[RelevanceMap]:
+    """One map per asked variant, all from one pass over the document: one
+    draw, each distinct substring scored once as a standalone sequence (one
+    ``score_rows`` call over the (U, l_max) window array, the substrings
+    sorted by length, then start), one coverage design, and one fit per
+    variant of the responses it reads from those scores."""
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown surrogate variant {variant!r}")
+    ids = list(ids)
+    t_len = len(ids)
+    starts, lengths = draw_substrings(SeededRng(seed), t_len, n, l_max)
+    # sample i is distinct substring inv[i]
+    keys, inv = np.unique((lengths - 1) * t_len + starts, return_inverse=True)
+    starts, lengths = keys % t_len, keys // t_len + 1
     windows = starts[:, None] + np.arange(lengths.max(initial=0))
     scores = score_rows(params, embed(params, ids), windows, lengths)
-    if variant == "bb":
-        return (np.argmax(softmax(scores), axis=1) == k).astype(np.float64)
-    if variant == "ms_s":
-        return scores[:, k]
-    return softmax(scores)[:, k]
+    z = _design(starts, lengths, t_len)
+    maps = []
+    for variant in variants:
+        if variant == "bb":
+            labels = np.argmax(softmax(scores), axis=1) == k
+            v = fit_blackbox(z, labels.astype(np.float64), inv=inv)
+        else:
+            y = scores[:, k] if variant == "ms_s" else softmax(scores)[:, k]
+            v = fit_magnitude(z, y, counts=np.bincount(inv))
+        maps.append(RelevanceMap(scores=v, k=k, method=f"limsse_{variant}"))
+    return maps
 
 
 def limsse_explain(params: NetworkParams, ids, k: int, variant: str = "ms_s",
                    n: int = DEFAULT_N_SAMPLES, l_max: int = DEFAULT_MAX_LEN,
                    seed: int = 0) -> RelevanceMap:
-    """Sample substrings, query the classifier on each as its own sequence,
-    fit the surrogate, return its weights as the relevance map."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown surrogate variant {variant!r}")
-    ids = list(ids)
-    t_len = len(ids)
-    starts, lengths = draw_substrings(SeededRng(seed), t_len, n, l_max)
-    samples = DistinctSubstrings.of(starts, lengths, t_len)
-    responses = _substring_responses(params, ids, k, variant, samples.starts,
-                                     samples.lengths)
-    v = surrogate_fit(samples, responses, variant, t_len)
-    return RelevanceMap(scores=v, k=k, method=f"limsse_{variant}")
+    """``limsse_maps`` of one variant: sample substrings, query the
+    classifier on each as its own sequence, fit the surrogate, return its
+    weights as the relevance map."""
+    return limsse_maps(params, ids, k, [variant], n, l_max, seed)[0]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textexplain.explain.gradient import integrated_gradients
-from textexplain.explain.limsse import _substring_responses
+from textexplain.explain import limsse as limsse_module
 from textexplain.explain.perturb import PerturbConfig, perturb_explain
 from textexplain.models import RelevanceRule, _run, embed, \
     embedding_gradients, forward, forward_embedded, score_batch, sweep
@@ -275,21 +275,30 @@ def test_perturbation_matches_per_span_oracle(arch_dir, seed, t_len, n, mode):
 
 
 @PROPERTY
-@given(models, seeds, st.integers(1, 40), st.integers(1, 8),
-       st.sampled_from(["bb", "ms_s", "ms_p"]))
+@given(models, seeds, st.integers(1, 40), st.integers(1, 8))
 def test_limsse_responses_match_per_substring_forward(arch_dir, seed, t_len,
-                                                      l_max, variant):
+                                                      l_max):
+    """Every variant's fit gets, for each drawn substring, the response of
+    that substring's own forward pass."""
     p = model(arch_dir, seed)
     ids = token_ids(t_len, seed)
-    keys = [(start, length) for start in range(t_len)
-            for length in range(1, min(l_max, t_len - start) + 1)]
-    starts, lengths = np.array(keys).T
-    got = _substring_responses(p, ids, 1, variant, starts, lengths)
-    assert got.shape == (len(keys),)
-    for (start, length), value in zip(keys, got):
+    fits = []
+
+    def fit(z, y, **kwargs):
+        fits.append((z, y))
+        return np.zeros(t_len)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limsse_module, "fit_blackbox", fit)
+        mp.setattr(limsse_module, "fit_magnitude", fit)
+        limsse_module.limsse_maps(p, ids, 1, ["bb", "ms_s", "ms_p"], n=400,
+                                  l_max=l_max, seed=seed)
+    (z, bb), (_, ms_s), (_, ms_p) = fits
+    for row, cover in enumerate(z):
+        start, length = int(np.argmax(cover)), int(cover.sum())
+        assert 1 <= length <= l_max
+        assert np.all(cover[start:start + length] == 1.0)
         tr = forward(p, ids[start:start + length])
-        if variant == "bb":
-            assert value == float(tr.predicted == 1)
-        else:
-            want = tr.scores[1] if variant == "ms_s" else tr.probs[1]
-            assert abs(value - want) <= 1e-12
+        assert bb[row] == float(tr.predicted == 1)
+        assert abs(ms_s[row] - tr.scores[1]) <= 1e-12
+        assert abs(ms_p[row] - tr.probs[1]) <= 1e-12

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from textexplain.explain import METHOD_NAMES, ExplainOptions, explain
 from textexplain.models import Vocabulary, forward, init_params, \
     load_checkpoint, save_checkpoint
 from textexplain.numerics import SeededRng
-from textexplain.train import TrainConfig
+from textexplain.train import TrainConfig, train
 
 
 def write_corpus(path, n_docs, seed=0, n_sentences=2, sent_len=4):
@@ -82,6 +83,46 @@ class TestTrain:
         records = [json.loads(l) for l in log.read_text().splitlines()]
         assert [r["epoch"] for r in records] == [1, 2, 3]
         assert all("loss" in r and "accuracy" in r for r in records)
+
+    def test_diverging_run_is_usage_error(self, tmp_path, capsys):
+        """--lr 1e308 overflows in the first epoch: one error line naming
+        the epoch, exit 1, no numpy warning, no checkpoint, no log record."""
+        corpus, out, log = (tmp_path / f for f in ("c.jsonl", "m.npz",
+                                                   "log.jsonl"))
+        write_corpus(corpus, 20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", str(corpus), "--out", str(out), "--lr",
+                       "1e308", "--log", str(log)])
+        assert rc == 1 and caught == []
+        assert capsys.readouterr().err == (
+            "error: training diverged in epoch 1 (loss nan); try a smaller "
+            "--lr\n")
+        assert not out.exists() and log.read_text() == ""
+
+    def test_non_finite_weights_end_the_run(self, tmp_path, capsys,
+                                            monkeypatch):
+        """Weights the loss does not read (the out-of-vocabulary row of a
+        corpus with none) are checked too: a run whose second epoch leaves
+        one infinite stops there, after logging the first."""
+        def second_epoch_breaks(params, corpus, config):
+            train(params, corpus, config)
+            if config.seed == 2:
+                params.embedding[0, 0] = np.inf
+
+        monkeypatch.setattr(cli, "train", second_epoch_breaks)
+        corpus, out, log = (tmp_path / f for f in ("c.jsonl", "m.npz",
+                                                   "log.jsonl"))
+        write_corpus(corpus, 20)
+        rc = main(["train", str(corpus), "--out", str(out), "--epochs", "3",
+                   "--log", str(log)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1 and len(err) == 2
+        assert err[0].startswith("epoch 1: loss=")
+        assert err[1].startswith("error: training diverged in epoch 2 (loss ")
+        assert "nan" not in err[1] and not out.exists()
+        assert [json.loads(line)["epoch"]
+                for line in log.read_text().splitlines()] == [1]
 
     def test_unknown_arch_is_data_error(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -292,6 +333,17 @@ class TestEvalAgreement:
         lines = out.read_text().strip().split("\n")
         # 3 methods (incl. random+last) x 3 metrics
         assert len(lines) == 1 + 9
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_no_sample_is_data_error(self, trained_checkpoint, tmp_path,
+                                     capsys, text):
+        _, _, ckpt = trained_checkpoint
+        tsv, out = tmp_path / "agree.tsv", tmp_path / "report.tsv"
+        tsv.write_text(text)
+        rc = main(["eval-agreement", str(ckpt), str(tsv), "--out", str(out),
+                   "--methods", "lrp"])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {tsv}: no samples\n"
 
     def test_bad_tsv_is_data_error(self, trained_checkpoint, tmp_path):
         _, _, ckpt = trained_checkpoint

@@ -1,15 +1,17 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from textexplain.explain import ExplainOptions, explain_document
 from textexplain.explain import limsse as limsse_module
 from textexplain.explain.limsse import DEFAULT_N_SAMPLES, DEFAULT_RIDGE_BB, \
-    DistinctSubstrings, SubstringSample, _design, _substring_responses, \
-    draw_substrings, fit_blackbox, fit_magnitude, limsse_explain, \
-    sample_substrings, surrogate_fit
-from textexplain.models import forward
-from textexplain.numerics import SeededRng, lemire_bounded, sigmoid
+    SubstringSample, _design, draw_substrings, fit_blackbox, fit_magnitude, \
+    limsse_explain, limsse_maps, sample_substrings
+from textexplain.models import embed, forward, score_rows
+from textexplain.numerics import SeededRng, lemire_bounded, sigmoid, softmax
 
 from conftest import rand_params
 
@@ -68,13 +70,33 @@ class TestBatchedDraw:
         assert all(type(s.start) is int for s in got)
 
     @pytest.mark.parametrize("t_len", [1, 6, 80])
-    def test_distinct_pairs_reproduce_every_draw(self, t_len):
-        starts, lengths = draw_substrings(SeededRng(t_len), t_len, 3000)
-        d = DistinctSubstrings.of(starts, lengths, t_len)
-        assert np.array_equal(d.starts[d.inv], starts)
-        assert np.array_equal(d.lengths[d.inv], lengths)
-        keys = list(zip(d.lengths.tolist(), d.starts.tolist()))
-        assert keys == sorted(set(keys))
+    def test_distinct_pairs_reproduce_every_draw(self, monkeypatch, t_len):
+        """The one pass scores each drawn (start, length) pair once, as a
+        window of the document, sorted by length, then start; and the fit's
+        rows, gathered per sample, are the design of every draw."""
+        seen = {}
+
+        def scoring(params, table, windows, lengths):
+            seen.update(windows=windows, lengths=lengths)
+            return score_rows(params, table, windows, lengths)
+
+        def fit(z, labels, inv):
+            seen.update(z=z, inv=inv)
+            return np.zeros(t_len)
+
+        monkeypatch.setattr(limsse_module, "score_rows", scoring)
+        monkeypatch.setattr(limsse_module, "fit_blackbox", fit)
+        ids = [1 + i % 19 for i in range(t_len)]
+        limsse_maps(rand_params("GRU"), ids, 1, ["bb"], seed=t_len)
+        starts, lengths = draw_substrings(SeededRng(t_len), t_len,
+                                          DEFAULT_N_SAMPLES)
+        windows = seen["windows"]
+        assert list(zip(seen["lengths"].tolist(), windows[:, 0].tolist())) \
+            == sorted(set(zip(lengths.tolist(), starts.tolist())))
+        assert np.array_equal(windows, windows[:, :1]
+                              + np.arange(min(t_len, 6)))
+        assert np.array_equal(seen["z"][seen["inv"]],
+                              _design(starts, lengths, t_len))
 
 
 class TestSampling:
@@ -236,10 +258,18 @@ def row_wise_fit_blackbox(z, labels, ridge=DEFAULT_RIDGE_BB, tol=1e-6,
     return v
 
 
-def distinct_design(t_len, n, seed):
+def distinct_draws(t_len, n, seed):
+    """The distinct drawn (starts, lengths), sorted by length, then start,
+    and which of them each sample is."""
     starts, lengths = draw_substrings(SeededRng(seed), t_len, n)
-    d = DistinctSubstrings.of(starts, lengths, t_len)
-    return _design(d.starts, d.lengths, t_len), d.inv
+    keys, inv = np.unique(np.stack([lengths, starts], axis=1), axis=0,
+                          return_inverse=True)
+    return keys[:, 1], keys[:, 0], inv.ravel()
+
+
+def distinct_design(t_len, n, seed):
+    starts, lengths, inv = distinct_draws(t_len, n, seed)
+    return _design(starts, lengths, t_len), inv
 
 
 class TestDistinctRowFits:
@@ -288,10 +318,14 @@ class TestDistinctRowFits:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-class TestSurrogateFit:
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            surrogate_fit([], np.array([]), "ms_q", 3)
+class TestLimsseMaps:
+    def test_unknown_variant_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before the variant check")
+
+        monkeypatch.setattr(limsse_module, "draw_substrings", no_draw)
+        with pytest.raises(ValueError, match="ms_q"):
+            limsse_maps(rand_params("GRU"), [1, 2, 3], 0, ["ms_s", "ms_q"])
 
 
 def keyword_detector_cnn():
@@ -365,6 +399,18 @@ class TestLimsseExplain:
             assert r.method == f"limsse_{variant}"
 
 
+def substring_responses(params, ids, k, variant, starts, lengths):
+    """Each (start, length) substring's response, scored as a standalone
+    sequence by one ``score_rows`` call over the window array."""
+    windows = starts[:, None] + np.arange(lengths.max(initial=0))
+    scores = score_rows(params, embed(params, ids), windows, lengths)
+    if variant == "bb":
+        return (np.argmax(softmax(scores), axis=1) == k).astype(np.float64)
+    if variant == "ms_s":
+        return scores[:, k]
+    return softmax(scores)[:, k]
+
+
 def row_wise_limsse(params, ids, k, variant, seed):
     """Oracle: scalar draws, one design row per sample and row-wise fits,
     scoring each distinct substring in the same length batches."""
@@ -372,8 +418,8 @@ def row_wise_limsse(params, ids, k, variant, seed):
     draws = scalar_draws(SeededRng(seed), t_len, DEFAULT_N_SAMPLES, 6)
     keys = np.array(sorted(set(map(tuple, draws.tolist())),
                            key=lambda key: (key[1], key[0])))
-    values = _substring_responses(params, ids, k, variant, keys[:, 0],
-                                  keys[:, 1])
+    values = substring_responses(params, ids, k, variant, keys[:, 0],
+                                 keys[:, 1])
     lookup = {tuple(key): value for key, value in zip(keys.tolist(), values)}
     y = np.array([lookup[tuple(row)] for row in draws.tolist()])
     z = _design(draws[:, 0], draws[:, 1], t_len)
@@ -427,13 +473,85 @@ def test_ms_maps_near_extended_precision(arch_dir):
     p = rand_params(arch, seed=5, scale=3.0, direction=direction)
     for t_len in (5, 18):
         ids = [1 + (7 * t_len + 3 * i * i) % 19 for i in range(t_len)]
-        d = DistinctSubstrings.of(*draw_substrings(SeededRng(t_len), t_len,
-                                                   DEFAULT_N_SAMPLES), t_len)
+        starts, lengths, inv = distinct_draws(t_len, DEFAULT_N_SAMPLES, t_len)
         for variant in ("ms_s", "ms_p"):
             got = limsse_explain(p, ids, 1, variant=variant,
                                  seed=t_len).scores
-            y = _substring_responses(p, ids, 1, variant, d.starts, d.lengths)
+            y = substring_responses(p, ids, 1, variant, starts, lengths)
             exact = extended_precision_fit(
-                _design(d.starts, d.lengths, t_len), y, np.bincount(d.inv))
+                _design(starts, lengths, t_len), y, np.bincount(inv))
             assert np.max(np.abs(got - exact)) <= \
                 1e-12 * np.max(np.abs(exact)), (t_len, variant)
+
+
+VARIANT_SETS = [list(order) for size in (1, 2, 3)
+                for subset in itertools.combinations(("bb", "ms_s", "ms_p"),
+                                                     size)
+                for order in dict.fromkeys([subset, subset[::-1]])]
+BESIDE = ["omit_1", "occ_3", "lrp"]
+
+
+def per_variant_limsse(params, ids, k, variant, opts):
+    """One variant's map by a path of its own: its own draw, keying of the
+    distinct substrings, scoring, design and fit."""
+    t_len = len(ids)
+    starts, lengths = draw_substrings(SeededRng(opts.seed), t_len,
+                                      opts.limsse_n, opts.limsse_maxlen)
+    keys, inv = np.unique((lengths - 1) * t_len + starts, return_inverse=True)
+    starts, lengths = keys % t_len, keys // t_len + 1
+    y = substring_responses(params, ids, k, variant, starts, lengths)
+    z = _design(starts, lengths, t_len)
+    if variant == "bb":
+        return fit_blackbox(z, y, inv=inv)
+    return fit_magnitude(z, y, counts=np.bincount(inv, minlength=len(keys)))
+
+
+@pytest.mark.parametrize("arch,direction", [
+    ("GRU", "bi"), ("LSTM", "uni"), ("QGRU", "bi"), ("QLSTM", "uni"),
+    ("CNN", "uni")])
+@pytest.mark.parametrize("t_len", [1, 2, 5, 6, 9, 30])
+def test_shared_pass_maps_are_the_per_variant_maps(arch, direction, t_len):
+    """Every set of LIMSSE names, in two orders, alone and beside other
+    methods, gives each variant bitwise the map of its own path; T = 1 and
+    T <= l_max included."""
+    p = rand_params(arch, seed=t_len, scale=20.0, direction=direction)
+    ids = [1 + (7 * i * i + 3 * i) % 19 for i in range(t_len)]
+    opts = ExplainOptions(limsse_n=600, seed=t_len)
+    k = 1
+    want = {variant: per_variant_limsse(p, ids, k, variant, opts).tobytes()
+            for variant in ("bb", "ms_s", "ms_p")}
+    for variants in VARIANT_SETS:
+        names = [f"limsse_{variant}" for variant in variants]
+        for asked in (names, BESIDE + names):
+            got = explain_document(asked, p, ids, opts, k)[1][-len(names):]
+            for variant, m in zip(variants, got):
+                assert m.method == f"limsse_{variant}"
+                assert m.scores.tobytes() == want[variant], (asked, variant)
+
+
+def test_one_draw_and_one_scoring_per_document(monkeypatch):
+    """However many LIMSSE names are asked, a document makes one draw and
+    one substring scoring; with none it makes neither."""
+    calls = {"draw": 0, "score": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(limsse_module, "draw_substrings",
+                        counted("draw", draw_substrings))
+    monkeypatch.setattr(limsse_module, "score_rows",
+                        counted("score", score_rows))
+    p = rand_params("QGRU", seed=2, scale=3.0, direction="bi")
+    ids = [1 + (5 * i) % 19 for i in range(12)]
+    opts = ExplainOptions(limsse_n=200)
+    for variants in VARIANT_SETS + [[]]:
+        names = [f"limsse_{variant}" for variant in variants]
+        for asked in (names, BESIDE + names):
+            calls.update(draw=0, score=0)
+            if asked:
+                explain_document(asked, p, ids, opts)
+            assert calls == {"draw": int(bool(names)),
+                             "score": int(bool(names))}, asked

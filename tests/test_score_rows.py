@@ -18,7 +18,6 @@ from textexplain.explain import limsse as limsse_module
 from textexplain.explain import perturb as perturb_module
 from textexplain.models import batch_rows, embed, empty_sequence_scores, \
     score_batch, score_rows
-from textexplain.numerics import softmax
 
 from conftest import rand_params
 
@@ -129,20 +128,12 @@ def grouped_span_scores(params, emb, k, lo, hi, mode):
     return out
 
 
-def grouped_substring_responses(params, ids, k, variant, starts, lengths):
-    """Substring responses with one scoring call per length."""
-    emb = embed(params, ids)
-    out = np.empty(len(starts))
+def grouped_substring_scores(params, table, windows, lengths):
+    """Substring scores with one scoring call per length."""
+    out = np.empty((len(lengths), len(params.b_cls)))
     for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
-        scores = equal_length_rows(
-            params, emb, starts[rows][:, None] + np.arange(length))
-        if variant == "bb":
-            out[rows] = np.argmax(softmax(scores), axis=1) == k
-        elif variant == "ms_s":
-            out[rows] = scores[:, k]
-        else:
-            out[rows] = softmax(scores)[:, k]
+        out[rows] = equal_length_rows(params, table, windows[rows, :length])
     return out
 
 
@@ -156,8 +147,7 @@ def test_black_box_maps_equal_the_per_group_scoring(monkeypatch, arch,
     opts = ExplainOptions(limsse_n=300, seed=3)
     got = explain_all(BLACK_BOX, p, ids, 1, opts)
     monkeypatch.setattr(perturb_module, "_span_scores", grouped_span_scores)
-    monkeypatch.setattr(limsse_module, "_substring_responses",
-                        grouped_substring_responses)
+    monkeypatch.setattr(limsse_module, "score_rows", grouped_substring_scores)
     want = explain_all(BLACK_BOX, p, ids, 1, opts)
     for name, g, w in zip(BLACK_BOX, got, want):
         assert g.scores.tobytes() == w.scores.tobytes(), name
