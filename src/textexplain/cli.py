@@ -219,7 +219,7 @@ def _class_count(labels: list[int], path: str) -> int:
     if min(present) < 0:
         raise ValueError(f"{path}: negative label {min(present)}")
     if max(present) <= 1:
-        return max(present) + 1
+        return 2
     # a gap, if any, lies below len(present): that many distinct labels
     # without one are exactly 0..len(present) - 1
     for cls in range(len(present)):

@@ -12,12 +12,13 @@ Two paradigms:
   the subject (on correct predictions) and hit_feat when it is a noun/verb
   carrying the predicted number, partitioned by prediction correctness.
 
-Both make one ``explain_document`` call per document. It runs one
-white-box pass: one forward of the document beside every baseline and
-interpolation row the asked methods read, whose row 0 gives the
-prediction, and one sweep, whose trailing rows carry the relevance rules.
-Every map is for the predicted class, so a skipped hybrid document is
-explained before the skip.
+Both make one ``explain_document`` call per document, with no class
+given. It makes one white-box pass (``gradient.white_box_pass``), also
+when only black-box methods are asked: one forward of the document beside
+every baseline and interpolation row the asked methods read, whose row 0
+gives the prediction, and one sweep, whose trailing rows carry the
+relevance rules. Every map is for the predicted class, so a skipped hybrid
+document is explained before the skip.
 """
 
 from __future__ import annotations

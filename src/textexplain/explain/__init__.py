@@ -2,7 +2,7 @@
 decomposition, input perturbation, and substring-surrogate fitting."""
 
 from .catalog import METHOD_NAMES, ExplainOptions, check_names, explain, \
-    explain_all, explain_document
+    explain_document
 from .gradient import GradConfig, explain_gradient, integrated_gradients, \
     reduce_gradients
 from .lrp import deeplift_explain, esign, lrp_explain
@@ -13,7 +13,7 @@ from .limsse import SubstringSample, fit_blackbox, fit_magnitude, \
 
 __all__ = [
     "METHOD_NAMES", "ExplainOptions", "check_names", "explain",
-    "explain_all", "explain_document",
+    "explain_document",
     "GradConfig", "explain_gradient", "integrated_gradients",
     "reduce_gradients",
     "deeplift_explain", "esign", "lrp_explain",

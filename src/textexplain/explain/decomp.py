@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..models import DirectionTrace, ForwardTrace, NetworkParams, forward
+from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
+    check_class, forward
 from ..relevance import RelevanceMap
 
 _DECOMP_ARCHS = ("LSTM", "QLSTM", "GRU", "QGRU")
@@ -75,6 +76,7 @@ def decomp_explain(params: NetworkParams, ids, k: int,
     per-direction decompositions at the original token positions.
 
     ``trace`` is ``forward(params, ids)`` if the caller has it."""
+    check_class(params, k)
     if trace is None:
         trace = forward(params, ids)
     t_len = trace.length

@@ -2,11 +2,12 @@
 
 The gradient methods are {plain, integrated} x {score, prob} x {L2, dot}.
 ε-LRP and DeepLIFT are gradient × input too, under modified local factors
-(Ancona et al., ICLR 2018), so every one of them reads one pass per
-(document, model):
+(Ancona et al., ICLR 2018), so every one of them, and cell decomposition,
+reads one pass per (document, model), ``white_box_pass``:
 
 * one forward over a stack of rows into one stacked trace: row 0 is the
-  document, then the all-zero input if DeepLIFT is asked, then the
+  document (its scores give the prediction, and decomposition reads its
+  views), then the all-zero input if DeepLIFT is asked, then the
   integrated-gradient inputs (m/M) E, m = 1..M-1 (row 0 is the m = M
   input, since 1.0 * E == E);
 * one sweep over the rows, gathered with repeats, that some method needs:
@@ -18,10 +19,10 @@ The gradient methods are {plain, integrated} x {score, prob} x {L2, dot}.
 
 ``row_plan`` names those rows and splits them into batches of at most
 ``models.batch_rows``, so that a batch's trace is bounded whatever M is (a
-full batch at T = 80 traces 37-99 MB; see ``models.BATCH_CELLS``);
-``document_trace`` runs the first batch, and ``white_box_pass`` runs the
-others, each with one sweep of its own. The relevance rows ride in the
-first batch's sweep. The plan forms each later batch's scales
+full batch at T = 80 traces 37-99 MB; see ``models.BATCH_CELLS``). The
+pass runs the first batch, then the others, each with one sweep of its
+own; the relevance rows ride in the first batch's sweep, and no trace
+leaves the pass. The plan forms each later batch's scales
 ``np.arange(lo, hi) / M`` when that batch runs, and the pass adds each
 batch's gradient sum to one running sum per averaged output, so memory
 does not grow with M.
@@ -34,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
-    RelevanceRule, _run, batch_rows, embed, forward_embedded, output_seeds, \
-    scaled_rows, sweep
+    RelevanceRule, _run, batch_rows, check_class, embed, forward_embedded, \
+    output_seeds, scaled_rows, sweep
 from ..numerics import esign
 from ..relevance import RelevanceMap
-from .decomp import check_decomp
+from .decomp import check_decomp, decomp_explain
 
 
 @dataclass
@@ -84,57 +85,45 @@ def row_plan(names, params: NetworkParams, t_len: int, steps: int):
         yield np.arange(lo, min(lo + size, last)) / steps
 
 
-def document_trace(names, params: NetworkParams, ids,
-                   steps: int) -> ForwardTrace:
-    """The forward trace of ``ids`` over ``row_plan``'s first batch for the
-    white-box ``names``: row 0 is the document, so the trace's row-0
-    fields read as ``forward(params, ids)``'s."""
-    emb = embed(params, ids)
-    return forward_embedded(params, emb,
-                            next(row_plan(names, params, len(emb),
-                                          steps))[1:])
+def white_box_pass(params: NetworkParams, ids, k: int | None, names,
+                   eps: float = DEFAULT_EPS, steps: int = 50
+                   ) -> tuple[int, dict[str, np.ndarray]]:
+    """The class explained, ``k`` or the prediction (row 0's) when ``k`` is
+    None, and what the white-box ``names`` read for it:
 
+    * each asked name's (T,) map;
+    * ``"grad1_o"`` and ``"gradint_o"`` for each output o (s or p) a
+      gradient name asks for: the (T, d_e) gradient of o_k, and its mean
+      over the M = ``steps`` scaled inputs, summed in the order m = 1..M.
 
-def check_white_box(params: NetworkParams, k: int | None, names,
-                    eps: float = DEFAULT_EPS, steps: int = 50) -> None:
-    """The checks of ``white_box_pass``'s arguments, and that ``decomp``
-    is defined for the model, made before any forward pass; a class ``k``
-    of None (the prediction, not yet known) passes."""
-    if k is not None and not 0 <= k < params.n_classes:
-        raise ValueError(f"class {k} out of range [0, {params.n_classes})")
+    The arguments, and that ``decomp`` is defined for the model, are
+    checked before any forward pass. One forward runs ``row_plan``'s first
+    batch, whose row 0 gives the prediction and decomposition's trace, and
+    each further batch runs with a sweep of its own; the relevance rows
+    ride in the first batch's sweep.
+    """
+    if k is not None:
+        check_class(params, k)
     if not 0 < eps < np.inf and ("lrp" in names or "deeplift" in names):
         raise ValueError("eps must be positive and finite")
     if steps < 1 and any(n.startswith("gradint_") for n in names):
         raise ValueError("steps must be >= 1")
     if "decomp" in names:
         check_decomp(params.arch)
-
-
-def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
-                   names, eps: float = DEFAULT_EPS,
-                   steps: int = 50) -> dict[str, np.ndarray]:
-    """What the white-box ``names`` read for class k, from the document's
-    ``trace`` and its rows:
-
-    * ``"grad1_o"`` and ``"gradint_o"`` (o = s or p): the (T, d_e) gradient
-      of o_k, and its mean over the M = ``steps`` scaled inputs, summed in
-      the order m = 1..M;
-    * ``"lrp"`` and ``"deeplift"``: the (T,) relevance e_t · demb_t.
-
-    ``trace`` is the ``document_trace`` of ``names`` and ``steps``: it
-    holds ``row_plan``'s first batch, and each further batch runs with a
-    sweep of its own; the relevance rows ride in the trace's. The arguments
-    must pass ``check_white_box``.
-    """
-    emb = trace.embeddings
+    emb = embed(params, ids)
     plan = row_plan(names, params, len(emb), steps)
     head = next(plan)
+    trace = forward_embedded(params, emb, head[1:])
+    k = trace.predicted if k is None else k
+    out = {}
+    if "decomp" in names:
+        out["decomp"] = decomp_explain(params, ids, k, trace=trace).scores
     averaged = {n.split("_")[1] for n in names if n.startswith("gradint_")}
     # sorted outputs keep the row order repeatable
     outputs = sorted({n.split("_")[1] for n in names if n.startswith("grad")})
     rules = [r for r in ("lrp", "deeplift") if r in names]
     if not outputs and not rules:
-        return {}
+        return k, out
 
     def batches():
         # (scores, stacked trace, its integrated-gradient rows, its
@@ -148,7 +137,6 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
 
     at_one = {}                         # output -> gradient of the document
     total = {}                          # output -> sum of its rows m < M
-    out = {}
     for scores, dirs, ig, doc in batches():
         # per output, its scaled rows in the order m = 1..M, the document
         # (m = M, row 0) last
@@ -178,7 +166,12 @@ def white_box_pass(params: NetworkParams, trace: ForwardTrace, k: int,
     out.update((f"grad1_{o}", at_one[o]) for o in outputs)
     out.update((f"gradint_{o}", (total[o] + at_one[o] if o in total
                                  else at_one[o]) / steps) for o in averaged)
-    return out
+    for name in names:
+        if name.startswith("grad"):
+            variant, output, reduction = name.split("_")
+            out[name] = reduce_gradients(out[f"{variant}_{output}"], emb,
+                                         reduction)
+    return k, out
 
 
 def _rule_rows(params: NetworkParams, trace: ForwardTrace, k: int,
@@ -209,14 +202,12 @@ def integrated_gradients(params: NetworkParams, ids, output: str, k: int,
 
     The baseline is the all-zero embedding matrix, so the interpolation is a
     pure scaling of the actual embeddings. The document and its scaled
-    inputs run as the white-box pass's rows, from ``document_trace``.
+    inputs run as the white-box pass's rows.
     """
     cfg = GradConfig("gradint", output, "dot", steps)
     cfg.validate()
-    check_white_box(params, k, [cfg.name], steps=steps)
-    trace = document_trace([cfg.name], params, ids, steps)
-    return white_box_pass(params, trace, k, [cfg.name],
-                          steps=steps)[f"gradint_{output}"]
+    return white_box_pass(params, ids, k, [cfg.name],
+                          steps=steps)[1][f"gradint_{output}"]
 
 
 def reduce_gradients(grads: np.ndarray, emb: np.ndarray,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import NetworkParams, embed, score_rows
+from ..models import NetworkParams, check_class, embed, score_rows
 from ..numerics import SeededRng, lemire_bounded, sigmoid, softmax
 from ..relevance import RelevanceMap
 
@@ -207,6 +207,7 @@ def limsse_maps(params: NetworkParams, ids, k: int, variants,
     ``score_rows`` call over the (U, l_max) window array, the substrings
     sorted by length, then start), one coverage design, and one fit per
     variant of the responses it reads from those scores."""
+    check_class(params, k)
     for variant in variants:
         if variant not in VARIANTS:
             raise ValueError(f"unknown surrogate variant {variant!r}")

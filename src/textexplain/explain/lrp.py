@@ -16,8 +16,8 @@ Both are rules of the one reverse sweep (``models.sweep`` with a
 method is one row of the document in the pass's one sweep, beside the
 exact-gradient rows of the gradient methods, and the document's all-zero
 row is DeepLIFT's baseline. The entry points below are ``catalog.explain``
-of one name: one forward over the document (and, for DeepLIFT, its
-baseline row) and one sweep.
+of one name, so one ``gradient.white_box_pass`` call: one forward over the
+document (and, for DeepLIFT, its baseline row) and one sweep.
 """
 
 from __future__ import annotations

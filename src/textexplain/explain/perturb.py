@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import NetworkParams, embed, score_rows
+from ..models import NetworkParams, check_class, embed, score_rows
 from ..relevance import RelevanceMap
 
 
@@ -68,6 +68,7 @@ def _span_scores(params: NetworkParams, emb: np.ndarray, k: int,
 
 def perturb_explain(params: NetworkParams, ids, k: int,
                     cfg: PerturbConfig) -> RelevanceMap:
+    check_class(params, k)
     cfg.validate()
     emb = embed(params, ids)
     t_len = emb.shape[0]

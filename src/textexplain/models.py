@@ -352,6 +352,12 @@ class ForwardTrace:
         return int(np.argmax(self.probs))
 
 
+def check_class(params: NetworkParams, k: int) -> None:
+    """Raise ValueError unless ``k`` is one of the model's classes."""
+    if not 0 <= k < params.n_classes:
+        raise ValueError(f"class {k} out of range [0, {params.n_classes})")
+
+
 def embed(params: NetworkParams, ids) -> np.ndarray:
     """Look up embedding rows; returns (T, d_e)."""
     ids = list(ids)
@@ -1014,9 +1020,7 @@ def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
     """
     if output not in ("s", "p"):
         raise ValueError(f"unknown output {output!r}")
-    n_classes = params.n_classes
-    if not 0 <= k < n_classes:
-        raise ValueError(f"class {k} out of range [0, {n_classes})")
+    check_class(params, k)
     if emb is None:
         emb = embed(params, ids)
     stack = emb if emb.ndim == 3 else emb[None]

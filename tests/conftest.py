@@ -37,9 +37,9 @@ def rand_params(arch: str, seed: int = 0, vocab_size: int = 20,
 
 
 def forbid_forward(monkeypatch, check: str) -> None:
-    """Make every forward fail: the runner that ``gradient.document_trace``
-    (through ``forward_embedded``) and the white-box pass's further batches
-    run."""
+    """Make every forward fail: the runner that the white-box pass's head
+    batch (through ``forward_embedded``), its further batches and the
+    black-box scorer run."""
     def no_forward(*args, **kwargs):
         raise AssertionError(f"forward pass before the {check} check")
 

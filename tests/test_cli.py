@@ -736,11 +736,12 @@ class TestDataErrors:
         assert not out.exists()
 
     def test_one_label_binary_corpus_trains(self, tmp_path):
-        """A sample of a two-class corpus may hold label 1 alone."""
-        corpus = tmp_path / "c.jsonl"
-        corpus.write_text(json.dumps({"label": 1, "sentences": [["a"]]})
-                          + "\n")
-        out = tmp_path / "m.npz"
-        assert main(["train", str(corpus), "--out", str(out),
-                     "--epochs", "1"]) == 0
-        assert load_checkpoint(out).n_classes == 2
+        """A sample of a two-class corpus may hold label 0 or 1 alone."""
+        for label in (0, 1):
+            corpus = tmp_path / f"c{label}.jsonl"
+            corpus.write_text(json.dumps({"label": label,
+                                          "sentences": [["a"]]}) + "\n")
+            out = tmp_path / f"m{label}.npz"
+            assert main(["train", str(corpus), "--out", str(out),
+                         "--epochs", "1"]) == 0
+            assert load_checkpoint(out).n_classes == 2, label

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import textexplain as tx
-from textexplain.explain import explain_all
+from textexplain.explain import explain_document
 from textexplain.explain.catalog import GRADIENT_METHODS, ExplainOptions
 from textexplain.models import _run, embed, embedding_gradients, \
     empty_sequence_scores, forward, forward_embedded, init_params, \
@@ -455,6 +455,6 @@ def test_recurrent_model_without_u_is_a_width_one_qrnn(arch, qrnn, direction,
     ids = list(rng.integers(0, p.embedding.shape[0], size=5))
     k = int(rng.integers(0, p.n_classes))
     opts = ExplainOptions(int_steps=6)
-    for m_p, m_q in zip(explain_all(TWIN_METHODS, p, ids, k, opts),
-                        explain_all(TWIN_METHODS, q, ids, k, opts)):
+    for m_p, m_q in zip(explain_document(TWIN_METHODS, p, ids, opts, k)[1],
+                        explain_document(TWIN_METHODS, q, ids, opts, k)[1]):
         assert_near(m_q.scores, m_p.scores, m_p.method)

@@ -16,8 +16,7 @@ import pytest
 import textexplain as tx
 from textexplain import models
 from textexplain.evaluate import run_agreement_eval
-from textexplain.explain import ExplainOptions, explain, explain_all, \
-    explain_document
+from textexplain.explain import ExplainOptions, explain, explain_document
 from textexplain.explain import gradient
 from textexplain.models import forward, init_params
 from textexplain.numerics import SeededRng
@@ -132,7 +131,7 @@ def test_one_sweep_holds_the_exact_and_the_relevance_rows(monkeypatch):
 
     monkeypatch.setattr(gradient, "sweep", spy)
     p, ids = _inputs(("GRU", "bi"), 3, 8)
-    explain_all(METHODS, p, ids, 1)
+    explain_document(METHODS, p, ids, k=1)
     assert seen == [(53, 51)]
 
 

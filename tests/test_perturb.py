@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from textexplain import models
-from textexplain.explain import ExplainOptions, explain_all
+from textexplain.explain import ExplainOptions, explain_document
 from textexplain.explain.perturb import PerturbConfig, perturb_explain
 from textexplain.models import embed, empty_sequence_scores, \
     forward_embedded, score_rows
@@ -147,11 +147,11 @@ def test_scoring_keeps_to_the_batch_budget(arch, direction, monkeypatch):
         return real(params, embs)
 
     monkeypatch.setattr(models, "score_batch", counting)
-    whole = explain_all(names, p, ids, 1, opts)
+    whole = explain_document(names, p, ids, opts, 1)[1]
     n_whole = len(calls)
     width = max(p.d_embed, p.d_hidden)
     monkeypatch.setattr(models, "BATCH_CELLS", 4 * len(ids) * width)
-    split = explain_all(names, p, ids, 1, opts)
+    split = explain_document(names, p, ids, opts, 1)[1]
     # at the default budget, an occlusion map scores its 13 inputs of 12
     # tokens in one call
     assert len(calls) - n_whole > n_whole

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from textexplain import models
-from textexplain.explain import ExplainOptions, explain_all
+from textexplain.explain import ExplainOptions, explain_document
 from textexplain.explain import limsse as limsse_module
 from textexplain.explain import perturb as perturb_module
 from textexplain.models import batch_rows, embed, empty_sequence_scores, \
@@ -145,9 +145,9 @@ def test_black_box_maps_equal_the_per_group_scoring(monkeypatch, arch,
     p = rand_params(arch, seed=t_len, scale=20.0, direction=direction)
     ids = [1 + (7 * i * i + 3 * i) % 19 for i in range(t_len)]
     opts = ExplainOptions(limsse_n=300, seed=3)
-    got = explain_all(BLACK_BOX, p, ids, 1, opts)
+    got = explain_document(BLACK_BOX, p, ids, opts, 1)[1]
     monkeypatch.setattr(perturb_module, "_span_scores", grouped_span_scores)
     monkeypatch.setattr(limsse_module, "score_rows", grouped_substring_scores)
-    want = explain_all(BLACK_BOX, p, ids, 1, opts)
+    want = explain_document(BLACK_BOX, p, ids, opts, 1)[1]
     for name, g, w in zip(BLACK_BOX, got, want):
         assert g.scores.tobytes() == w.scores.tobytes(), name

@@ -1,5 +1,5 @@
 """One white-box pass per (document, model): one forward over the document's
-rows and one sweep (``gradient.document_trace``,
+rows and one sweep (``gradient.white_box_pass``,
 ``catalog.explain_document``).
 
 Every map is checked against an oracle that shares none of the pass's
@@ -18,12 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 import textexplain as tx
 from textexplain import models
 from textexplain.evaluate import AgreementSample, run_agreement_eval
-from textexplain.explain import ExplainOptions, explain, explain_all, \
-    explain_document
+from textexplain.explain import ExplainOptions, explain, explain_document
 from textexplain.explain.decomp import decomp_explain, net_load_series
 from textexplain.explain import gradient
-from textexplain.explain.gradient import document_trace, reduce_gradients, \
-    white_box_pass
+from textexplain.explain.gradient import reduce_gradients, white_box_pass
 from textexplain.models import batch_rows, embed, embedding_gradients, \
     forward, forward_embedded
 from textexplain.numerics import SeededRng
@@ -75,8 +73,8 @@ def _oracle(name, p, ids, k, opts):
 @example(t_len=1, k=0, steps=3, chosen=list(WHITE_BOX), seed=0)
 def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps, chosen,
                                          seed):
-    """``explain_all``, one white-box pass, equals every method's oracle
-    within 1e-12 of the map's peak."""
+    """``explain_document`` for a given class, one white-box pass, equals
+    every method's oracle within 1e-12 of the map's peak."""
     arch, direction = arch_dir
     names = [n for n in chosen if not (n == "decomp" and arch == "CNN")]
     if not names:
@@ -84,7 +82,8 @@ def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps, chosen,
     p = rand_params(arch, seed=seed, scale=3.0, direction=direction)
     ids = np.random.default_rng(seed).integers(0, 20, size=t_len).tolist()
     opts = ExplainOptions(int_steps=steps)
-    got = explain_all(names, p, ids, k, opts)
+    got_k, got = explain_document(names, p, ids, opts, k)
+    assert got_k == k
     for name, rel in zip(names, got):
         want = _oracle(name, p, ids, k, opts)
         assert rel.method == name and rel.k == k
@@ -92,12 +91,30 @@ def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps, chosen,
             name
 
 
-def test_document_trace_rows():
-    """Row 0 is the document, then the all-zero input, then the scaled
-    inputs m/M; the row-0 fields read as ``forward``'s."""
+def _head_traces(monkeypatch):
+    """The traces of every ``forward_embedded`` call the white-box pass
+    makes from now on: the head batch of each pass."""
+    traces = []
+
+    def recorded(*args, **kwargs):
+        traces.append(forward_embedded(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(gradient, "forward_embedded", recorded)
+    return traces
+
+
+def test_document_trace_rows(monkeypatch):
+    """The pass's head trace: row 0 is the document, then the all-zero
+    input, then the scaled inputs m/M; the row-0 fields read as
+    ``forward``'s, and the class the pass explains with none given is
+    row 0's prediction."""
     p = rand_params("GRU", seed=1, scale=3.0, direction="bi")
     ids = [1, 2, 3, 4]
-    trace = document_trace(["gradint_s_dot", "deeplift"], p, ids, 4)
+    traces = _head_traces(monkeypatch)
+    k, _ = white_box_pass(p, ids, None, ["gradint_s_dot", "deeplift"],
+                          steps=4)
+    [trace] = traces
     emb = embed(p, ids)
     scales = (1.0, 0.0, 0.25, 0.5, 0.75)
     assert trace.batch_dirs.emb.shape[1] == len(scales)
@@ -105,15 +122,16 @@ def test_document_trace_rows():
         np.testing.assert_array_equal(trace.batch_dirs.emb[0, b],
                                       emb * scale)
     plain = forward(p, ids)
-    assert trace.predicted == plain.predicted
+    assert k == trace.predicted == plain.predicted
     np.testing.assert_allclose(trace.scores, plain.scores, rtol=0,
                                atol=1e-13)
     np.testing.assert_array_equal(trace.embeddings, emb)
     assert np.shares_memory(trace.dirs["bwd"].hidden,
                             trace.batch_dirs.hidden[1])
     # methods that read row 0 alone add no rows
-    assert document_trace(["grad1_p_l2", "lrp", "decomp", "omit_1"], p,
-                          ids, 50).batch_scores.shape[0] == 1
+    explain_document(["grad1_p_l2", "lrp", "decomp", "omit_1"], p, ids,
+                     ExplainOptions(int_steps=50))
+    assert traces[1].batch_scores.shape[0] == 1
 
 
 def list_plan(names, params, t_len, steps):
@@ -170,8 +188,7 @@ def test_integrated_gradients_add_the_batch_sums_in_plan_order(monkeypatch):
 
     monkeypatch.setattr(gradient, "sweep", recorded)
     names, steps = ["gradint_s_dot", "grad1_s_l2"], 50
-    trace = document_trace(names, p, ids, steps)
-    got = white_box_pass(p, trace, 1, names, steps=steps)
+    got = white_box_pass(p, ids, 1, names, steps=steps)[1]
     # the head batch's rows m = 1..6, then the document's row
     assert [len(d) for d in sweeps] == [7] + [7] * 6 + [1]
     parts = [sweeps[0][:-1].sum(axis=0)] + [d.sum(axis=0) for d in sweeps[1:]]
@@ -202,24 +219,28 @@ def test_white_box_memory_does_not_grow_with_int_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
-def test_one_method_alone_reads_its_document_trace(arch_dir):
+def test_one_method_alone_reads_its_document_trace(monkeypatch, arch_dir):
     """Run alone, each white-box method's map is bitwise what the pass
-    reads from the ``document_trace`` of its own name."""
+    of its own name gives, and what that pass's raw gradient and head
+    trace give: a gradient name's reduction of the (T, d_e) gradient, and
+    decomposition read from the head trace."""
     arch, direction = arch_dir
     p = rand_params(arch, seed=6, scale=3.0, direction=direction)
     ids = [4, 8, 15, 16, 2, 3]
     opts = ExplainOptions(int_steps=7)
+    traces = _head_traces(monkeypatch)
     for name in WHITE_BOX:
         if name == "decomp" and arch == "CNN":
             continue
-        trace = document_trace([name], p, ids, 7)
+        raw = white_box_pass(p, ids, 1, [name], steps=7)[1]
+        trace = traces[-1]
         if name == "decomp":
             want = decomp_explain(p, ids, 1, trace=trace).scores
         else:
-            raw = white_box_pass(p, trace, 1, [name], steps=7)
             variant, *rest = name.split("_")
             want = raw[name] if not rest else reduce_gradients(
                 raw[f"{variant}_{rest[0]}"], trace.embeddings, rest[1])
+        np.testing.assert_array_equal(raw[name], want, err_msg=name)
         np.testing.assert_array_equal(
             explain(name, p, ids, 1, opts).scores, want, err_msg=name)
 
@@ -227,8 +248,8 @@ def test_one_method_alone_reads_its_document_trace(arch_dir):
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
 def test_explain_document_explains_the_predicted_class(arch_dir):
     """With no class given, ``explain_document`` explains the class
-    ``forward`` predicts, and its maps are bitwise ``explain_all``'s for
-    that class."""
+    ``forward`` predicts, and its maps are bitwise its maps for that class
+    given."""
     arch, direction = arch_dir
     p = rand_params(arch, seed=8, scale=3.0, direction=direction,
                     n_classes=3)
@@ -245,7 +266,7 @@ def test_explain_document_explains_the_predicted_class(arch_dir):
     for predicted, ids in by_class.items():
         k, got = explain_document(names, p, ids, opts)
         assert k == predicted
-        want = explain_all(names, p, ids, k, opts)
+        want = explain_document(names, p, ids, opts, k)[1]
         for name, a, b in zip(names, got, want):
             assert a.k == k and a.method == name
             np.testing.assert_array_equal(a.scores, b.scores, err_msg=name)
