@@ -2,8 +2,15 @@
 render.
 
 Corpus files are JSON lines: {"label": int, "sentences": [[token, ...], ...]}
-(tokenization happens upstream). Exit codes: 0 success, 1 usage error,
-2 data error.
+(tokenization happens upstream). Corpora and relevance files are read by one
+JSONL reader, which names a bad line ``path:line``; ``explain --html`` and
+``render`` write heatmaps through one writer, whose HTML is one page with a
+``doc D / METHOD`` caption over each map.
+
+Exit codes: 0 success, 1 usage error, 2 data error. Either error prints one
+``error: …`` line on stderr: argparse's errors raise ``UsageError`` like the
+flag checks do, and each command runs with numpy's warnings off, so a NaN
+or an overflow surfaces as the data error that checks for it.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .explain.decomp import check_decomp
 from .models import ARCHS, Vocabulary, init_params, load_checkpoint, \
     save_checkpoint
 from .numerics import SeededRng
-from .render import colorize, emit_ansi, emit_html
+from .render import colorize, emit_ansi, html_page
 from .train import TrainConfig, loss_and_accuracy, train
 
 
@@ -38,44 +45,52 @@ _TOP_PAD_BYTES = 16 << 20
 
 
 class UsageError(Exception):
-    """An option the loaded data cannot honour; maps to exit code 1."""
+    """A bad command line, or an option the loaded data cannot honour;
+    maps to exit code 1."""
 
 
-def _read_corpus(path: str) -> list[dict]:
-    docs = []
+def _read_jsonl(path: str) -> list[tuple[dict, str]]:
+    """Each non-blank line's JSON object, with its ``path:line``."""
+    records = []
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
+                where = f"{path}:{lineno}"
                 try:
-                    doc = json.loads(line)
+                    record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}")
-                if (not isinstance(doc, dict) or "label" not in doc
-                        or "sentences" not in doc):
-                    raise ValueError(
-                        f"{path}:{lineno}: need 'label' and 'sentences'")
-                _check_record(doc, f"{path}:{lineno}")
-                docs.append(doc)
+                    raise ValueError(f"{where}: invalid JSON: {exc}")
+                if not isinstance(record, dict):
+                    raise ValueError(f"{where}: expected a JSON object")
+                records.append((record, where))
     except OSError as exc:
-        raise ValueError(f"cannot read corpus {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
+    return records
+
+
+def _read_corpus(path: str) -> list[dict]:
+    """The documents of a corpus file: an int label over a list of lists
+    of str each."""
+    docs = []
+    for doc, where in _read_jsonl(path):
+        if "label" not in doc or "sentences" not in doc:
+            raise ValueError(f"{where}: need 'label' and 'sentences'")
+        label, sentences = doc["label"], doc["sentences"]
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise ValueError(f"{where}: 'label' must be an integer, "
+                             f"got {label!r}")
+        if not (isinstance(sentences, list) and all(
+                isinstance(sent, list)
+                and all(isinstance(tok, str) for tok in sent)
+                for sent in sentences)):
+            raise ValueError(f"{where}: 'sentences' must be a list of lists "
+                             f"of strings")
+        docs.append(doc)
     if not docs:
         raise ValueError(f"{path}: empty corpus")
     return docs
-
-
-def _check_record(doc: dict, where: str) -> None:
-    label, sentences = doc["label"], doc["sentences"]
-    if not isinstance(label, int) or isinstance(label, bool):
-        raise ValueError(f"{where}: 'label' must be an integer, got {label!r}")
-    if not (isinstance(sentences, list) and all(
-            isinstance(sent, list)
-            and all(isinstance(tok, str) for tok in sent)
-            for sent in sentences)):
-        raise ValueError(f"{where}: 'sentences' must be a list of lists of "
-                         f"strings")
 
 
 def _doc_tokens(doc: dict) -> list[str]:
@@ -160,6 +175,7 @@ def cmd_train(args) -> int:
     if args.arch not in ARCHS:
         raise ValueError(f"unknown architecture {args.arch!r}")
     _check_writable(args.out, "checkpoint ")
+    _check_writable(args.log)
     docs = _read_corpus(args.corpus)
     labels = [int(d["label"]) for d in docs]
     n_classes = _class_count(labels, args.corpus)
@@ -192,15 +208,15 @@ def cmd_train(args) -> int:
             log_fh.write(json.dumps(record) + "\n")
 
     try:
-        # a diverging run overflows silently here; log_epoch rejects it
-        with np.errstate(all="ignore"):
-            for epoch in range(1, args.epochs + 1):
-                # one optimizer epoch at a time, so metrics are logged between
-                train(params, corpus,
-                      TrainConfig(epochs=1, lr=args.lr,
-                                  batch_size=args.batch_size,
-                                  seed=args.seed + epoch))
-                log_epoch(epoch)
+        # a diverging run overflows silently (main ignores numpy's
+        # warnings); log_epoch rejects it
+        for epoch in range(1, args.epochs + 1):
+            # one optimizer epoch at a time, so metrics are logged between
+            train(params, corpus,
+                  TrainConfig(epochs=1, lr=args.lr,
+                              batch_size=args.batch_size,
+                              seed=args.seed + epoch))
+            log_epoch(epoch)
     finally:
         if log_fh:
             log_fh.close()
@@ -269,13 +285,8 @@ def cmd_explain(args) -> int:
     out = "\n".join(json.dumps(r) for r in records) + "\n"
     _write_output(args.out, out)
     if args.html:
-        pages = []
-        for r in records:
-            if "scores" in r:
-                colored = colorize(np.asarray(r["scores"]), r["tokens"])
-                pages.append(f"<h3>doc {r['doc']} / {r['method']}</h3>"
-                             + emit_html(colored))
-        _write_output(args.html, "\n".join(pages))
+        _write_output(args.html, _render(
+            [r for r in records if "scores" in r], "html"))
     return 0
 
 
@@ -318,26 +329,28 @@ def cmd_eval_agreement(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        with open(args.relevance, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read {args.relevance}: {exc}")
-    chunks = []
-    for index, r in enumerate(records, start=1):
-        where = f"{args.relevance}: record {index}"
-        if not isinstance(r, dict):
-            raise ValueError(f"{where}: expected a JSON object")
-        if "scores" not in r:
-            continue
-        _check_rendered(r, where)
-        colored = colorize(np.asarray(r["scores"], dtype=float), r["tokens"])
-        if args.mode == "ansi":
-            chunks.append(emit_ansi(colored))
-        else:
-            chunks.append(emit_html(colored))
-    _write_output(args.out, "".join(chunks))
+    records = []
+    for r, where in _read_jsonl(args.relevance):
+        if "scores" in r:
+            _check_rendered(r, where)
+            records.append(r)
+    _write_output(args.out, _render(records, args.mode))
     return 0
+
+
+def _render(records: list[dict], mode: str) -> str:
+    """The heatmaps of map records: ANSI text, one map a line, or one HTML
+    page whose maps are captioned ``doc D / METHOD`` from the record's
+    ``doc`` and ``method``, those it has."""
+    maps = []
+    for r in records:
+        caption = [f"doc {r['doc']}"] if "doc" in r else []
+        caption += [str(r["method"])] if "method" in r else []
+        maps.append((" / ".join(caption), colorize(
+            np.asarray(r["scores"], dtype=float), r["tokens"])))
+    if mode == "ansi":
+        return "".join(emit_ansi(colored) for _, colored in maps)
+    return html_page(maps)
 
 
 def _check_rendered(r: dict, where: str) -> None:
@@ -384,9 +397,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise UsageError(message)
 
 
 @functools.lru_cache(maxsize=None)
@@ -473,14 +484,12 @@ def _keep_heap_top() -> None:
 
 def main(argv=None) -> int:
     _keep_heap_top()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
-        return args.func(args)
+        # a NaN or an overflow ends in a data error, not a numpy warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

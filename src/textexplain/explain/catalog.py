@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..models import NetworkParams
 from ..relevance import RelevanceMap
-from .gradient import DEFAULT_EPS, white_box_pass
+from .gradient import DEFAULT_EPS, DEFAULT_INT_STEPS, white_box_pass
 from .limsse import DEFAULT_MAX_LEN, DEFAULT_N_SAMPLES, VARIANTS, limsse_maps
 from .perturb import PerturbConfig, perturb_explain
 
@@ -40,7 +40,7 @@ METHOD_NAMES = (*WHITE_BOX_METHODS, *PERTURB_METHODS, *LIMSSE_METHODS)
 @dataclass
 class ExplainOptions:
     eps: float = DEFAULT_EPS
-    int_steps: int = 50
+    int_steps: int = DEFAULT_INT_STEPS
     limsse_n: int = DEFAULT_N_SAMPLES
     limsse_maxlen: int = DEFAULT_MAX_LEN
     seed: int = 0

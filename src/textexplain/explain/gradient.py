@@ -35,11 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
-    RelevanceRule, _run, batch_rows, check_class, embed, forward_embedded, \
-    output_seeds, scaled_rows, sweep
+    RelevanceRule, _run, batch_rows, check_class, check_scores, embed, \
+    forward_embedded, output_seeds, scaled_rows, sweep
 from ..numerics import esign
 from ..relevance import RelevanceMap
 from .decomp import check_decomp, decomp_explain
+
+
+DEFAULT_EPS = 1e-3
+DEFAULT_INT_STEPS = 50
 
 
 @dataclass
@@ -47,7 +51,7 @@ class GradConfig:
     variant: str = "grad1"      # "grad1" | "gradint"
     output: str = "s"           # "s" | "p"
     reduction: str = "dot"      # "l2" | "dot"
-    steps: int = 50             # interpolation points for "gradint"
+    steps: int = DEFAULT_INT_STEPS  # interpolation points for "gradint"
 
     def validate(self) -> None:
         if self.variant not in ("grad1", "gradint"):
@@ -62,9 +66,6 @@ class GradConfig:
     @property
     def name(self) -> str:
         return f"{self.variant}_{self.output}_{self.reduction}"
-
-
-DEFAULT_EPS = 1e-3
 
 
 def row_plan(names, params: NetworkParams, t_len: int, steps: int):
@@ -86,7 +87,7 @@ def row_plan(names, params: NetworkParams, t_len: int, steps: int):
 
 
 def white_box_pass(params: NetworkParams, ids, k: int | None, names,
-                   eps: float = DEFAULT_EPS, steps: int = 50
+                   eps: float = DEFAULT_EPS, steps: int = DEFAULT_INT_STEPS
                    ) -> tuple[int, dict[str, np.ndarray]]:
     """The class explained, ``k`` or the prediction (row 0's) when ``k`` is
     None, and what the white-box ``names`` read for it:
@@ -98,9 +99,10 @@ def white_box_pass(params: NetworkParams, ids, k: int | None, names,
 
     The arguments, and that ``decomp`` is defined for the model, are
     checked before any forward pass. One forward runs ``row_plan``'s first
-    batch, whose row 0 gives the prediction and decomposition's trace, and
-    each further batch runs with a sweep of its own; the relevance rows
-    ride in the first batch's sweep.
+    batch, whose row 0 gives the prediction and decomposition's trace (a
+    non-finite score in it raises ValueError), and each further batch runs
+    with a sweep of its own; the relevance rows ride in the first batch's
+    sweep.
     """
     if k is not None:
         check_class(params, k)
@@ -114,6 +116,7 @@ def white_box_pass(params: NetworkParams, ids, k: int | None, names,
     plan = row_plan(names, params, len(emb), steps)
     head = next(plan)
     trace = forward_embedded(params, emb, head[1:])
+    check_scores(trace.batch_scores)
     k = trace.predicted if k is None else k
     out = {}
     if "decomp" in names:
@@ -197,7 +200,7 @@ def _rule_rows(params: NetworkParams, trace: ForwardTrace, k: int,
 
 
 def integrated_gradients(params: NetworkParams, ids, output: str, k: int,
-                         steps: int = 50) -> np.ndarray:
+                         steps: int = DEFAULT_INT_STEPS) -> np.ndarray:
     """Average gradient over the scaled inputs (m/M) * E, m = 1..M.
 
     The baseline is the all-zero embedding matrix, so the interpolation is a

@@ -24,7 +24,9 @@ reads it), beside row 0's per-direction views (``dirs``). ``score_batch``
 keeps only the running state and returns the class scores of every row;
 ``score_rows``, the one scorer of the black-box explainers, takes their
 inputs as index rows of any length into a table and scores the rows of one
-length together, in batches of the one cell budget.
+length together, in batches of the one cell budget; it rejects a
+non-finite score (``check_scores``), as the white-box pass does for its
+first batch.
 
 Exact gradients come from one reverse sweep over a batched trace (``sweep``),
 with the same two branches and the same direction axis: given d(scores)
@@ -358,6 +360,13 @@ def check_class(params: NetworkParams, k: int) -> None:
         raise ValueError(f"class {k} out of range [0, {params.n_classes})")
 
 
+def check_scores(scores: np.ndarray) -> None:
+    """Raise ValueError unless every class score is finite: a NaN or
+    infinite score has no argmax or softmax to explain."""
+    if not np.isfinite(scores).all():
+        raise ValueError("the model's class scores are not finite")
+
+
 def embed(params: NetworkParams, ids) -> np.ndarray:
     """Look up embedding rows; returns (T, d_e)."""
     ids = list(ids)
@@ -647,7 +656,8 @@ def score_rows(params: NetworkParams, table: np.ndarray, idx: np.ndarray,
     batches of at most ``batch_rows`` rows, so no batch's input stack
     exceeds ``BATCH_CELLS``; a length-0 input scores as
     ``empty_sequence_scores``. Since a row's last bits depend on its batch,
-    the rows and order of each batch are the contract.
+    the rows and order of each batch are the contract. A non-finite score
+    raises ValueError (``check_scores``).
     """
     n, width = idx.shape
     lengths = np.full(n, width) if lengths is None else np.asarray(lengths)
@@ -659,6 +669,7 @@ def score_rows(params: NetworkParams, table: np.ndarray, idx: np.ndarray,
         for lo in range(0, len(rows), size):
             batch = rows[lo:lo + size]
             out[batch] = score_batch(params, table[idx[batch, :length]])
+    check_scores(out)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Relevance heatmaps as ANSI terminal text and standalone HTML.
+"""Relevance heatmaps as ANSI terminal text and HTML pages.
 
 Scores are normalized by 1.1 times the largest absolute score, so the peak
 channel value is 1/1.1 (~0.9091). Positive relevance renders green, negative
@@ -77,21 +77,31 @@ def emit_ansi(colored: list[ColoredToken]) -> str:
     return " ".join(parts) + ("\n" if parts else "")
 
 
+def _span(tok: ColoredToken) -> str:
+    r, g, b = (_to255(c) for c in tok.rgb)
+    styles = [f"color: rgb({r},{g},{b})"]
+    if tok.bold:
+        styles.append("font-weight: bold")
+    if tok.underline:
+        styles.append("text-decoration: underline")
+    if tok.italic:
+        styles.append("font-style: italic")
+    return (f'<span style="{"; ".join(styles)}">'
+            f"{_html.escape(tok.text)}</span>")
+
+
 def emit_html(colored: list[ColoredToken]) -> str:
-    spans = []
-    for tok in colored:
-        r, g, b = (_to255(c) for c in tok.rgb)
-        styles = [f"color: rgb({r},{g},{b})"]
-        if tok.bold:
-            styles.append("font-weight: bold")
-        if tok.underline:
-            styles.append("text-decoration: underline")
-        if tok.italic:
-            styles.append("font-style: italic")
-        spans.append(f'<span style="{"; ".join(styles)}">'
-                     f"{_html.escape(tok.text)}</span>")
-    body = " ".join(spans)
+    """One map as a page of its own: ``html_page`` with no caption."""
+    return html_page([("", colored)])
+
+
+def html_page(maps: list[tuple[str, list[ColoredToken]]]) -> str:
+    """One HTML page: the head once, then for each (caption, colored) map
+    its caption, when it has one, over its paragraph."""
+    body = "\n".join((f"<h3>{_html.escape(caption)}</h3>" if caption else "")
+                     + f"<p>{' '.join(map(_span, colored))}</p>"
+                     for caption, colored in maps)
     return ("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
             "<style>body { background: white; font-family: sans-serif; }"
             "</style></head>\n"
-            f"<body><p>{body}</p></body></html>\n")
+            f"<body>{body}</body></html>\n")

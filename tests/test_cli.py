@@ -33,6 +33,13 @@ def write_corpus(path, n_docs, seed=0, n_sentences=2, sent_len=4):
                      + "\n")
 
 
+def html_maps(page):
+    """The (doctype count, captions) of an HTML heatmap page."""
+    return page.count("<!DOCTYPE html>"), [
+        line.split("</h3>")[0].split("<h3>")[-1]
+        for line in page.splitlines() if "<h3>" in line]
+
+
 def _save_with_vocab(path, good, edit):
     """Save the arrays of ``good`` under a copy of its meta whose vocabulary
     dict ``edit`` changed in place."""
@@ -211,11 +218,19 @@ class TestExplain:
         page = tmp_path / "rel.html"
         rc = main(["explain", str(ckpt), str(corpus), "--out", str(out),
                    "--html", str(page), "--k", "1",
-                   "--methods", "grad1_s_dot"])
+                   "--methods", "grad1_s_dot", "lrp"])
         assert rc == 0
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert all(r["k"] == 1 for r in records)
-        assert "<span" in page.read_text()
+        html = page.read_text()
+        assert "<span" in html
+        # one page, one caption per map, and what render writes of the JSONL
+        assert html_maps(html) == (1, [f"doc {r['doc']} / {r['method']}"
+                                       for r in records])
+        rendered = tmp_path / "rendered.html"
+        assert main(["render", str(out), "--mode", "html", "--out",
+                     str(rendered)]) == 0
+        assert rendered.read_bytes() == page.read_bytes()
 
     @pytest.mark.parametrize("k", ["5", "-1"])
     def test_out_of_range_k_is_usage_error(self, trained_checkpoint, tmp_path,
@@ -358,31 +373,63 @@ class TestRender:
     def test_round_trip_from_explain(self, trained_checkpoint, tmp_path):
         _, corpus, ckpt = trained_checkpoint
         rel = tmp_path / "rel.jsonl"
+        page = tmp_path / "explain.html"
         assert main(["explain", str(ckpt), str(corpus), "--out", str(rel),
-                     "--methods", "grad1_s_dot"]) == 0
+                     "--html", str(page), "--methods", "grad1_s_dot"]) == 0
         out = tmp_path / "heat.txt"
         assert main(["render", str(rel), "--out", str(out)]) == 0
         assert "\x1b[38;2;" in out.read_text()
         html_out = tmp_path / "heat.html"
         assert main(["render", str(rel), "--mode", "html", "--out",
                      str(html_out)]) == 0
-        assert "<span" in html_out.read_text()
+        html = html_out.read_text()
+        assert "<span" in html
+        records = [json.loads(l) for l in rel.read_text().splitlines()]
+        assert html_maps(html) == (1, [f"doc {r['doc']} / grad1_s_dot"
+                                       for r in records])
+        assert html_out.read_bytes() == page.read_bytes()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["render", str(tmp_path / "nope.jsonl")]) == 2
 
 
 class TestUsageErrors:
-    def test_no_command(self):
+    """argparse's errors end like the flag checks: exit 1 and one
+    ``error: …`` line on stderr, no usage block."""
+
+    def test_no_command(self, capsys):
         assert main([]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
-    def test_unknown_flag(self):
+    def test_unknown_flag(self, capsys):
         assert main(["render", "x.jsonl", "--nope"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --nope\n")
 
-    def test_missing_required_flag(self, tmp_path):
+    def test_missing_required_flag(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         write_corpus(corpus, 5)
         assert main(["train", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err
+
+    @pytest.mark.parametrize("flag", [["--epochs", "abc"],
+                                      ["--direction", "sideways"]],
+                             ids=["epochs-abc", "direction-sideways"])
+    def test_bad_flag_value(self, tmp_path, capsys, flag):
+        out = tmp_path / "m.npz"
+        assert main(["train", str(tmp_path / "c.jsonl"), "--out", str(out),
+                     *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag[0] in err and flag[1] in err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: textexplain" in capsys.readouterr().out
 
 
 class TestParserReuse:
@@ -558,19 +605,21 @@ class TestDataErrors:
         '{"scores": [1, 1e999], "tokens": ["a", "b"]}',
         '{"scores": [1, 2], "tokens": "ab"}',
         '{"scores": [1, 2], "tokens": ["a"]}',
+        '{"scores": [1, 2],',
     ], ids=["not-object", "null-score", "inf-score", "string-tokens",
-            "length-mismatch"])
+            "length-mismatch", "invalid-json"])
     def test_render_bad_record(self, tmp_path, capsys, line):
-        """A record that is not an object, or a map whose scores are not
+        """A line that is not a JSON object, or a map whose scores are not
         finite numbers or whose tokens are not one string per score, is a
-        data error naming the file and record; nothing is rendered."""
+        data error naming the file and line, as the corpus reader does;
+        nothing is rendered."""
         rel = tmp_path / "rel.jsonl"
         rel.write_text(json.dumps({"doc": 0, "method": "lrp", "error": "x"})
                        + "\n" + line + "\n")
         assert main(["render", str(rel)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.count("\n") == 1 and f"{rel}: record 2:" in err
+        assert err.count("\n") == 1 and f"{rel}:2:" in err
 
     @pytest.mark.parametrize("write", [
         lambda path, good: path.write_bytes(b"PK\x03\x04 not a zip archive"),
@@ -734,6 +783,62 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"label {missing}," in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        *(["explain", "--methods", name, *k]
+          for name in ("limsse_bb", "lrp", "omit_1", "occ_3", "limsse_ms_s")
+          for k in ([], ["--k", "0"])),
+        ["eval-hybrid", "--group-size", "1", "--methods", "limsse_bb"],
+        ["eval-agreement", "--methods", "limsse_bb"],
+    ], ids=lambda argv: "-".join(argv).replace("--", ""))
+    def test_non_finite_class_scores(self, tmp_path, capsys, argv):
+        """A model whose finite weights overflow scores NaN on every input
+        (a width-1 CNN kernel with rows [1e308, -1e308] over embeddings of
+        1e308): the class scores are checked where the explainers read
+        them, so every command exits 2 with one line, writes nothing and
+        lets no numpy warning through."""
+        vocab = Vocabulary.build([["a", "no", "b", "yes"]])
+        params = init_params("CNN", len(vocab), 2, 2, 2, SeededRng(0),
+                             kernel_width=1, vocab=vocab)
+        params.embedding[:] = 1e308
+        params.dir_stack.kernel[...] = [1e308, -1e308]
+        # inf - inf, should the kernel's sums round to inf rather than NaN
+        params.w_cls[:] = [[1.0, -1.0], [-1.0, 1.0]]
+        ckpt = tmp_path / "nan.npz"
+        save_checkpoint(ckpt, params)
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps({"label": lab, "sentences": [
+            ["a", word]]}) + "\n" for lab, word in ((0, "no"), (1, "yes"))))
+        tsv = tmp_path / "agree.tsv"
+        tsv.write_text("a no\tDT NN\t1\tSg\nb yes\tDT NN\t1\tPl\n")
+        data = tsv if argv[0] == "eval-agreement" else corpus
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([argv[0], str(ckpt), str(data), *argv[1:],
+                       "--out", str(out)])
+        assert rc == 2 and caught == []
+        assert capsys.readouterr().err == (
+            "error: the model's class scores are not finite\n")
+        assert not out.exists()
+
+    def test_unwritable_log_is_reported_before_the_corpus(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        """train checks --log next to --out: a missing corpus is not what
+        is reported, and an existing one is not read."""
+        bad = str(tmp_path / "missing" / "log.jsonl")
+        argv = ["--out", str(tmp_path / "m.npz"), "--log", bad]
+        assert main(["train", str(tmp_path / "nope.jsonl"), *argv]) == 2
+        read = []
+        monkeypatch.setattr(cli, "_read_corpus", read.append)
+        corpus = tmp_path / "c.jsonl"
+        write_corpus(corpus, 4)
+        assert main(["train", str(corpus), *argv]) == 2
+        assert read == []
+        assert capsys.readouterr().err == (
+            f"error: cannot write {bad}: no directory {tmp_path / 'missing'}"
+            "\n") * 2
 
     def test_one_label_binary_corpus_trains(self, tmp_path):
         """A sample of a two-class corpus may hold label 0 or 1 alone."""

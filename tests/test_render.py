@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from textexplain.render import ColoredToken, NORM_HEADROOM, colorize, \
-    emit_ansi, emit_html
+    emit_ansi, emit_html, html_page
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +87,21 @@ def test_ansi_golden():
 def test_html_golden():
     out = emit_html(colorize(SCORES, TOKENS, underline={5}, italic={2}))
     assert out == (GOLDEN / "heatmap.html").read_text()
+
+
+def test_html_page_holds_each_map_once():
+    """One head for the page, then each map's escaped caption over the
+    paragraph emit_html writes for it; an empty caption writes none."""
+    def paragraph(colored):
+        return emit_html(colored).split("<body>")[1].removesuffix(
+            "</body></html>\n")
+
+    one = colorize(np.array([1.0, -0.5]), ["a", "b"])
+    two = colorize(SCORES, TOKENS, underline={5}, italic={2})
+    head = emit_html(one).split("<body>")[0]
+    assert html_page([("doc 0 / <lrp>", one), ("", two)]) == (
+        head + "<body><h3>doc 0 / &lt;lrp&gt;</h3>" + paragraph(one) + "\n"
+        + paragraph(two) + "</body></html>\n")
 
 
 def test_empty_input():
