@@ -2,10 +2,11 @@
 render.
 
 Corpus files are JSON lines: {"label": int, "sentences": [[token, ...], ...]}
-(tokenization happens upstream). Corpora and relevance files are read by one
-JSONL reader, which names a bad line ``path:line``; ``explain --html`` and
-``render`` write heatmaps through one writer, whose HTML is one page with a
-``doc D / METHOD`` caption over each map.
+(tokenization happens upstream). Corpora, relevance files and agreement TSVs
+are read by one line reader, which names a bad line ``path:line``, a line
+that is not UTF-8 included; ``explain --html`` and ``render`` write heatmaps
+through one writer, whose HTML is one page with a ``doc D / METHOD`` caption
+over each map.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Either error prints one
 ``error: …`` line on stderr: argparse's errors raise ``UsageError`` like the
@@ -49,24 +50,37 @@ class UsageError(Exception):
     maps to exit code 1."""
 
 
+def _read_lines(path: str):
+    """Each line of a UTF-8 text file, without its end (\\n, \\r\\n or \\r,
+    as text mode reads them), with its ``path:line``. A line that is not
+    UTF-8 is a ValueError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            lines = (line for raw in fh for line in raw.splitlines())
+            for lineno, line in enumerate(lines, start=1):
+                where = f"{path}:{lineno}"
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{where}: not UTF-8 text ({exc})")
+                yield text, where
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}")
+
+
 def _read_jsonl(path: str) -> list[tuple[dict, str]]:
     """Each non-blank line's JSON object, with its ``path:line``."""
     records = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{where}: invalid JSON: {exc}")
-                if not isinstance(record, dict):
-                    raise ValueError(f"{where}: expected a JSON object")
-                records.append((record, where))
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}")
+    for line, where in _read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: invalid JSON: {exc}")
+        if not isinstance(record, dict):
+            raise ValueError(f"{where}: expected a JSON object")
+        records.append((record, where))
     return records
 
 
@@ -313,11 +327,9 @@ def cmd_eval_agreement(args) -> int:
     check_names(args.methods)
     _check_writable(args.out)
     params = _load_model(args.checkpoint, args.methods)
+    lines = [line for line, _ in _read_lines(args.tsv)]
     try:
-        with open(args.tsv, encoding="utf-8") as fh:
-            samples = parse_agreement_tsv(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.tsv}: {exc}")
+        samples = parse_agreement_tsv(lines)
     except ValueError as exc:
         raise ValueError(f"{args.tsv}: {exc}")
     if not samples:
@@ -329,6 +341,7 @@ def cmd_eval_agreement(args) -> int:
 
 
 def cmd_render(args) -> int:
+    _check_writable(args.out)
     records = []
     for r, where in _read_jsonl(args.relevance):
         if "scores" in r:

@@ -13,17 +13,18 @@ with elementwise products. A token's relevance is the first difference
 nl(t) - nl(t-1). The Q-variants use the same formulas over their
 convolutionally computed gates. Not defined for the CNN.
 
-Everything is read from the document's forward trace, which the caller may
-pass in to share it with other methods: the suffix products are one reversed
-cumulative product over t and each series is one matrix-vector product.
+Everything is read from the document's forward trace: the suffix products
+are one reversed cumulative product over t and each series is one
+matrix-vector product. The map is the white-box pass's (``decomp_scores``
+of its head batch's row 0), so ``decomp_explain`` is ``catalog.explain`` of
+one name, as ``lrp_explain`` and ``deeplift_explain`` are.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
-    check_class, forward
+from ..models import DirectionTrace, ForwardTrace, NetworkParams
 from ..relevance import RelevanceMap
 
 _DECOMP_ARCHS = ("LSTM", "QLSTM", "GRU", "QGRU")
@@ -44,13 +45,11 @@ def check_decomp(arch: str) -> None:
         raise ValueError(f"decomposition undefined for {arch}")
 
 
-def net_load_series(trace: ForwardTrace, params: NetworkParams, k: int,
-                    dname: str) -> np.ndarray:
-    """nl(t) for t = 0..T in one direction; nl(0) = 0 under zero init."""
-    check_decomp(params.arch)
-    tr: DirectionTrace = trace.dirs[dname]
+def _series(tr: DirectionTrace, params: NetworkParams, k: int,
+            pos: int) -> np.ndarray:
+    """nl(t), t = 0..T, of the direction at ``pos`` from its trace ``tr``
+    of one row."""
     t_len = tr.emb.shape[0]
-    pos = params.directions.index(dname)
     d = params.d_hidden
     w_k = params.w_cls[k, pos * d:(pos + 1) * d]
     if params.arch in ("LSTM", "QLSTM"):
@@ -59,6 +58,14 @@ def net_load_series(trace: ForwardTrace, params: NetworkParams, k: int,
         return (o_last * np.tanh(prod * tr.cell)) @ w_k
     prod = _suffix_gate_products(tr.gates["z"], t_len)
     return (prod * tr.hidden) @ w_k
+
+
+def net_load_series(trace: ForwardTrace, params: NetworkParams, k: int,
+                    dname: str) -> np.ndarray:
+    """nl(t) for t = 0..T in one direction; nl(0) = 0 under zero init."""
+    check_decomp(params.arch)
+    return _series(trace.dirs[dname], params, k,
+                   params.directions.index(dname))
 
 
 def net_load(trace: ForwardTrace, params: NetworkParams, k: int,
@@ -70,21 +77,20 @@ def net_load(trace: ForwardTrace, params: NetworkParams, k: int,
     return float(series[t])
 
 
-def decomp_explain(params: NetworkParams, ids, k: int,
-                   trace: ForwardTrace | None = None) -> RelevanceMap:
-    """First difference of the net-load series; bidirectional models sum the
-    per-direction decompositions at the original token positions.
+def decomp_scores(params: NetworkParams, dirs: DirectionTrace,
+                  k: int) -> np.ndarray:
+    """First difference of the net-load series of row 0 of the stacked
+    trace ``dirs``; bidirectional models sum the per-direction
+    decompositions at the original token positions."""
+    total = np.zeros(dirs.emb.shape[2])
+    for i, dname in enumerate(params.directions):
+        phi = np.diff(_series(dirs.at(i, 0), params, k, i))
+        total += phi[::-1] if dname == "bwd" else phi
+    return total
 
-    ``trace`` is ``forward(params, ids)`` if the caller has it."""
-    check_class(params, k)
-    if trace is None:
-        trace = forward(params, ids)
-    t_len = trace.length
-    total = np.zeros(t_len)
-    for dname in params.directions:
-        series = net_load_series(trace, params, k, dname)
-        phi = np.diff(series)
-        if dname == "bwd":
-            phi = phi[::-1]
-        total += phi
-    return RelevanceMap(scores=total, k=k, method="decomp")
+
+def decomp_explain(params: NetworkParams, ids, k: int) -> RelevanceMap:
+    """The decomposition map of ``ids``: ``catalog.explain`` of
+    ``"decomp"``."""
+    from .catalog import explain
+    return explain("decomp", params, ids, k)

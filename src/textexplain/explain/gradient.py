@@ -7,9 +7,9 @@ reads one pass per (document, model), ``white_box_pass``:
 
 * one forward over a stack of rows into one stacked trace: row 0 is the
   document (its scores give the prediction, and decomposition reads its
-  views), then the all-zero input if DeepLIFT is asked, then the
-  integrated-gradient inputs (m/M) E, m = 1..M-1 (row 0 is the m = M
-  input, since 1.0 * E == E);
+  net loads from its views), then the all-zero input if DeepLIFT is asked,
+  then the integrated-gradient inputs (m/M) E, m = 1..M-1 (row 0 is the
+  m = M input, since 1.0 * E == E);
 * one sweep over the rows, gathered with repeats, that some method needs:
   exact gradients for one row per (row, output s_k or p_k), then one row
   of the document per relevance method under a ``models.RelevanceRule``
@@ -20,9 +20,10 @@ reads one pass per (document, model), ``white_box_pass``:
 ``row_plan`` names those rows and splits them into batches of at most
 ``models.batch_rows``, so that a batch's trace is bounded whatever M is (a
 full batch at T = 80 traces 37-99 MB; see ``models.BATCH_CELLS``). The
-pass runs the first batch, then the others, each with one sweep of its
-own; the relevance rows ride in the first batch's sweep, and no trace
-leaves the pass. The plan forms each later batch's scales
+pass is one loop over those batches, each one ``models._run`` and one
+sweep of its own; the first batch's row 0 gives the prediction and
+decomposition, the relevance rows ride in its sweep, and no trace leaves
+the pass. The plan forms each later batch's scales
 ``np.arange(lo, hi) / M`` when that batch runs, and the pass adds each
 batch's gradient sum to one running sum per averaged output, so memory
 does not grow with M.
@@ -34,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..models import DirectionTrace, ForwardTrace, NetworkParams, \
-    RelevanceRule, _run, batch_rows, check_class, check_scores, embed, \
-    forward_embedded, output_seeds, scaled_rows, sweep
-from ..numerics import esign
+from ..models import DirectionTrace, NetworkParams, RelevanceRule, _run, \
+    batch_rows, check_class, check_scores, embed, output_seeds, scaled_rows, \
+    sweep
+from ..numerics import esign, softmax
 from ..relevance import RelevanceMap
-from .decomp import check_decomp, decomp_explain
+from .decomp import check_decomp, decomp_scores
 
 
 DEFAULT_EPS = 1e-3
@@ -98,11 +99,10 @@ def white_box_pass(params: NetworkParams, ids, k: int | None, names,
       over the M = ``steps`` scaled inputs, summed in the order m = 1..M.
 
     The arguments, and that ``decomp`` is defined for the model, are
-    checked before any forward pass. One forward runs ``row_plan``'s first
-    batch, whose row 0 gives the prediction and decomposition's trace (a
-    non-finite score in it raises ValueError), and each further batch runs
-    with a sweep of its own; the relevance rows ride in the first batch's
-    sweep.
+    checked before any forward pass. Each of ``row_plan``'s batches is one
+    ``_run`` and one sweep. The first batch's row 0 gives the prediction
+    and decomposition (a non-finite score in that batch raises
+    ValueError), and the relevance rows ride in its sweep.
     """
     if k is not None:
         check_class(params, k)
@@ -113,44 +113,35 @@ def white_box_pass(params: NetworkParams, ids, k: int | None, names,
     if "decomp" in names:
         check_decomp(params.arch)
     emb = embed(params, ids)
-    plan = row_plan(names, params, len(emb), steps)
-    head = next(plan)
-    trace = forward_embedded(params, emb, head[1:])
-    check_scores(trace.batch_scores)
-    k = trace.predicted if k is None else k
-    out = {}
-    if "decomp" in names:
-        out["decomp"] = decomp_explain(params, ids, k, trace=trace).scores
     averaged = {n.split("_")[1] for n in names if n.startswith("gradint_")}
     # sorted outputs keep the row order repeatable
     outputs = sorted({n.split("_")[1] for n in names if n.startswith("grad")})
     rules = [r for r in ("lrp", "deeplift") if r in names]
-    if not outputs and not rules:
-        return k, out
-
-    def batches():
-        # (scores, stacked trace, its integrated-gradient rows, its
-        # document row)
-        yield (trace.batch_scores, trace.batch_dirs,
-               range(1 + ("deeplift" in names), len(head)), [0])
-        for scales in plan:
-            _, scores, dirs = _run(params, scaled_rows(emb, scales),
-                                   keep=True)
-            yield scores, dirs, range(len(scales)), []
-
+    out = {}
     at_one = {}                         # output -> gradient of the document
     total = {}                          # output -> sum of its rows m < M
-    for scores, dirs, ig, doc in batches():
+    for b, scales in enumerate(row_plan(names, params, len(emb), steps)):
+        _, scores, dirs = _run(params, scaled_rows(emb, scales), keep=True)
+        # the batch's integrated-gradient rows, and its document row
+        ig, doc = range(len(scales)), []
+        if b == 0:
+            check_scores(scores)
+            k = int(np.argmax(softmax(scores[0]))) if k is None else k
+            if "decomp" in names:
+                out["decomp"] = decomp_scores(params, dirs, k)
+            if not outputs and not rules:
+                return k, out
+            ig, doc = range(1 + ("deeplift" in names), len(scales)), [0]
         # per output, its scaled rows in the order m = 1..M, the document
         # (m = M, row 0) last
         here = [(list(ig) if o in averaged else []) + doc for o in outputs]
-        rows = [b for h in here for b in h]
+        rows = [r for h in here for r in h]
         dscores = output_seeds(scores[rows], k,
                                [o for o, h in zip(outputs, here) for _ in h])
         rule = None
         if rules and doc:
             # the document once per relevance method, last
-            base, seeds = _rule_rows(params, trace, k, rules, eps)
+            base, seeds = _rule_rows(params, scores, dirs, k, rules, eps)
             rule = RelevanceRule(eps, base, first=len(rows))
             dscores = np.concatenate([dscores, seeds])
             rows += [0] * len(rules)
@@ -177,21 +168,22 @@ def white_box_pass(params: NetworkParams, ids, k: int | None, names,
     return k, out
 
 
-def _rule_rows(params: NetworkParams, trace: ForwardTrace, k: int,
-               rules: list[str],
+def _rule_rows(params: NetworkParams, scores: np.ndarray,
+               dirs: DirectionTrace, k: int, rules: list[str],
                eps: float) -> tuple[DirectionTrace, np.ndarray]:
     """The reference trace of the relevance rows, one row per rule in
-    ``rules``, and their seeds d(root)/d(scores). The trace's row 1 is the
-    all-zero input when DeepLIFT is asked; LRP's reference starts from the
-    document's row."""
+    ``rules``, and their seeds d(root)/d(scores), from the head batch's
+    ``scores`` and stacked trace ``dirs``. Its row 1 is the all-zero input
+    when DeepLIFT is asked; LRP's reference starts from the document's
+    row."""
     n = len(rules)
     zero = int("deeplift" in rules)
-    roots = np.array([trace.scores[k] - (trace.batch_scores[zero, k]
-                                         if r == "deeplift" else 0.0)
+    roots = np.array([scores[0, k] - (scores[zero, k]
+                                      if r == "deeplift" else 0.0)
                       for r in rules])
     seeds = np.zeros((n, params.n_classes))
     seeds[:, k] = roots / (roots + esign(roots, eps))
-    base = trace.batch_dirs.take([zero] * n)
+    base = dirs.take([zero] * n)
     if "lrp" in rules:
         for a in (base.hidden, base.cand, base.preact, base.cell):
             if a is not None:

@@ -13,20 +13,18 @@ direction axis (D = 1 or 2), so each step makes one stacked matmul per
 product, a gemm per direction. The stack may be ragged: right-padded rows
 with their own ``lengths``, each read out at its own last step (training
 minibatches and corpus scoring use this).
-``forward_embedded`` runs one document, optionally beside scaled copies of it
-(the baselines and interpolation points of the white-box explainers), and
-records every intermediate quantity (gates, pre-activations, cell/hidden
-states, pooling winners) of every row in a ForwardTrace, which is what the
-white-box explainers consume. One document's trace is meant to be computed
-once and shared: it keeps the runner's stacked DirectionTrace, whose arrays
-carry a leading (direction, batch) axis pair (``batch_dirs``, as ``sweep``
-reads it), beside row 0's per-direction views (``dirs``). ``score_batch``
-keeps only the running state and returns the class scores of every row;
-``score_rows``, the one scorer of the black-box explainers, takes their
-inputs as index rows of any length into a table and scores the rows of one
-length together, in batches of the one cell budget; it rejects a
-non-finite score (``check_scores``), as the white-box pass does for its
-first batch.
+With ``keep`` the runner records every intermediate quantity (gates,
+pre-activations, cell/hidden states, pooling winners) of every row in one
+stacked DirectionTrace, whose arrays carry a leading (direction, batch) axis
+pair, as ``sweep`` reads it; the white-box explainers run every batch of
+their rows this way. ``forward_embedded`` is the record of one input: a
+ForwardTrace of its scores, prediction and per-direction views (``dirs``)
+of the stacked trace. ``score_batch`` keeps only the running state and
+returns the class scores of every row; ``score_rows``, the one scorer of
+the black-box explainers, takes their inputs as index rows of any length
+into a table and scores the rows of one length together, in batches of the
+one cell budget; it rejects a non-finite score (``check_scores``), as the
+white-box pass does for its first batch.
 
 Exact gradients come from one reverse sweep over a batched trace (``sweep``),
 with the same two branches and the same direction axis: given d(scores)
@@ -325,25 +323,16 @@ class DirectionTrace:
 
 @dataclass
 class ForwardTrace:
-    """Everything one batched forward pass of one input computed.
-
-    Row b of the batch ran on a scaled copy of the input's embeddings
-    (``forward_embedded``'s scales); row 0 is the input itself.
-    ``batch_dirs`` and ``batch_scores``
-    hold every row, as ``sweep`` takes them. ``dirs`` (each direction's
-    ``batch_dirs.at(i, 0)``), ``doc_repr`` and ``scores`` are row 0: views
-    of the same arrays, not copies.
+    """Everything one forward pass of one input computed. ``dirs`` holds
+    each direction's ``at(i, 0)`` of the runner's stacked trace: views of
+    its arrays, not copies.
     """
 
-    arch: str
-    direction: str
     embeddings: np.ndarray              # (T, d_e), input order
     dirs: dict[str, DirectionTrace]
     doc_repr: np.ndarray                # (d_h_total,)
     scores: np.ndarray                  # (K,)
     probs: np.ndarray                   # (K,)
-    batch_dirs: DirectionTrace          # (D, B, ...) arrays
-    batch_scores: np.ndarray            # (B, K)
 
     @property
     def length(self) -> int:
@@ -617,26 +606,19 @@ def scaled_rows(emb: np.ndarray, scales) -> np.ndarray:
     return emb[None] * np.asarray(scales, dtype=float)[:, None, None]
 
 
-def forward_embedded(params: NetworkParams, emb: np.ndarray,
-                     scales=()) -> ForwardTrace:
+def forward_embedded(params: NetworkParams, emb: np.ndarray) -> ForwardTrace:
     """Forward pass on an explicit embedding matrix (T, d_e), with every
-    per-step quantity recorded. The batch holds emb as row 0 and, after it,
-    one row scales[j] * emb per extra scale."""
-    doc, scores, tr = _run(params, scaled_rows(emb, (1.0, *scales)),
-                           keep=True)
-    return ForwardTrace(arch=params.arch, direction=params.direction,
-                        embeddings=emb,
-                        dirs={n: tr.at(i, 0)
+    per-step quantity recorded."""
+    doc, scores, tr = _run(params, scaled_rows(emb, (1.0,)), keep=True)
+    return ForwardTrace(emb, {n: tr.at(i, 0)
                               for i, n in enumerate(params.directions)},
-                        doc_repr=doc[0], scores=scores[0],
-                        probs=softmax(scores[0]), batch_dirs=tr,
-                        batch_scores=scores)
+                        doc[0], scores[0], softmax(scores[0]))
 
 
 def score_batch(params: NetworkParams, embs: np.ndarray) -> np.ndarray:
     """Class scores (B, K) of a (B, T, d_e) stack of equal-length inputs.
 
-    Same runner as forward_embedded, but only the running state is kept, so
+    Same runner as the white-box pass, but only the running state is kept, so
     a bucket of inputs costs O(B d) memory beyond its input projections.
     Rows of one call are computed alike; a row may differ from its B = 1
     run in the last bits, so compare scores from the same batch.

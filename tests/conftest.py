@@ -37,9 +37,8 @@ def rand_params(arch: str, seed: int = 0, vocab_size: int = 20,
 
 
 def forbid_forward(monkeypatch, check: str) -> None:
-    """Make every forward fail: the runner that the white-box pass's head
-    batch (through ``forward_embedded``), its further batches and the
-    black-box scorer run."""
+    """Make every forward fail: the runner that every batch of the
+    white-box pass and the black-box scorer run."""
     def no_forward(*args, **kwargs):
         raise AssertionError(f"forward pass before the {check} check")
 

@@ -840,6 +840,67 @@ class TestDataErrors:
             f"error: cannot write {bad}: no directory {tmp_path / 'missing'}"
             "\n") * 2
 
+    def test_unwritable_render_out_is_reported_before_the_input(
+            self, tmp_path, capsys, monkeypatch):
+        """render checks --out before it reads its input: a missing input
+        is not what is reported, and an existing one is not read."""
+        bad = str(tmp_path / "missing" / "heat.html")
+        assert main(["render", str(tmp_path / "nope.jsonl"),
+                     "--out", bad]) == 2
+        read = []
+        monkeypatch.setattr(cli, "_read_jsonl", read.append)
+        rel = tmp_path / "rel.jsonl"
+        rel.write_text(json.dumps({"scores": [1.0], "tokens": ["a"]}) + "\n")
+        assert main(["render", str(rel), "--out", bad]) == 2
+        assert read == []
+        assert capsys.readouterr().err == (
+            f"error: cannot write {bad}: no directory {tmp_path / 'missing'}"
+            "\n") * 2
+
+    @pytest.mark.parametrize("command", ["train", "explain", "render",
+                                         "eval-agreement"])
+    def test_a_byte_that_is_not_utf8_names_its_line(
+            self, trained_checkpoint, tmp_path, capsys, command):
+        """A byte that is not UTF-8 on line 2 of a corpus, relevance file
+        or agreement TSV is a data error naming that line."""
+        _, _, ckpt = trained_checkpoint
+        bad = tmp_path / "bad.in"
+        first = {"eval-agreement": b"w1 w2 yes\tNN DT VBZ\t1\tSg",
+                 "render": json.dumps({"scores": [1.0], "tokens": ["a"]})
+                 .encode()}.get(command, b'{"label": 0, "sentences": [["a"]]}')
+        bad.write_bytes(first + b"\r\n\xff\n")
+        argv = {
+            "train": ["train", str(bad), "--out", str(tmp_path / "m.npz")],
+            "explain": ["explain", str(ckpt), str(bad), "--methods", "lrp"],
+            "render": ["render", str(bad)],
+            "eval-agreement": ["eval-agreement", str(ckpt), str(bad),
+                               "--methods", "lrp"],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{bad}:2: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_text_mode(self, trained_checkpoint, tmp_path,
+                                         capsys, end):
+        """Lines ending in \\r\\n or \\r read as lines ending in \\n:
+        the same agreement report and the same heatmaps."""
+        _, _, ckpt = trained_checkpoint
+        rows = ["the w1 yes\tDT NN VBZ\t2\tSg",
+                "w2 no w3\tNNS DT VBP\t1\tPl"]
+        maps = [json.dumps({"scores": [1.0, -2.0], "tokens": ["a", "b"]}),
+                json.dumps({"error": "x"})]
+        outputs = []
+        for sep in ("\n", end):
+            tsv, rel = tmp_path / "agree.tsv", tmp_path / "rel.jsonl"
+            tsv.write_bytes((sep.join(rows) + sep).encode())
+            rel.write_bytes((sep.join(maps) + sep).encode())
+            assert main(["eval-agreement", str(ckpt), str(tsv),
+                         "--methods", "grad1_s_l2"]) == 0
+            assert main(["render", str(rel)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_one_label_binary_corpus_trains(self, tmp_path):
         """A sample of a two-class corpus may hold label 0 or 1 alone."""
         for label in (0, 1):

@@ -16,7 +16,7 @@ from textexplain.evaluate import AgreementSample, build_hybrid_docs, \
     hit_feat, hit_hybrid, hit_target, run_agreement_eval, run_hybrid_eval
 from textexplain.explain import ExplainOptions, explain, explain_document
 from textexplain.explain.gradient import reduce_gradients
-from textexplain.models import embed, embedding_gradients, forward
+from textexplain.models import _run, embed, embedding_gradients, forward
 from textexplain.numerics import SeededRng
 
 from conftest import rand_params
@@ -68,10 +68,12 @@ def test_shared_trace_maps_equal_the_traceless_maps(arch_dir, seed, t_len, k):
 
 @pytest.mark.parametrize("arch_dir", [("GRU", "bi"), ("CNN", "uni")])
 def test_trace_rows_are_views_of_the_batched_run(arch_dir):
+    """Each direction's row-0 trace, which ``forward_embedded`` keeps as
+    ``dirs`` and decomposition reads, views the runner's stacked trace."""
     p = model(arch_dir, 2)
-    trace = forward(p, token_ids(6, 2))
-    batched = trace.batch_dirs
-    for i, tr in enumerate(trace.dirs.values()):
+    batched = _run(p, embed(p, token_ids(6, 2))[None], keep=True)[2]
+    for i in range(len(p.directions)):
+        tr = batched.at(i, 0)
         assert batched.hidden.shape[1] == 1
         assert np.shares_memory(tr.hidden, batched.hidden[i])
         assert np.shares_memory(tr.cand, batched.cand[i])

@@ -19,12 +19,12 @@ import textexplain as tx
 from textexplain import models
 from textexplain.evaluate import AgreementSample, run_agreement_eval
 from textexplain.explain import ExplainOptions, explain, explain_document
-from textexplain.explain.decomp import decomp_explain, net_load_series
+from textexplain.explain.decomp import net_load_series
 from textexplain.explain import gradient
 from textexplain.explain.gradient import reduce_gradients, white_box_pass
 from textexplain.models import batch_rows, embed, embedding_gradients, \
     forward, forward_embedded
-from textexplain.numerics import SeededRng
+from textexplain.numerics import SeededRng, softmax
 
 from conftest import rand_params
 from test_lrp_deeplift import _oracle_map
@@ -91,47 +91,46 @@ def test_explain_all_matches_the_oracles(arch_dir, t_len, k, steps, chosen,
             name
 
 
-def _head_traces(monkeypatch):
-    """The traces of every ``forward_embedded`` call the white-box pass
-    makes from now on: the head batch of each pass."""
-    traces = []
+def _recorded_runs(monkeypatch):
+    """The outputs of every ``_run`` the white-box pass makes from now on:
+    (document representations, scores, stacked trace) per batch, the head
+    batch first in each pass."""
+    runs = []
 
     def recorded(*args, **kwargs):
-        traces.append(forward_embedded(*args, **kwargs))
-        return traces[-1]
+        runs.append(models._run(*args, **kwargs))
+        return runs[-1]
 
-    monkeypatch.setattr(gradient, "forward_embedded", recorded)
-    return traces
+    monkeypatch.setattr(gradient, "_run", recorded)
+    return runs
 
 
 def test_document_trace_rows(monkeypatch):
-    """The pass's head trace: row 0 is the document, then the all-zero
-    input, then the scaled inputs m/M; the row-0 fields read as
+    """The pass's head batch: row 0 is the document, then the all-zero
+    input, then the scaled inputs m/M; row 0's scores read as
     ``forward``'s, and the class the pass explains with none given is
     row 0's prediction."""
     p = rand_params("GRU", seed=1, scale=3.0, direction="bi")
     ids = [1, 2, 3, 4]
-    traces = _head_traces(monkeypatch)
+    runs = _recorded_runs(monkeypatch)
     k, _ = white_box_pass(p, ids, None, ["gradint_s_dot", "deeplift"],
                           steps=4)
-    [trace] = traces
+    [(_, scores, dirs)] = runs
     emb = embed(p, ids)
     scales = (1.0, 0.0, 0.25, 0.5, 0.75)
-    assert trace.batch_dirs.emb.shape[1] == len(scales)
+    assert dirs.emb.shape[1] == len(scales)
     for b, scale in enumerate(scales):
-        np.testing.assert_array_equal(trace.batch_dirs.emb[0, b],
-                                      emb * scale)
+        np.testing.assert_array_equal(dirs.emb[0, b], emb * scale)
     plain = forward(p, ids)
-    assert k == trace.predicted == plain.predicted
-    np.testing.assert_allclose(trace.scores, plain.scores, rtol=0,
-                               atol=1e-13)
-    np.testing.assert_array_equal(trace.embeddings, emb)
-    assert np.shares_memory(trace.dirs["bwd"].hidden,
-                            trace.batch_dirs.hidden[1])
+    assert k == int(np.argmax(softmax(scores[0]))) == plain.predicted
+    np.testing.assert_allclose(scores[0], plain.scores, rtol=0, atol=1e-13)
+    assert np.shares_memory(dirs.at(1, 0).hidden, dirs.hidden[1])
     # methods that read row 0 alone add no rows
+    runs.clear()
     explain_document(["grad1_p_l2", "lrp", "decomp", "omit_1"], p, ids,
                      ExplainOptions(int_steps=50))
-    assert traces[1].batch_scores.shape[0] == 1
+    [(_, scores, _)] = runs
+    assert scores.shape[0] == 1
 
 
 def list_plan(names, params, t_len, steps):
@@ -219,27 +218,26 @@ def test_white_box_memory_does_not_grow_with_int_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
-def test_one_method_alone_reads_its_document_trace(monkeypatch, arch_dir):
+def test_one_method_alone_reads_its_document_trace(arch_dir):
     """Run alone, each white-box method's map is bitwise what the pass
-    of its own name gives, and what that pass's raw gradient and head
-    trace give: a gradient name's reduction of the (T, d_e) gradient, and
-    decomposition read from the head trace."""
+    of its own name gives, and what that pass's raw gradient and the
+    document's embeddings give (a gradient name's reduction of the (T, d_e)
+    gradient), or for decomposition the summed first differences of the
+    net-load series of ``forward``'s trace."""
     arch, direction = arch_dir
     p = rand_params(arch, seed=6, scale=3.0, direction=direction)
     ids = [4, 8, 15, 16, 2, 3]
     opts = ExplainOptions(int_steps=7)
-    traces = _head_traces(monkeypatch)
     for name in WHITE_BOX:
         if name == "decomp" and arch == "CNN":
             continue
         raw = white_box_pass(p, ids, 1, [name], steps=7)[1]
-        trace = traces[-1]
         if name == "decomp":
-            want = decomp_explain(p, ids, 1, trace=trace).scores
+            want = _decomp_oracle(p, ids, 1)
         else:
             variant, *rest = name.split("_")
             want = raw[name] if not rest else reduce_gradients(
-                raw[f"{variant}_{rest[0]}"], trace.embeddings, rest[1])
+                raw[f"{variant}_{rest[0]}"], embed(p, ids), rest[1])
         np.testing.assert_array_equal(raw[name], want, err_msg=name)
         np.testing.assert_array_equal(
             explain(name, p, ids, 1, opts).scores, want, err_msg=name)
