@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import build_hybrid_docs, format_report_tsv, \
-    parse_agreement_tsv, run_agreement_eval, run_hybrid_eval
+    parse_agreement_row, run_agreement_eval, run_hybrid_eval
 from .explain import METHOD_NAMES, ExplainOptions, check_names, \
     explain_document
 from .explain.decomp import check_decomp
@@ -327,11 +327,13 @@ def cmd_eval_agreement(args) -> int:
     check_names(args.methods)
     _check_writable(args.out)
     params = _load_model(args.checkpoint, args.methods)
-    lines = [line for line, _ in _read_lines(args.tsv)]
-    try:
-        samples = parse_agreement_tsv(lines)
-    except ValueError as exc:
-        raise ValueError(f"{args.tsv}: {exc}")
+    samples = []
+    for line, where in _read_lines(args.tsv):
+        try:
+            samples.append(parse_agreement_row(line))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}")
+    samples = [sample for sample in samples if sample is not None]
     if not samples:
         raise ValueError(f"{args.tsv}: no samples")
     rows = run_agreement_eval(params, samples, args.methods,

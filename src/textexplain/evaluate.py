@@ -269,30 +269,35 @@ def run_agreement_eval(params: NetworkParams, samples: list[AgreementSample],
 # File formats
 # ---------------------------------------------------------------------------
 
+def parse_agreement_row(line: str) -> AgreementSample | None:
+    """One row: tokens (space-joined) TAB POS tags TAB 1-based subject index
+    TAB number label, with or without its line end (\\n or \\r\\n); None
+    for a blank line."""
+    line = line.rstrip("\r\n")
+    if not line:
+        return None
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
+    try:
+        subject = int(parts[2])
+    except ValueError:
+        raise ValueError(f"bad subject index {parts[2]!r}") from None
+    return AgreementSample(tokens=parts[0].split(), pos_tags=parts[1].split(),
+                           subject_index=subject - 1, label=parts[3])
+
+
 def parse_agreement_tsv(lines) -> list[AgreementSample]:
-    """Rows: tokens (space-joined) TAB POS tags TAB 1-based subject index TAB
-    number label."""
+    """The samples of the non-blank ``lines`` (``parse_agreement_row``); a
+    bad row is a ValueError that names it ``line N``."""
     samples = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 tab-separated "
-                             f"columns, got {len(parts)}")
-        tokens = parts[0].split()
-        tags = parts[1].split()
         try:
-            subject = int(parts[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad subject index {parts[2]!r}")
-        try:
-            samples.append(AgreementSample(tokens=tokens, pos_tags=tags,
-                                           subject_index=subject - 1,
-                                           label=parts[3]))
+            sample = parse_agreement_row(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if sample is not None:
+            samples.append(sample)
     return samples
 
 

@@ -145,7 +145,7 @@ def white_box_pass(params: NetworkParams, ids, k: int | None, names,
             rule = RelevanceRule(eps, base, first=len(rows))
             dscores = np.concatenate([dscores, seeds])
             rows += [0] * len(rules)
-        demb = sweep(params, None, dirs.take(rows), dscores, rule=rule)[0]
+        demb = sweep(params, dirs.take(rows), dscores, rule)[0]
         *blocks, relevance = np.split(demb, np.cumsum([len(h) for h in here]))
         if rule:
             out.update((r, (emb * d).sum(axis=1))

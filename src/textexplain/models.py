@@ -740,10 +740,10 @@ class RelevanceRule:
 
 class _Factors(NamedTuple):
     """Local factors of the sweep, (D, B, T, d) arrays over steps 1..T, or
-    scalars that hold for every row."""
+    scalars (1.0) that hold for every row of a sweep with no rule."""
 
     gate: np.ndarray | float        # multiplies every sigmoid derivative;
-                                    # per row (B, 1, 1) when rows differ
+                                    # per row (B, 1, 1) under a rule
     act: np.ndarray                 # the candidate's f'(z)
     h: np.ndarray | float | None    # scales d h_t; not the CNN's
     cell_act: np.ndarray | None     # tanh'(c_t), LSTM family
@@ -752,17 +752,17 @@ class _Factors(NamedTuple):
 
 def _local_factors(tr: DirectionTrace, rule: RelevanceRule | None,
                    ) -> _Factors:
-    """The exact derivatives of the stacked trace ``tr`` (state factors
-    1.0), with their replacements under ``rule`` in the rows it governs."""
+    """The exact derivatives of the stacked trace ``tr`` in every row (state
+    factors 1.0), with the rule's factors written over them in the rows it
+    governs: Δf / stab(Δz), a / stab(a) (or Δa / stab(Δa)) and a gate
+    factor of 0."""
     cnn, lstm = tr.pool_argmax is not None, tr.cell is not None
-    exact_rows = slice(None) if rule is None else slice(rule.first)
-    g = tr.cand[:, exact_rows, 1:]
-    tc = np.tanh(tr.cell[:, exact_rows, 1:]) if lstm else None
-    exact = _Factors(1.0, tr.preact[:, exact_rows, 1:] > 0 if cnn
-                     else 1.0 - g * g, 1.0, 1.0 - tc * tc if lstm else None,
-                     1.0)
+    g = tr.cand[..., 1:, :]
+    tc = np.tanh(tr.cell[..., 1:, :]) if lstm else None
+    act = 1.0 * (tr.preact[..., 1:, :] > 0) if cnn else 1.0 - g * g
+    cell_act = 1.0 - tc * tc if lstm else None
     if rule is None:
-        return exact
+        return _Factors(1.0, act, 1.0, cell_act, 1.0)
     first, base = rule.first, rule.base
 
     def delta(name, f=lambda a: a):
@@ -771,28 +771,19 @@ def _local_factors(tr: DirectionTrace, rule: RelevanceRule | None,
     def ratio(num, den):
         return num / (den + esign(den, rule.eps))
 
-    dh = None if cnn else delta("hidden")
-    dc = delta("cell") if lstm else None
-    ruled = _Factors(
-        0.0, ratio(delta("cand"), delta("preact"))[..., 1:, :],
-        None if cnn else ratio(dh, dh)[..., 1:, :],
-        ratio(delta("cell", np.tanh), dc)[..., 1:, :] if lstm else None,
-        ratio(dc, dc)[..., :-1, :] if lstm else None)
-    if first == 0:
-        return ruled
-
-    def rows(e, r):
-        """Factor e in the exact rows, r in the rule's."""
-        if r is None:
-            return None
-        if np.ndim(e) == 0:
-            e = np.broadcast_to(e, r.shape[:1] + (first,) + r.shape[2:])
-        return np.concatenate([e, r], axis=1)
     gate = np.ones((tr.emb.shape[1], 1, 1))
     gate[first:] = 0.0
-    return _Factors(gate, rows(exact.act, ruled.act),
-                    rows(1.0, ruled.h), rows(exact.cell_act, ruled.cell_act),
-                    rows(1.0, ruled.c))
+    h = None if cnn else np.ones_like(g)
+    c = np.ones_like(g) if lstm else None
+    act[:, first:] = ratio(delta("cand"), delta("preact"))[..., 1:, :]
+    if not cnn:
+        dh = delta("hidden")
+        h[:, first:] = ratio(dh, dh)[..., 1:, :]
+    if lstm:
+        dc = delta("cell")
+        cell_act[:, first:] = ratio(delta("cell", np.tanh), dc)[..., 1:, :]
+        c[:, first:] = ratio(dc, dc)[..., :-1, :]
+    return _Factors(gate, act, h, cell_act, c)
 
 
 def _sweep_directions(arch: str, w: GateStack, tr: DirectionTrace,
@@ -939,37 +930,39 @@ def _sweep_directions(arch: str, w: GateStack, tr: DirectionTrace,
     return demb
 
 
-def sweep(params: NetworkParams, doc: np.ndarray | None,
-          dirs: DirectionTrace, dscores: np.ndarray,
-          param_grads: bool = False, rule: RelevanceRule | None = None,
+def sweep(params: NetworkParams, dirs: DirectionTrace, dscores: np.ndarray,
+          rule: RelevanceRule | None = None, doc: np.ndarray | None = None,
           ) -> tuple[np.ndarray, np.ndarray | None]:
     """The one reverse sweep over a batched forward of ``_run(...,
     keep=True)``: exact gradients, or relevance under ``rule`` in the rows
     it governs.
 
-    ``doc`` and ``dirs`` are that run's document representations (read only
-    for ``param_grads``) and stacked trace, or rows gathered from them with
+    ``dirs`` is that run's stacked trace, or rows gathered from it with
     ``take``; ``dscores`` (B, K) is the gradient of some function of each
     row's class scores. Every direction steps back in the one loop of
     ``_sweep_directions``. Returns the gradients of the input embeddings
-    (B, T, d_e) and, when ``param_grads``, every parameter's gradient summed
-    over the batch, as one vector in the layout of ``params.flat``; its
-    embedding rows are zero, the caller's to scatter. The padded positions
-    of a ragged run get exactly zero. A ``rule`` swaps the local factors of
-    every step in its rows (see ``RelevanceRule``).
+    (B, T, d_e) and, when ``doc``, the run's document representations, is
+    given, every parameter's gradient summed over the batch, as one vector
+    in the layout of ``params.flat`` (else None); its embedding rows are
+    zero, the caller's to scatter. The padded positions of a ragged run get
+    exactly zero. A ``rule`` swaps the local factors of every step in its
+    rows (see ``RelevanceRule``).
     """
-    lone = len(dscores) == 1 and not param_grads
+    lone = len(dscores) == 1 and doc is None
     if lone:
         # BLAS takes gemv for a product of one row and gemm for more, and
         # their results differ in the last bits; a lone row runs twice, so
-        # that a map made alone matches the same map made beside other rows
+        # that a grad1_* or lrp map is bitwise the same alone or beside
+        # names that add no row to the document's forward batch (grad1_*,
+        # lrp, decomp). Beside gradint_* or deeplift, whose rows join that
+        # batch, it may differ in the last bits
         dirs, dscores = dirs.take([0, 0]), np.concatenate([dscores] * 2)
         if rule is not None:
             rule = RelevanceRule(rule.eps, rule.base.take([0, 0]))
     ddoc = dscores @ params.w_cls
     b, n_dir = len(dscores), len(params.directions)
     grads = None
-    if param_grads:
+    if doc is not None:
         grads = params.like(np.zeros_like(params.flat))
         grads.w_cls[...] = dscores.T @ doc
         grads.b_cls[...] = dscores.sum(axis=0)
@@ -1009,7 +1002,8 @@ def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
 
     ``emb`` may be one (T, d_e) input or a (B, T, d_e) stack of equal-length
     inputs; the result has the same shape. All rows take one batched forward
-    and one reverse sweep.
+    and one reverse sweep, which is given no ``doc`` and so computes no
+    parameter gradient; a lone input runs twice in it, as ``sweep`` says.
     """
     if output not in ("s", "p"):
         raise ValueError(f"unknown output {output!r}")
@@ -1017,8 +1011,8 @@ def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
     if emb is None:
         emb = embed(params, ids)
     stack = emb if emb.ndim == 3 else emb[None]
-    doc, scores, dirs = _run(params, stack, keep=True)
-    demb = sweep(params, doc, dirs,
+    _, scores, dirs = _run(params, stack, keep=True)
+    demb = sweep(params, dirs,
                  output_seeds(scores, k, [output] * len(stack)))[0]
     return demb if emb.ndim == 3 else demb[0]
 

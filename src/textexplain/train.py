@@ -54,7 +54,7 @@ def minibatch_grads(params: NetworkParams,
     doc, scores, dirs = _run(params, embs, keep=True, lengths=lengths)
     dscores = softmax(scores)
     dscores[np.arange(len(examples)), [label for _, label in examples]] -= 1.0
-    demb, grads = sweep(params, doc, dirs, dscores, param_grads=True)
+    demb, grads = sweep(params, dirs, dscores, doc=doc)
     real = np.arange(ids.shape[1]) < lengths[:, None]
     np.add.at(params.like(grads).embedding, ids[real], demb[real])
     return grads

@@ -81,12 +81,11 @@ def test_sweep_row_is_its_single_input_sweep(arch_dir, seed, t_len, batch):
                      for b in range(batch)])
     dscores = np.random.default_rng(seed).normal(size=(batch, p.n_classes))
     doc, _, dirs = _run(p, embs, keep=True)
-    demb, grads = sweep(p, doc, dirs, dscores, param_grads=True)
+    demb, grads = sweep(p, dirs, dscores, doc=doc)
     total = np.zeros_like(grads)
     for b in range(batch):
         doc, _, dirs = _run(p, embs[b:b + 1], keep=True)
-        one, one_grads = sweep(p, doc, dirs, dscores[b:b + 1],
-                               param_grads=True)
+        one, one_grads = sweep(p, dirs, dscores[b:b + 1], doc=doc)
         np.testing.assert_allclose(demb[b], one[0], rtol=0, atol=1e-12)
         total += one_grads
     np.testing.assert_allclose(grads, total, rtol=0, atol=1e-12)
@@ -116,7 +115,7 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
     dscores = np.random.default_rng(seed).normal(size=(len(lengths),
                                                        p.n_classes))
     doc, scores, dirs = _run(p, embs, keep=True, lengths=lengths)
-    demb, grads = sweep(p, doc, dirs, dscores, param_grads=True)
+    demb, grads = sweep(p, dirs, dscores, doc=doc)
     np.testing.assert_allclose(
         _run(p, embs, keep=False, lengths=lengths)[1], scores, rtol=0,
         atol=1e-12)
@@ -124,8 +123,7 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
     for b, t_len in enumerate(lengths):
         one_doc, one_scores, one_dirs = _run(p, embs[b:b + 1, :t_len],
                                              keep=True)
-        one, one_grads = sweep(p, one_doc, one_dirs, dscores[b:b + 1],
-                               param_grads=True)
+        one, one_grads = sweep(p, one_dirs, dscores[b:b + 1], doc=one_doc)
         np.testing.assert_allclose(scores[b], one_scores[0], rtol=0,
                                    atol=1e-12)
         np.testing.assert_allclose(demb[b, :t_len], one[0], rtol=0,
@@ -144,7 +142,7 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
                                                    size=embs.shape)
     filled = ragged_stack(p, lengths, seed, noise)
     doc2, scores2, dirs2 = _run(p, filled, keep=True, lengths=lengths)
-    demb2, grads2 = sweep(p, doc2, dirs2, dscores, param_grads=True)
+    demb2, grads2 = sweep(p, dirs2, dscores, doc=doc2)
     np.testing.assert_array_equal(scores2, scores)
     np.testing.assert_array_equal(demb2, demb)
     np.testing.assert_array_equal(grads2, grads)
@@ -166,7 +164,7 @@ def test_ragged_rule_sweep_rows_are_their_single_input_sweeps(
                                                        p.n_classes))
 
     def rule_sweep(stack, row_lengths, ds):
-        doc, _, dirs = _run(p, stack, keep=True, lengths=row_lengths)
+        dirs = _run(p, stack, keep=True, lengths=row_lengths)[2]
         if deeplift:
             base = _run(p, np.zeros_like(stack), keep=True,
                         lengths=row_lengths)[2]
@@ -176,7 +174,7 @@ def test_ragged_rule_sweep_rows_are_their_single_input_sweeps(
             for a in (base.hidden, base.cand, base.preact, base.cell):
                 if a is not None:
                     a[...] = 0.0
-        return sweep(p, doc, dirs, ds, rule=RelevanceRule(1e-3, base))[0]
+        return sweep(p, dirs, ds, RelevanceRule(1e-3, base))[0]
 
     demb = rule_sweep(embs, lengths, dscores)
     for b, t_len in enumerate(lengths):
@@ -213,7 +211,7 @@ def oracle_train(p, corpus, config):
                 doc, scores, dirs = _run(p, embed(p, ids)[None], keep=True)
                 dscores = softmax(scores)
                 dscores[0, label] -= 1.0
-                demb, grads = sweep(p, doc, dirs, dscores, param_grads=True)
+                demb, grads = sweep(p, dirs, dscores, doc=doc)
                 np.add.at(acc["embedding"], ids, demb[0])
                 for name, g in by_name(p.like(grads)).items():
                     if name != "embedding":

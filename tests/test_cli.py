@@ -360,13 +360,34 @@ class TestEvalAgreement:
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err == f"error: {tsv}: no samples\n"
 
-    def test_bad_tsv_is_data_error(self, trained_checkpoint, tmp_path):
+    def test_bad_tsv_is_data_error(self, trained_checkpoint, tmp_path,
+                                   capsys):
         _, _, ckpt = trained_checkpoint
         tsv = tmp_path / "bad.tsv"
         tsv.write_text("only two\tcolumns\n")
         rc = main(["eval-agreement", str(ckpt), str(tsv),
                    "--methods", "grad1_s_l2"])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {tsv}:1: expected 4 tab-separated columns, got 2\n")
+
+    def test_bad_tsv_row_is_named_by_its_line(self, trained_checkpoint,
+                                              tmp_path, capsys):
+        """A bad row after a good one, in a CRLF file, and a bad subject
+        index are each named ``PATH:N``, as every other input is."""
+        _, _, ckpt = trained_checkpoint
+        tsv = tmp_path / "two.tsv"
+        for text, error in [
+                ("a b\tDT NN\t1\tSg\r\nonly two\tcolumns\r\n",
+                 "2: expected 4 tab-separated columns, got 2"),
+                ("\na b\tDT NN\tx\tSg\n", "2: bad subject index 'x'"),
+                ("a b\tDT NN\t1\tSg\n\na\tNN\t1\tNeut\n",
+                 "3: bad number label 'Neut'")]:
+            tsv.write_bytes(text.encode())
+            rc = main(["eval-agreement", str(ckpt), str(tsv),
+                       "--methods", "grad1_s_l2"])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: {tsv}:{error}\n"
 
 
 class TestRender:

@@ -179,6 +179,17 @@ class TestParseAgreementTsv:
         with pytest.raises(ValueError, match="line 1"):
             parse_agreement_tsv(["a\tNN\t1\tNeut\n"])
 
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path):
+        """A CRLF file read with its line ends kept parses as its LF
+        twin: the labels carry no \\r."""
+        text = "the dog runs\tDT NN VBZ\t2\tSg\n\nno cats\tDT NNS\t2\tPl\n"
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        with open(path, newline="") as fh:
+            got = parse_agreement_tsv(fh)
+        assert got == parse_agreement_tsv(io.StringIO(text))
+        assert [s.label for s in got] == ["Sg", "Pl"]
+
 
 class TestReportTsv:
     def test_format(self):

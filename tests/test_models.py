@@ -171,8 +171,7 @@ class TestGradients:
     def test_bias_gradient_is_one_hot(self):
         p = rand_params("GRU", n_classes=3, scale=3.0)
         doc, _, dirs = _run(p, embed(p, [1, 2, 3])[None], keep=True)
-        _, grads = sweep(p, doc, dirs, np.array([[0.0, 0.0, 1.0]]),
-                         param_grads=True)
+        _, grads = sweep(p, dirs, np.array([[0.0, 0.0, 1.0]]), doc=doc)
         np.testing.assert_array_equal(p.like(grads).b_cls, [0.0, 0.0, 1.0])
 
     def test_constant_model_zero_gradients(self):
@@ -441,7 +440,7 @@ def test_recurrent_model_without_u_is_a_width_one_qrnn(arch, qrnn, direction,
     got = {}
     for model in (p, q):
         doc, scores, dirs = _run(model, embs, keep=True, lengths=lengths)
-        demb, grads = sweep(model, doc, dirs, dscores, param_grads=True)
+        demb, grads = sweep(model, dirs, dscores, doc=doc)
         got[model.arch] = scores, demb, model.like(grads).arrays()
     (s_p, e_p, g_p), (s_q, e_q, g_q) = got[arch], got[qrnn]
     assert_near(s_q, s_p, "scores")

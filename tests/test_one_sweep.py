@@ -18,7 +18,8 @@ from textexplain import models
 from textexplain.evaluate import run_agreement_eval
 from textexplain.explain import ExplainOptions, explain, explain_document
 from textexplain.explain import gradient
-from textexplain.models import forward, init_params
+from textexplain.models import RelevanceRule, _run, embed, forward, \
+    init_params, output_seeds, sweep
 from textexplain.numerics import SeededRng
 
 from conftest import rand_params
@@ -30,6 +31,9 @@ ARCH_DIRS = [(arch, direction) for arch in tx.ARCHS
 ARCH_IDS = [f"{a}-{d}" for a, d in ARCH_DIRS]
 
 METHODS = ["grad1_s_dot", "grad1_p_l2", "gradint_s_dot", "lrp", "deeplift"]
+# the names whose rows add nothing to the document's forward batch
+ONE_ROW = ["grad1_s_l2", "grad1_s_dot", "grad1_p_l2", "grad1_p_dot", "lrp",
+           "decomp"]
 
 OPTS = ExplainOptions(int_steps=9)
 
@@ -86,6 +90,49 @@ def test_spilled_integrated_gradient_rows_give_the_same_maps(
     assert k == (forward(p, ids).predicted if from_forward else 1)
 
 
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+def test_a_one_row_set_gives_each_map_bitwise_alone(arch_dir):
+    """The document runs alone in its forward batch for these names, and a
+    sweep of one row runs it twice, so each map of one call is bitwise the
+    map of its name run alone."""
+    names = [n for n in ONE_ROW
+             if not (arch_dir[0] == "CNN" and n == "decomp")]
+    for seed in range(3):
+        for t_len in (1, 2, 6, 13):
+            p, ids = _inputs(arch_dir, seed, t_len)
+            for k in (None, 1):
+                explained, got = explain_document(names, p, ids, OPTS, k)
+                for name, rel in zip(names, got):
+                    want = explain(name, p, ids, explained, OPTS).scores
+                    assert rel.scores.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("arch_dir", ARCH_DIRS, ids=ARCH_IDS)
+@pytest.mark.parametrize("t_len", [1, 6, 13])
+def test_mixed_sweep_rows_are_the_exact_and_the_rule_sweeps(arch_dir, t_len):
+    """A sweep of exact rows, then an ``lrp`` and a ``deeplift`` row under a
+    rule that governs them: its exact rows are bitwise the rule-free sweep
+    of those rows, and its rule rows the sweep under the rule alone."""
+    for seed in (0, 1):
+        p, ids = _inputs(arch_dir, seed, t_len)
+        emb = embed(p, ids)
+        _, scores, dirs = _run(p, np.stack([emb, 0.0 * emb, 0.5 * emb]),
+                               keep=True)
+        rows = [2, 0, 2, 0]
+        for k in (0, 1):
+            dscores = output_seeds(scores[rows], k, ["s", "s", "p", "p"])
+            base, seeds = gradient._rule_rows(p, scores, dirs, k,
+                                              ["lrp", "deeplift"], 1e-3)
+            mixed = sweep(p, dirs.take(rows + [0, 0]),
+                          np.concatenate([dscores, seeds]),
+                          RelevanceRule(1e-3, base, first=len(rows)))[0]
+            exact = sweep(p, dirs.take(rows), dscores)[0]
+            ruled = sweep(p, dirs.take([0, 0]), seeds,
+                          RelevanceRule(1e-3, base))[0]
+            assert mixed[:len(rows)].tobytes() == exact.tobytes()
+            assert mixed[len(rows):].tobytes() == ruled.tobytes()
+
+
 def _count_calls(monkeypatch):
     calls = {"_run": 0, "sweep": 0}
 
@@ -125,9 +172,9 @@ def test_one_sweep_holds_the_exact_and_the_relevance_rows(monkeypatch):
     seen = []
     real = models.sweep
 
-    def spy(params, doc, dirs, dscores, param_grads=False, rule=None):
+    def spy(params, dirs, dscores, rule=None, doc=None):
         seen.append((len(dscores), rule and rule.first))
-        return real(params, doc, dirs, dscores, param_grads, rule)
+        return real(params, dirs, dscores, rule, doc)
 
     monkeypatch.setattr(gradient, "sweep", spy)
     p, ids = _inputs(("GRU", "bi"), 3, 8)
