@@ -11,8 +11,10 @@ one matmul per kernel slice and gate over the whole batch. A bidirectional
 model's two directions step together: the runner carries a leading
 direction axis (D = 1 or 2), so each step makes one stacked matmul per
 product, a gemm per direction. The stack may be ragged: right-padded rows
-with their own ``lengths``, each read out at its own last step (training
-minibatches and corpus scoring use this).
+with their own ``lengths`` (training minibatches and corpus scoring use
+this). One comparison with ``lengths`` per step holds each row's state from
+its own last step on, and the sweep adds each row's seed at that step to
+the running gradient, which is exactly zero over the row's padding.
 With ``keep`` the runner records every intermediate quantity (gates,
 pre-activations, cell/hidden states, pooling winners) of every row in one
 stacked DirectionTrace, whose arrays carry a leading (direction, batch) axis
@@ -403,34 +405,11 @@ def _conv(kernel: np.ndarray, bias: np.ndarray, emb: np.ndarray,
     return out
 
 
-def _row_ends(lengths: np.ndarray | None, t_len: int) -> dict[int, np.ndarray]:
-    """Rows of a ragged batch that end before step ``t_len``, keyed by their
-    last step (1-based); empty for an equal-length batch."""
-    if lengths is None:
-        return {}
-    # a set, not np.unique: a process's first np.unique pages in about
-    # 1.6 MB, which training and the white-box pass otherwise never touch
-    return {t: np.flatnonzero(lengths == t)
-            for t in set(lengths[lengths < t_len].tolist())}
-
-
 def _reverse_index(lengths: np.ndarray, t_len: int) -> np.ndarray:
     """(B, T) positions that reverse each row within its own length and keep
     its padding in place; the permutation is its own inverse."""
     t = np.arange(t_len)
     return np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
-
-
-def _at_ends(state: np.ndarray, ends: dict[int, np.ndarray],
-             held: dict[int, np.ndarray]) -> np.ndarray:
-    """The running (D, B, d) ``state`` after the last step, with the rows
-    that ended earlier replaced by their ``held`` states."""
-    if not ends:
-        return state
-    out = state.copy()
-    for t, rows in ends.items():
-        out[:, rows] = held[t]
-    return out
 
 
 def _run_directions(arch: str, w: GateStack, emb: np.ndarray,
@@ -442,10 +421,12 @@ def _run_directions(arch: str, w: GateStack, emb: np.ndarray,
 
     The directions step together: one step loop, in which every product is
     one stacked matmul, a gemm per direction. ``lengths`` (B,) marks a
-    ragged batch whose padded positions the caller has zeroed; each row's
-    state is read at its own last step. Returns that final hidden state
-    (D, B, d) and, when ``keep`` is true, the stacked DirectionTrace;
-    otherwise only the running state is held.
+    ragged batch whose padded positions the caller has zeroed: each step
+    keeps the running state of the rows whose length reaches it, so each
+    row's state is read at its own last step (the trace records the running
+    states). Returns that final hidden state (D, B, d) and, when ``keep`` is
+    true, the stacked DirectionTrace; otherwise only the running state is
+    held.
     """
     n_dir, b, t_len, _ = emb.shape
     names = _GATES[arch]
@@ -492,9 +473,7 @@ def _run_directions(arch: str, w: GateStack, emb: np.ndarray,
         b_gate, b_cand = bias[:, None, :n_gate], bias[:, None, n_gate:]
         u_h = (u if lstm else u[:, :n_gate]).swapaxes(1, 2)
         u_cand = u[:, n_gate:].swapaxes(1, 2)
-    ends = _row_ends(lengths, t_len)
-    held: dict[int, np.ndarray] = {}
-    h = np.zeros((n_dir, b, d))
+    h = last = np.zeros((n_dir, b, d))
     c = np.zeros((n_dir, b, d))
     if keep:
         # each step's states (and a GRU's or LSTM's gates) go to row t
@@ -524,16 +503,16 @@ def _run_directions(arch: str, w: GateStack, emb: np.ndarray,
         else:
             z = sig[0]
             h = z * h + (1.0 - z) * g
-        if t in ends:
-            held[t] = h[:, ends[t]]
+        # a ragged row's state is held from its own last step on
+        last = h if lengths is None else np.where(lengths[:, None] >= t, h,
+                                                  last)
         if keep:
             states[0, ..., t, :] = h
             if lstm:
                 states[1, ..., t, :] = c
-    h = _at_ends(h, ends, held)
     if not keep:
-        return h, None
-    return h, DirectionTrace(
+        return last, None
+    return last, DirectionTrace(
         emb=emb, gates=dict(zip(names, pre[:-1])), preact=pre[-1], cand=cand,
         hidden=states[0], cell=states[1] if lstm else None, lengths=lengths)
 
@@ -868,22 +847,22 @@ def _sweep_directions(arch: str, w: GateStack, tr: DirectionTrace,
             p[:-1] *= dsig[..., t, :]
             return drh
 
-        # the classifier's gradient enters h_t at each row's own last step;
-        # over a ragged row's padding the state gradients are exactly zero
+        # the classifier's gradient enters h_t at each row's own last step:
+        # every step adds its slice of dhs to the running state gradient,
+        # which is exactly zero over a ragged row's padding, so a row's
+        # gradient at its last step is its seed bit for bit
         last = t_len if tr.lengths is None else tr.lengths
         dhs = np.zeros((n_dir, b, t_len, d))
         dhs[:, np.arange(b), last - 1] = dh
-        ends = _row_ends(tr.lengths, t_len)
         if rec:
             if lstm:
                 into_c = o * fac.cell_act * fac.h
             else:
                 r = gates[1]
             flat = d_pre.transpose(1, 2, 3, 0, 4).reshape(n_dir, b, t_len, -1)
-            dh, dc = dhs[..., -1, :], np.zeros((n_dir, b, d))
+            dh = dc = 0.0
             for t in range(t_len - 1, -1, -1):
-                if t + 1 in ends:
-                    dh[:, ends[t + 1]] = dhs[:, ends[t + 1], t]
+                dh = dh + dhs[..., t, :]
                 if lstm:
                     dc = dc + dh * into_c[..., t, :]
                 drh = fill(t, dh, dc)
@@ -897,15 +876,13 @@ def _sweep_directions(arch: str, w: GateStack, tr: DirectionTrace,
             # a QRNN's h_t feeds no later step and its pooling is
             # elementwise: carry back the gradient of the pooled state alone
             # (h for QGRU, c for QLSTM), then fill every step at once.
-            # dstate holds what enters that gradient at each step, replaced
-            # in place by the gradient (step t reads its entry first).
+            # dstate holds what enters that gradient at each step; step t
+            # adds the gradient carried back from t + 1 to it in place.
             dstate = dhs * o * fac.cell_act * fac.h if lstm else dhs
-            state = dstate[..., -1, :]
+            state = 0.0
             for t in range(t_len - 1, -1, -1):
-                if t + 1 in ends:
-                    state[:, ends[t + 1]] = dstate[:, ends[t + 1], t]
-                dstate[..., t, :] = state
-                state = state * carry[..., t, :]
+                dstate[..., t, :] += state
+                state = dstate[..., t, :] * carry[..., t, :]
             fill(slice(None), dhs, dstate)
             d_pre[:-1] *= (1.0 - gates) * fac.gate
         # a view for a GRU or LSTM, a copy for a QRNN

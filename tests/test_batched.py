@@ -149,6 +149,26 @@ def test_ragged_rows_are_their_single_input_runs(arch_dir, seed, lengths):
 
 
 @pytest.mark.parametrize("arch_dir", MODELS, ids=MODEL_IDS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seeds, st.lists(st.integers(1, 12), min_size=1, max_size=5))
+def test_ragged_rows_are_read_at_their_own_last_step(arch_dir, seed,
+                                                     lengths):
+    """A ragged run gives bitwise the same document representations and
+    scores with and without the trace, and each row's representation is
+    its recorded hidden state at its own length, in every direction."""
+    p = model(arch_dir, seed)
+    lengths = lengths + [1]
+    embs = ragged_stack(p, lengths, seed, 0.0)
+    doc, scores, dirs = _run(p, embs, keep=True, lengths=lengths)
+    lean_doc, lean_scores, _ = _run(p, embs, keep=False, lengths=lengths)
+    np.testing.assert_array_equal(lean_doc, doc)
+    np.testing.assert_array_equal(lean_scores, scores)
+    for b, t_len in enumerate(lengths):
+        np.testing.assert_array_equal(
+            doc[b], np.concatenate(dirs.hidden[:, b, t_len]))
+
+
+@pytest.mark.parametrize("arch_dir", MODELS, ids=MODEL_IDS)
 @pytest.mark.parametrize("deeplift", [False, True], ids=["lrp", "deeplift"])
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(seeds, st.lists(st.integers(1, 12), min_size=1, max_size=5))

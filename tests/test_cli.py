@@ -68,17 +68,41 @@ class TestTrain:
         assert p.arch == "GRU"
         assert p.vocab is not None
 
-    def test_deterministic_given_seed(self, tmp_path, trained_checkpoint):
-        base, corpus, ckpt = trained_checkpoint
-        other = tmp_path / "again.npz"
-        rc = main(["train", str(corpus), "--out", str(other), "--arch", "GRU",
-                   "--d-embed", "8", "--d-hidden", "8", "--epochs", "4",
-                   "--seed", "0"])
-        assert rc == 0
-        a = load_checkpoint(ckpt)
-        b = load_checkpoint(other)
-        np.testing.assert_array_equal(a.embedding, b.embedding)
-        np.testing.assert_array_equal(a.w_cls, b.w_cls)
+    def test_deterministic_given_seed(self, tmp_path):
+        """Two seeded runs on a corpus of mixed lengths (ragged minibatches)
+        write the same epoch log and the same weights, every one of them,
+        for a unidirectional and a bidirectional model."""
+        corpus, short = tmp_path / "c.jsonl", tmp_path / "short.jsonl"
+        write_corpus(corpus, 24)
+        write_corpus(short, 16, seed=1, n_sentences=1, sent_len=3)
+        corpus.write_text(corpus.read_text() + short.read_text())
+        for direction in ("uni", "bi"):
+            runs = []
+            for run in range(2):
+                out, log = (tmp_path / f"{direction}{run}.{ext}"
+                            for ext in ("npz", "jsonl"))
+                assert main(["train", str(corpus), "--out", str(out),
+                             "--log", str(log), "--arch", "GRU",
+                             "--direction", direction, "--d-embed", "8",
+                             "--d-hidden", "8", "--epochs", "3",
+                             "--seed", "0"]) == 0
+                runs.append((log.read_text(), load_checkpoint(out).flat))
+            (log_a, flat_a), (log_b, flat_b) = runs
+            assert log_a.count("\n") == 3 and log_a == log_b
+            np.testing.assert_array_equal(flat_a, flat_b)
+
+    def test_three_class_corpus(self, tmp_path):
+        """A corpus labelled 0, 1 and 2 trains a three-class model, which
+        explains class 2."""
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "m.npz"
+        corpus.write_text("".join(
+            json.dumps({"label": lab, "sentences": [[f"w{i}", f"k{lab}"]]})
+            + "\n" for i, lab in enumerate([0, 1, 2, 2, 1, 0])))
+        assert main(["train", str(corpus), "--out", str(out),
+                     "--epochs", "1"]) == 0
+        assert load_checkpoint(out).n_classes == 3
+        assert main(["explain", str(out), str(corpus), "--k", "2",
+                     "--methods", "lrp", "omit_1"]) == 0
 
     def test_epoch_log(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -671,6 +695,57 @@ class TestDataErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "bad.npz" in err
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda path, good: np.save(path.with_suffix(".npy"), good["b_cls"])
+         or path.with_suffix(".npy").rename(path), "not a checkpoint file"),
+        (lambda path, good: np.savez(path, **{
+            **good, "meta": np.asarray(str(good["meta"]).replace(
+                '"version": 1', '"version": 2'))}),
+         "unsupported checkpoint version"),
+        (lambda path, good: np.savez(path, **{
+            k: a for k, a in good.items() if k != "b_cls"}),
+         "missing array b_cls"),
+        (lambda path, good: np.savez(path, **{
+            **good, "embedding": np.zeros(3)}),
+         "embedding must have 2 dimension(s), got shape (3,)"),
+        (lambda path, good: np.savez(path, **good, extra=np.zeros(2)),
+         "unexpected array extra"),
+    ], ids=["npy-file", "version-2", "no-b-cls", "1-d-embedding",
+            "extra-array"])
+    def test_checkpoint_layout_errors(self, trained_checkpoint, tmp_path,
+                                      capsys, write, message):
+        """A checkpoint that is a .npy file, of another version, or whose
+        arrays are missing, mis-shaped or one too many, is a data error
+        naming the path."""
+        _, corpus, ckpt = trained_checkpoint
+        bad = tmp_path / "bad.npz"
+        with np.load(ckpt) as good:
+            write(bad, dict(good))
+        rc = main(["explain", str(bad), str(corpus), "--methods", "lrp"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_out_directory_is_reported_before_the_corpus(
+            self, tmp_path, capsys, monkeypatch):
+        """train --out naming an existing directory fails before the
+        corpus is read."""
+        read = []
+        monkeypatch.setattr(cli, "_read_corpus", read.append)
+        assert main(["train", str(tmp_path / "c.jsonl"),
+                     "--out", str(tmp_path)]) == 2
+        assert read == []
+        assert capsys.readouterr().err == (
+            f"error: cannot write checkpoint {tmp_path}: is a directory\n")
+
+    def test_negative_label(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"label": -1, "sentences": [["a"]]})
+                          + "\n")
+        assert main(["train", str(corpus), "--out",
+                     str(tmp_path / "m.npz")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: negative label -1\n")
 
     @pytest.mark.parametrize("command", ["eval-hybrid", "eval-agreement"])
     def test_method_the_model_cannot_run(self, tmp_path, capsys, command):

@@ -27,6 +27,16 @@ class TestRmax:
             rmax(np.array([]))
 
 
+class TestRelevanceMap:
+    @pytest.mark.parametrize("scores, message", [
+        (np.zeros((2, 2)), "one-dimensional"),
+        (np.array([0.0, np.nan]), "finite"),
+    ], ids=["2-d", "nan"])
+    def test_rejects_scores(self, scores, message):
+        with pytest.raises(ValueError, match=message):
+            RelevanceMap(scores, 0, "x")
+
+
 class TestPointingAccuracy:
     def test_ratio(self):
         assert pointing_accuracy(3, 4) == 0.75
@@ -242,6 +252,19 @@ class TestRunEvals:
         docs = self._docs()
         e = random_hybrid_expectation(p, docs)
         assert 0.0 < e < 1.0
+
+    def test_random_expectation_skips_unlabelled_predictions(self):
+        """A document none of whose tokens carries the predicted label is
+        skipped; with every document skipped there is no expectation."""
+        from conftest import rand_params
+        p = rand_params("GRU", vocab_size=40)
+        p.b_cls[:] = [100.0, -100.0]        # always predicts class 0
+        mixed = HybridDocument([1, 2, 3, 4], list("abcd"), [0, 0, 1, 1],
+                               [0, 2])
+        ones = HybridDocument([5, 6], list("ef"), [1, 1], [0, 1])
+        assert random_hybrid_expectation(p, [mixed, ones]) == 0.5
+        with pytest.raises(ValueError, match="all documents skipped"):
+            random_hybrid_expectation(p, [ones])
 
     def test_agreement_bookkeeping(self):
         import textexplain as tx

@@ -155,6 +155,11 @@ class TestBidirectional:
         np.testing.assert_allclose(tr.doc_repr[:d], fwd_tr.doc_repr)
         np.testing.assert_allclose(tr.doc_repr[d:], bwd_tr.doc_repr)
 
+    def test_odd_hidden_size_rejected(self):
+        """A bidirectional model splits d_hidden between its directions."""
+        with pytest.raises(ValueError, match="must be even"):
+            init_params("GRU", 10, 4, 5, 2, SeededRng(0), direction="bi")
+
     @pytest.mark.parametrize("direction", ["bidirectional", "fwd", "", "Bi"])
     def test_unknown_direction_rejected(self, direction):
         """Only "uni" and "bi" name a direction; nothing else builds a
