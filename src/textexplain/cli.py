@@ -4,9 +4,12 @@ render.
 Corpus files are JSON lines: {"label": int, "sentences": [[token, ...], ...]}
 (tokenization happens upstream). Corpora, relevance files and agreement TSVs
 are read by one line reader, which names a bad line ``path:line``, a line
-that is not UTF-8 included; ``explain --html`` and ``render`` write heatmaps
-through one writer, whose HTML is one page with a ``doc D / METHOD`` caption
-over each map.
+that is not UTF-8 included. Every file the commands write, and standard
+output, goes through one writer, ``_write_output``: it writes exactly the
+path it is given (a checkpoint too, as bytes; ``train`` rewrites its log
+whole after each epoch), and a failed write is one data error naming where.
+``explain --html`` and ``render`` write heatmaps through one renderer,
+whose HTML is one page with a ``doc D / METHOD`` caption over each map.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Either error prints one
 ``error: …`` line on stderr: argparse's errors raise ``UsageError`` like the
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import io
 import json
 import math
 import sys
@@ -205,39 +209,31 @@ def cmd_train(args) -> int:
     params = init_params(args.arch, len(vocab), args.d_embed, args.d_hidden,
                          n_classes, rng, direction=args.direction,
                          kernel_width=args.kernel_width, vocab=vocab)
-    try:
-        log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.log}: {exc}")
-
-    def log_epoch(epoch):
+    # the log is rewritten whole after each epoch, so it holds exactly the
+    # epochs run, and a run that diverges in epoch 1 leaves it empty
+    log = []
+    if args.log:
+        _write_output(args.log, "")
+    for epoch in range(1, args.epochs + 1):
+        # one optimizer epoch at a time, so metrics are logged between
+        train(params, corpus,
+              TrainConfig(epochs=1, lr=args.lr, batch_size=args.batch_size,
+                          seed=args.seed + epoch))
+        # a diverging run overflows silently (main ignores numpy's
+        # warnings); this rejects it
         loss, acc = loss_and_accuracy(params, corpus)
         if not (math.isfinite(loss) and np.isfinite(params.flat).all()):
             raise UsageError(f"training diverged in epoch {epoch} (loss "
                              f"{loss}); try a smaller --lr")
-        record = {"epoch": epoch, "loss": loss, "accuracy": acc}
         print(f"epoch {epoch}: loss={loss:.4f} accuracy={acc:.4f}",
               file=sys.stderr)
-        if log_fh:
-            log_fh.write(json.dumps(record) + "\n")
-
-    try:
-        # a diverging run overflows silently (main ignores numpy's
-        # warnings); log_epoch rejects it
-        for epoch in range(1, args.epochs + 1):
-            # one optimizer epoch at a time, so metrics are logged between
-            train(params, corpus,
-                  TrainConfig(epochs=1, lr=args.lr,
-                              batch_size=args.batch_size,
-                              seed=args.seed + epoch))
-            log_epoch(epoch)
-    finally:
-        if log_fh:
-            log_fh.close()
-    try:
-        save_checkpoint(args.out, params)
-    except OSError as exc:
-        raise ValueError(f"cannot write checkpoint {args.out}: {exc}")
+        log.append(json.dumps({"epoch": epoch, "loss": loss,
+                               "accuracy": acc}) + "\n")
+        if args.log:
+            _write_output(args.log, "".join(log))
+    checkpoint = io.BytesIO()
+    save_checkpoint(checkpoint, params)
+    _write_output(args.out, checkpoint.getvalue())
     return 0
 
 
@@ -396,14 +392,20 @@ def _check_writable(path: str | None, what: str = "") -> None:
         raise ValueError(f"cannot write {what}{path}: is a directory")
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if not path:
-        sys.stdout.write(text)
-        return
+def _write_output(path: str | None, data: str | bytes) -> None:
+    """The one writer: ``data`` to exactly ``path``, text as UTF-8 and
+    bytes as they are; with no path, text to standard output. A failed
+    write is one data error naming where."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if not path:
+            sys.stdout.write(data)
+            sys.stdout.flush()
+        elif isinstance(data, bytes):
+            Path(path).write_bytes(data)
+        else:
+            Path(path).write_text(data, encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}")
+        raise ValueError(f"cannot write {path or 'standard output'}: {exc}")
 
 
 # ---------------------------------------------------------------------------

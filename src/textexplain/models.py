@@ -998,8 +998,13 @@ def embedding_gradients(params: NetworkParams, ids=None, output: str = "s",
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(path, params: NetworkParams) -> None:
-    """Self-describing npz container; float64 arrays round-trip bitwise."""
+def save_checkpoint(file, params: NetworkParams) -> None:
+    """Self-describing npz container; float64 arrays round-trip bitwise.
+    ``file`` is a binary file object or a path, which is written exactly
+    as given (``np.savez`` alone would add ``.npz`` to it)."""
+    if not hasattr(file, "write"):
+        with open(file, "wb") as fh:
+            return save_checkpoint(fh, params)
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -1009,7 +1014,7 @@ def save_checkpoint(path, params: NetworkParams) -> None:
         "directions": list(params.directions),
         "vocab": params.vocab.to_dict() if params.vocab else None,
     }
-    np.savez(path, meta=np.asarray(json.dumps(meta)), **params.arrays())
+    np.savez(file, meta=np.asarray(json.dumps(meta)), **params.arrays())
 
 
 def load_checkpoint(path) -> NetworkParams:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1007,3 +1011,109 @@ class TestDataErrors:
             assert main(["train", str(corpus), "--out", str(out),
                          "--epochs", "1"]) == 0
             assert load_checkpoint(out).n_classes == 2, label
+
+    def test_record_without_label_or_sentences(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"label": 0, "sentences": [["a"]]})
+                          + "\n" + json.dumps({"label": 1}) + "\n")
+        assert main(["train", str(corpus), "--out",
+                     str(tmp_path / "m.npz")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}:2: need 'label' and 'sentences'\n")
+
+    def test_blank_lines_are_an_empty_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n  \n\t\n")
+        assert main(["train", str(corpus), "--out",
+                     str(tmp_path / "m.npz")]) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: empty corpus\n"
+
+    def test_blank_lines_between_records_keep_line_numbers(self, tmp_path,
+                                                           capsys):
+        """Blank lines are skipped, and a bad line after them is named by
+        its own number in the file."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps({"label": 0, "sentences": [["a"]]})
+                          + "\n\n   \n" + json.dumps([1]) + "\n")
+        assert main(["train", str(corpus), "--out",
+                     str(tmp_path / "m.npz")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus}:4: expected a JSON object\n")
+
+    def test_checkpoint_without_vocabulary(self, tmp_path, capsys):
+        ckpt, corpus = tmp_path / "m.npz", tmp_path / "c.jsonl"
+        save_checkpoint(ckpt, init_params("GRU", 5, 4, 4, 2, SeededRng(0)))
+        write_corpus(corpus, 2)
+        assert main(["explain", str(ckpt), str(corpus)]) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint has no vocabulary\n")
+
+
+def run_cli_process(argv, stdout=subprocess.PIPE):
+    """``python -m textexplain.cli argv`` in a fresh interpreter that
+    imports this textexplain."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "textexplain.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": path}, stdout=stdout,
+        stderr=subprocess.PIPE, text=True, timeout=300)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
+
+class TestWriter:
+    """Every file the CLI writes goes through one writer: it writes
+    exactly the path it is given, and a failed write, standard output
+    included, is one error line with exit code 2."""
+
+    def test_out_without_suffix_is_written_exactly(self, tmp_path):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "model"
+        write_corpus(corpus, 8)
+        assert main(["train", str(corpus), "--out", str(out),
+                     "--epochs", "1"]) == 0
+        assert out.is_file() and not (tmp_path / "model.npz").exists()
+        assert main(["explain", str(out), str(corpus), "--methods", "lrp",
+                     "--out", str(tmp_path / "maps.jsonl")]) == 0
+
+    def test_log_holds_the_epochs_run_so_far(self, tmp_path, monkeypatch):
+        """Each epoch starts with a log of exactly the epochs before it."""
+        corpus, log = tmp_path / "c.jsonl", tmp_path / "log.jsonl"
+        write_corpus(corpus, 8)
+        seen = []
+
+        def reading_train(*args, **kwargs):
+            seen.append(log.read_text())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", reading_train)
+        assert main(["train", str(corpus), "--out", str(tmp_path / "m.npz"),
+                     "--epochs", "3", "--log", str(log)]) == 0
+        lines = log.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        assert seen == ["".join(lines[:epoch]) for epoch in range(3)]
+
+    @needs_dev_full
+    def test_a_full_log_device_ends_in_one_error_line(self, tmp_path):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "m.npz"
+        write_corpus(corpus, 4)
+        proc = run_cli_process(["train", corpus, "--out", out, "--epochs",
+                                "2", "--log", "/dev/full"])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(
+            "error: cannot write /dev/full:")
+        assert not out.exists()
+
+    @needs_dev_full
+    def test_a_full_standard_output_is_one_error_line(self,
+                                                      trained_checkpoint):
+        _, corpus, ckpt = trained_checkpoint
+        with open("/dev/full", "w") as full:
+            proc = run_cli_process(["explain", ckpt, corpus, "--methods",
+                                    "lrp"], stdout=full)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: cannot write standard output:")

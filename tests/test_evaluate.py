@@ -80,6 +80,12 @@ class TestHitHybrid:
         with pytest.raises(ValueError):
             hit_hybrid(_doc([0, 1]), 0, np.array([1.0]))
 
+    def test_one_origin_label_per_token(self):
+        with pytest.raises(ValueError) as exc:
+            HybridDocument(ids=[1, 2, 3], tokens=["a", "b", "c"],
+                           origin_labels=[0, 1], sentence_bounds=[0])
+        assert str(exc.value) == "each token needs exactly one origin label"
+
 
 SAMPLE = AgreementSample(tokens=["the", "dogs", "that", "bark"],
                          pos_tags=["DT", "NNS", "WDT", "VBP"],
@@ -109,6 +115,14 @@ class TestAgreementHits:
             AgreementSample(["a"], ["DT"], 1, "Sg")
         with pytest.raises(ValueError):
             AgreementSample(["a"], ["DT"], 0, "Dual")
+
+    @pytest.mark.parametrize("hit", [
+        hit_target, lambda sample, rel: hit_feat(sample, 1, rel)],
+        ids=["target", "feat"])
+    def test_length_mismatch(self, hit):
+        with pytest.raises(ValueError) as exc:
+            hit(SAMPLE, np.array([0.0, 2.0, 1.0]))
+        assert str(exc.value) == "relevance/sample length mismatch"
 
     def test_label_id(self):
         assert AgreementSample(["a"], ["NN"], 0, "Sg").label_id == 0

@@ -3,10 +3,10 @@ import pytest
 
 import textexplain as tx
 from textexplain.explain.gradient import GradConfig, explain_gradient, \
-    integrated_gradients, reduce_gradients
+    integrated_gradients, reduce_gradients, white_box_pass
 from textexplain.models import embed, forward
 
-from conftest import rand_params
+from conftest import forbid_forward, rand_params
 
 
 def test_config_names():
@@ -35,6 +35,20 @@ class TestReduce:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             reduce_gradients(np.zeros((2, 3)), np.zeros((3, 2)), "l2")
+
+    def test_unknown_reduction(self):
+        with pytest.raises(ValueError) as exc:
+            reduce_gradients(np.zeros((2, 3)), np.zeros((2, 3)), "max")
+        assert str(exc.value) == "unknown reduction 'max'"
+
+
+def test_zero_steps_rejected_before_any_forward(monkeypatch):
+    p = rand_params("GRU")
+    forbid_forward(monkeypatch, "steps")
+    with pytest.raises(ValueError) as exc:
+        white_box_pass(p, [1, 2, 3], None, ["grad1_s_dot", "gradint_p_l2"],
+                       1e-6, 0)
+    assert str(exc.value) == "steps must be >= 1"
 
 
 class TestIntegratedGradients:

@@ -10,6 +10,7 @@ d6bc182), so loading them, and drawing them again, pins the checkpoint
 format and the draw order.
 """
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,27 @@ def test_a_gate_view_writes_the_stacked_block():
     p.layers["fwd"]["Vo"][0, 1] = 8.0
     st = p.dir_stack
     assert st.u[0, 4 + 1, 2] == 7.0 and st.kernel[0, 0, 8, 1] == 8.0
+
+
+@pytest.mark.parametrize("as_str", [False, True], ids=["path", "str"])
+def test_a_path_without_suffix_is_written_exactly(tmp_path, as_str):
+    """The checkpoint is written at the path given (``np.savez`` alone
+    would write ``model.npz``), and every array reads back bitwise."""
+    p = init_params("LSTM", 9, 3, 4, 3, SeededRng(1), direction="bi",
+                    kernel_width=3)
+    path = tmp_path / "model"
+    save_checkpoint(str(path) if as_str else path, p)
+    assert [f.name for f in tmp_path.iterdir()] == ["model"]
+    assert_bitwise(load_checkpoint(path).arrays(), p.arrays())
+
+
+def test_a_file_object_is_written_and_left_open():
+    p = init_params("QGRU", 9, 3, 4, 2, SeededRng(1), kernel_width=3)
+    buf = io.BytesIO()
+    save_checkpoint(buf, p)
+    assert not buf.closed
+    buf.seek(0)
+    assert_bitwise(load_checkpoint(buf).arrays(), p.arrays())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_INITS))

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import textexplain as tx
 from textexplain.explain import explain_document
 from textexplain.explain.catalog import GRADIENT_METHODS, ExplainOptions
-from textexplain.models import _run, embed, embedding_gradients, \
-    empty_sequence_scores, forward, forward_embedded, init_params, \
-    load_checkpoint, save_checkpoint, sweep
+from textexplain.models import NetworkParams, _run, embed, \
+    embedding_gradients, empty_sequence_scores, forward, forward_embedded, \
+    init_params, load_checkpoint, save_checkpoint, sweep
 from textexplain.numerics import SeededRng
 from textexplain.train import TrainConfig, minibatch_grads, train
 
@@ -166,6 +166,29 @@ class TestBidirectional:
         model."""
         with pytest.raises(ValueError, match="unknown direction"):
             init_params("GRU", 10, 4, 6, 2, SeededRng(0), direction=direction)
+
+
+class TestGuards:
+    @pytest.mark.parametrize("arch, direction, width, message", [
+        ("RNN", "uni", 5, "unknown architecture 'RNN'"),
+        ("CNN", "bi", 5, "CNN is unidirectional"),
+        ("QGRU", "uni", 4, "kernel width must be odd and positive"),
+    ], ids=["unknown-arch", "bi-cnn", "even-width"])
+    def test_network_params(self, arch, direction, width, message):
+        with pytest.raises(ValueError) as exc:
+            NetworkParams(arch, direction, 10, 4, 6, 2, width)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("shape, lengths, message", [
+        ((5, 4), None, "expected a (batch, length, width) input stack"),
+        ((2, 5, 3), None, "embedding width mismatch"),
+        ((2, 5, 4), [5, 3, 2], "expected one length per batch row"),
+    ], ids=["2-d", "width", "lengths"])
+    def test_run(self, shape, lengths, message):
+        p = rand_params("GRU", d_embed=4)
+        with pytest.raises(ValueError) as exc:
+            _run(p, np.zeros(shape), False, lengths)
+        assert str(exc.value) == message
 
 
 MODELS = [(arch, direction) for arch in tx.ARCHS
